@@ -1,4 +1,4 @@
-"""Hot kernels for the convex-roof ensemble search.
+"""Compass search for the convex-roof ensemble.
 
 An ensemble of ``m`` pure states decomposing a rank-``r`` density matrix is
 parameterized by an m x r complex matrix packed into a flat float64 array
@@ -6,21 +6,11 @@ parameterized by an m x r complex matrix packed into a flat float64 array
 them to the scaled eigenvector rows yields the unnormalized member vectors;
 the objective is the probability-weighted functional value over the members.
 
-``refine_*`` runs a coordinate compass search: cycle the parameters, try
+``refine`` runs a coordinate compass search: cycle the parameters, try
 +step/-step, keep strict improvements, halve the step when a sweep stalls.
-The coded variants dispatch built-in functionals by integer code and are
-the numba-compiled path; the generic variants take any Python callable and
-are the vectorized numpy fallback.
 """
 
 import numpy as np
-
-from ._accel import maybe_jit
-
-CODE_SHANNON = 1
-CODE_L1 = 2
-CODE_ALPHA = 3
-CODE_KYFAN = 4
 
 # member weights at or below this are treated as empty and skipped
 WEIGHT_FLOOR = 1e-14
@@ -28,93 +18,7 @@ WEIGHT_FLOOR = 1e-14
 IMPROVE_EPS = 1e-12
 
 
-@maybe_jit(cache=True)
-def f_coded(x, code, param):
-    if code == 1:
-        s = 0.0
-        for v in x:
-            if v > 0.0:
-                s -= v * np.log2(v)
-        return s + 0.0
-    if code == 2:
-        s = 0.0
-        for v in x:
-            s += np.sqrt(v)
-        return s * s - 1.0
-    if code == 3:
-        s = 0.0
-        for v in x:
-            s += v**param
-        return np.log2(s) / (1.0 - param)
-    l = int(param)
-    keep = x.size - l + 1
-    if keep <= 0:
-        return 0.0
-    xs = np.sort(x)
-    s = 0.0
-    for idx in range(keep):
-        s += xs[idx]
-    return s
-
-
-@maybe_jit(cache=True)
-def objective_coded(params, scaled, m, code, param):
-    r = scaled.shape[0]
-    d = scaled.shape[1]
-    amat = np.empty((m, r), np.complex128)
-    idx = 0
-    for a in range(m):
-        for b in range(r):
-            amat[a, b] = complex(params[idx], params[idx + 1])
-            idx += 2
-    q, _ = np.linalg.qr(amat)
-    wmat = np.ascontiguousarray(q) @ scaled
-    total = 0.0
-    x = np.empty(d, np.float64)
-    for j in range(m):
-        pj = 0.0
-        for c in range(d):
-            v = wmat[j, c]
-            pj += v.real * v.real + v.imag * v.imag
-        if pj > WEIGHT_FLOOR:
-            for c in range(d):
-                v = wmat[j, c]
-                x[c] = (v.real * v.real + v.imag * v.imag) / pj
-            total += pj * f_coded(x, code, param)
-    return total
-
-
-@maybe_jit(cache=True)
-def refine_coded(params, scaled, m, code, param, max_sweeps, init_step, min_step, shrink):
-    """Improve ``params`` in place; returns the best objective value."""
-    best = objective_coded(params, scaled, m, code, param)
-    step = init_step
-    sweep = 0
-    n = params.size
-    while sweep < max_sweeps and step > min_step:
-        improved = False
-        for idx in range(n):
-            base = params[idx]
-            params[idx] = base + step
-            val = objective_coded(params, scaled, m, code, param)
-            if val < best - IMPROVE_EPS:
-                best = val
-                improved = True
-                continue
-            params[idx] = base - step
-            val = objective_coded(params, scaled, m, code, param)
-            if val < best - IMPROVE_EPS:
-                best = val
-                improved = True
-                continue
-            params[idx] = base
-        if not improved:
-            step *= shrink
-        sweep += 1
-    return best
-
-
-def objective_generic(params, scaled, m, fun):
+def objective(params, scaled, m, fun):
     amat = params.view(np.complex128).reshape(m, -1)
     q, _ = np.linalg.qr(amat)
     wmat = q @ scaled
@@ -127,8 +31,9 @@ def objective_generic(params, scaled, m, fun):
     return total
 
 
-def refine_generic(params, scaled, m, fun, max_sweeps, init_step, min_step, shrink):
-    best = objective_generic(params, scaled, m, fun)
+def refine(params, scaled, m, fun, max_sweeps, init_step, min_step):
+    """Improve ``params`` in place; returns the best objective value."""
+    best = objective(params, scaled, m, fun)
     step = init_step
     sweep = 0
     n = params.size
@@ -137,19 +42,19 @@ def refine_generic(params, scaled, m, fun, max_sweeps, init_step, min_step, shri
         for idx in range(n):
             base = params[idx]
             params[idx] = base + step
-            val = objective_generic(params, scaled, m, fun)
+            val = objective(params, scaled, m, fun)
             if val < best - IMPROVE_EPS:
                 best = val
                 improved = True
                 continue
             params[idx] = base - step
-            val = objective_generic(params, scaled, m, fun)
+            val = objective(params, scaled, m, fun)
             if val < best - IMPROVE_EPS:
                 best = val
                 improved = True
                 continue
             params[idx] = base
         if not improved:
-            step *= shrink
+            step *= 0.5
         sweep += 1
     return best

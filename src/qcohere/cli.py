@@ -14,23 +14,17 @@ import numpy as np
 from .channels import is_complete, is_incoherent, kraus_set
 from .conversion import (
     build_ladder,
+    canonical_pair,
     conversion_probability,
     multicopy_probability,
     optimal_protocol,
+    support_shortcut,
     verify_protocol,
 )
 from .errors import QcohereError
-from .fileio import (
-    load_channel,
-    load_density,
-    load_state,
-    save_ensemble,
-    save_protocol,
-    _load_json,
-    _payload_channel,
-)
+from .fileio import load_density, load_stages, load_state, save_ensemble, save_protocol
 from .measures import builtin, coherence_pure, convex_roof_upper
-from .states import canonicalize, check_density, pure_state, support_size, tensor_power
+from .states import check_density, pure_state, support_size, tensor_power
 
 
 def _functional(args):
@@ -56,10 +50,9 @@ def cmd_convert(args) -> int:
         if args.protocol:
             print("error: --protocol cannot be combined with --target-copies", file=sys.stderr)
             return 2
-        shortcut = support_size(psi) < support_size(phi) ** 2
         for n in range(1, args.target_copies + 1):
             p = multicopy_probability(psi, phi, n)
-            note = " (support shortcut)" if n >= 2 and shortcut else ""
+            note = " (support shortcut)" if n >= 2 and support_shortcut(psi, phi, n) else ""
             print(f"n={n}: {p:.12f}{note}")
         return 0
     p = conversion_probability(psi, phi)
@@ -82,13 +75,7 @@ def cmd_ladder(args) -> int:
     if p <= 0.0:
         print("no ladder: conversion probability is zero")
         return 0
-    d = max(psi.size, phi.size)
-    pad = np.zeros(d, dtype=complex)
-    pad[: psi.size] = psi
-    cs = canonicalize(pad)
-    pad = np.zeros(d, dtype=complex)
-    pad[: phi.size] = phi
-    ct = canonicalize(pad)
+    cs, ct = canonical_pair(psi, phi)
     ladder = build_ladder(cs.state, ct.state)
     print("breakpoints:", " ".join(str(l) for l in ladder.breakpoints))
     print("ratios:", " ".join(f"{r:.12f}" for r in ladder.ratios))
@@ -97,16 +84,8 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_verify_channel(args) -> int:
-    payload = _load_json(args.channel)
-    if isinstance(payload, dict) and "stages" in payload:
-        sets = [
-            _payload_channel(p, args.channel, atol=float("inf"))
-            for p in payload["stages"]
-        ]
-        names = [f"stage {n}" for n in range(1, len(sets) + 1)]
-    else:
-        sets = [_payload_channel(payload, args.channel, atol=float("inf"))]
-        names = ["channel"]
+    sets, meta = load_stages(args.channel, atol=float("inf"))
+    names = ["channel"] if meta is None else [f"stage {n}" for n in range(1, len(sets) + 1)]
     ok_all = True
     for name, ks in zip(names, sets):
         complete, residual = is_complete(ks)
@@ -157,7 +136,7 @@ def _demo_checks(tol: float):
 
     m2 = multicopy_probability(psi, phi, 2)
     m3 = multicopy_probability(psi, phi, 3)
-    small = support_size(psi) < support_size(phi) ** 2
+    small = support_shortcut(psi, phi, 2) and support_shortcut(psi, phi, 3)
     checks.append((
         "support shortcut zeroes multi-target conversion",
         small and abs(m2) <= tol and abs(m3) <= tol,

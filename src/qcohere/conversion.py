@@ -51,6 +51,12 @@ def _common_pair(psi, phi):
     return _pad(psi, d), _pad(phi, d), d
 
 
+def canonical_pair(psi, phi) -> tuple:
+    """Canonical frames of psi and phi, zero-padded to the larger dimension."""
+    psi, phi, _ = _common_pair(psi, phi)
+    return canonicalize(psi), canonicalize(phi)
+
+
 def _require_canonical(psi) -> np.ndarray:
     psi = pure_state(psi)
     if float(np.abs(psi.imag).max()) > TINY:
@@ -312,9 +318,8 @@ def optimal_protocol(psi, phi) -> Protocol:
     absorbs the source canonicalization and the last one undoes the
     target's. Zero probability yields an empty protocol.
     """
-    psi, phi, d = _common_pair(psi, phi)
-    cs = canonicalize(psi)
-    ct = canonicalize(phi)
+    cs, ct = canonical_pair(psi, phi)
+    d = cs.state.size
     p = conversion_probability(psi, phi)
     if p <= 0.0:
         return Protocol(
@@ -398,13 +403,25 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     )
 
 
+def support_shortcut(psi, phi, n: int) -> bool:
+    """True when psi's support is smaller than that of n copies of phi.
+
+    Incoherent operations never enlarge the support, so the conversion
+    probability of psi into n copies of phi is then exactly zero.
+    """
+    s_psi, s_phi = support_size(psi), support_size(phi)
+    # s_phi >= 2 gives s_phi ** bit_length(s_psi) > s_psi, so capping the
+    # exponent there keeps the integer small and the comparison exact
+    return s_psi < s_phi ** min(n, s_psi.bit_length())
+
+
 def multicopy_probability(psi, phi, n: int, max_amplitudes: int = 1_000_000) -> float:
     """Probability of converting psi into n copies of phi.
 
     For n >= 2 the probability vanishes outright whenever psi's support is
-    smaller than the square of phi's; otherwise the tensor power is formed
-    explicitly (subject to the amplitude cap) and the single-copy rule
-    applies.
+    smaller than phi's support to the n-th power; otherwise the tensor power
+    is formed explicitly (subject to the amplitude cap) and the single-copy
+    rule applies.
     """
     if n < 1:
         raise ParameterError(f"copy count must be >= 1, got {n}")
@@ -412,7 +429,7 @@ def multicopy_probability(psi, phi, n: int, max_amplitudes: int = 1_000_000) -> 
     phi = pure_state(phi)
     if n == 1:
         return conversion_probability(psi, phi)
-    if support_size(psi) < support_size(phi) ** 2:
+    if support_shortcut(psi, phi, n):
         return 0.0
     target = tensor_power(phi, n, max_amplitudes=max_amplitudes)
     return conversion_probability(psi, target)

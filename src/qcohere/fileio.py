@@ -146,14 +146,29 @@ def save_protocol(path, protocol, report=None) -> None:
     _dump_json(path, payload)
 
 
-def load_protocol(path, atol: float = RENORM_TOL):
-    """Returns (stages, meta). ``meta`` holds the scalar fields as a dict."""
-    payload = _load_json(path)
+def _payload_protocol(payload, path, atol):
     stages = [
         _payload_channel(p, path, atol) for p in _expect(payload, "stages", path)
     ]
     meta = {k: v for k, v in payload.items() if k != "stages"}
     return stages, meta
+
+
+def load_protocol(path, atol: float = RENORM_TOL):
+    """Returns (stages, meta). ``meta`` holds the scalar fields as a dict."""
+    return _payload_protocol(_load_json(path), path, atol)
+
+
+def load_stages(path, atol: float = RENORM_TOL):
+    """Stages of a protocol file, or a channel file read as a single stage.
+
+    Returns (stages, meta) as ``load_protocol`` does; ``meta`` is None for a
+    channel file.
+    """
+    payload = _load_json(path)
+    if isinstance(payload, dict) and "stages" in payload:
+        return _payload_protocol(payload, path, atol)
+    return [_payload_channel(payload, path, atol)], None
 
 
 def save_ensemble(path, result, dim: int) -> None:

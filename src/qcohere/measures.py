@@ -15,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from . import _roofopt
-from ._accel import NUMBA_ENABLED
 from .errors import DimensionMismatchError, ParameterError
 from .simplex import ATOL, TINY
 from .states import check_density, squared_amplitudes
@@ -23,18 +22,14 @@ from .states import check_density, squared_amplitudes
 
 @dataclass(frozen=True)
 class CoherenceFunctional:
-    """A simplex functional plus bookkeeping for dispatch.
+    """A named simplex functional.
 
     ``dimension`` is None for any-dimension families and a fixed d otherwise.
-    ``kernel_code``/``kernel_param`` select the compiled fast path for the
-    built-ins; user-supplied functionals leave them unset.
     """
 
     name: str
     evaluate: Callable
     dimension: int | None = None
-    kernel_code: int | None = None
-    kernel_param: float = 0.0
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -75,27 +70,19 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
     kyfan:   sum of the d-l+1 smallest entries, integer l >= 2
     """
     if name == "shannon":
-        return CoherenceFunctional("shannon", _shannon, kernel_code=_roofopt.CODE_SHANNON)
+        return CoherenceFunctional("shannon", _shannon)
     if name == "l1":
-        return CoherenceFunctional("l1", _l1, kernel_code=_roofopt.CODE_L1)
+        return CoherenceFunctional("l1", _l1)
     if name == "alpha":
         if alpha is None or not 0.0 < alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha}")
         return CoherenceFunctional(
-            f"alpha({alpha:g})",
-            lambda x, a=float(alpha): _alpha_entropy(x, a),
-            kernel_code=_roofopt.CODE_ALPHA,
-            kernel_param=float(alpha),
+            f"alpha({alpha:g})", lambda x, a=float(alpha): _alpha_entropy(x, a)
         )
     if name == "kyfan":
         if l is None or int(l) != l or l < 2:
             raise ParameterError(f"kyfan order must be an integer >= 2, got {l}")
-        return CoherenceFunctional(
-            f"kyfan({int(l)})",
-            lambda x, k=int(l): _kyfan(x, k),
-            kernel_code=_roofopt.CODE_KYFAN,
-            kernel_param=float(int(l)),
-        )
+        return CoherenceFunctional(f"kyfan({int(l)})", lambda x, k=int(l): _kyfan(x, k))
     raise ParameterError(f"unknown functional family {name!r}")
 
 
@@ -199,25 +186,17 @@ def convex_roof_upper(
     sweeps: int = 80,
     init_step: float = 0.25,
     min_step: float = 1e-4,
-    backend: str = "auto",
 ) -> RoofResult:
     """Upper-bound the convex roof of ``f`` over decompositions of ``rho``.
 
     Deterministic for a fixed seed: the eigen-ensemble seeds restart 0 (so
     the bound never exceeds the eigendecomposition average), further
     restarts draw random ensembles, and each is refined by compass search.
-    ``backend`` is "auto" (numba when enabled), "numba", or "numpy".
     """
     rho = check_density(rho)
     d = rho.shape[0]
     if f.dimension is not None and f.dimension != d:
         raise DimensionMismatchError(f"{f.name} expects dimension {f.dimension}, got {d}")
-    if backend not in ("auto", "numba", "numpy"):
-        raise ParameterError(f"unknown backend {backend!r}")
-    if backend == "numba" and not NUMBA_ENABLED:
-        raise ParameterError("numba backend requested but not enabled")
-    if backend == "numba" and f.kernel_code is None:
-        raise ParameterError(f"{f.name} has no compiled kernel")
 
     diag = np.diag(rho)
     if float(np.abs(rho - np.diag(diag)).max()) <= ATOL:
@@ -241,11 +220,6 @@ def convex_roof_upper(
     # orthonormal columns applied from the left yields a valid ensemble
     scaled = np.ascontiguousarray((vecs[:, keep] * np.sqrt(w[keep])).T)
 
-    use_kernel = (
-        f.kernel_code is not None
-        and backend != "numpy"
-        and NUMBA_ENABLED
-    )
     rng = np.random.default_rng(seed)
     n_par = 2 * m * r
     best_val = np.inf
@@ -257,15 +231,7 @@ def convex_roof_upper(
                 params[2 * (k * r + k)] = 1.0  # embed the eigen-ensemble
         else:
             params = rng.standard_normal(n_par)
-        if use_kernel:
-            val = _roofopt.refine_coded(
-                params, scaled, m, f.kernel_code, f.kernel_param,
-                sweeps, init_step, min_step, 0.5,
-            )
-        else:
-            val = _roofopt.refine_generic(
-                params, scaled, m, f.evaluate, sweeps, init_step, min_step, 0.5
-            )
+        val = _roofopt.refine(params, scaled, m, f.evaluate, sweeps, init_step, min_step)
         if val < best_val:
             best_val = val
             best_params = params

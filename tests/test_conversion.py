@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcohere import (
     InfeasibleStepError,
@@ -22,6 +24,7 @@ from qcohere import (
     optimal_protocol,
     pure_state,
     squared_amplitudes,
+    support_size,
     tensor_power,
     two_level_step,
     verify_protocol,
@@ -347,3 +350,31 @@ def test_multicopy_guard_rails():
         multicopy_probability(uni, tgt, 0)
     with pytest.raises(ResourceLimitError):
         multicopy_probability(uni, tgt, 2, max_amplitudes=3)
+
+
+def test_multicopy_support_shortcut_skips_tensor_power():
+    # 2^20 target amplitudes exceed the cap, but support 4 < 2^20 decides P = 0
+    uni = np.full(4, 0.5)
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    assert multicopy_probability(uni, plus, 20) == 0.0
+    assert multicopy_probability(uni, plus, 10**9) == 0.0
+
+
+def states(max_dim):
+    """Pure states with integer weights, exact zero amplitudes and phases i^k."""
+    weights = st.lists(st.integers(0, 4), min_size=1, max_size=max_dim).filter(any)
+    return st.tuples(weights, st.lists(st.integers(0, 3), min_size=max_dim, max_size=max_dim)).map(
+        lambda wk: np.sqrt(np.array(wk[0]) / sum(wk[0])) * 1j ** np.array(wk[1][: len(wk[0])])
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(states(9), states(3), st.sampled_from([2, 3]))
+def test_multicopy_matches_explicit_tensor_power(psi, phi, n):
+    p = multicopy_probability(psi, phi, n)
+    explicit = conversion_probability(psi, tensor_power(phi, n))
+    if support_size(psi) < support_size(phi) ** n:
+        assert p == 0.0
+        assert explicit == 0.0
+    else:
+        assert p == explicit

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from qcohere import (
-    ParameterError,
     builtin,
     coherence_pure,
     convex_roof_upper,
     extract_functional,
     pure_density,
 )
-from qcohere._accel import NUMBA_ENABLED
 from randgen import random_pure_state
 
 
@@ -97,25 +95,10 @@ def test_deterministic_for_fixed_seed():
     assert a.value == b.value
 
 
-def test_backends_agree():
-    f = builtin("alpha", alpha=0.5)
-    rng = np.random.default_rng(41)
-    rho = mixture_density(rng, 3, 2)
-    plain = convex_roof_upper(f, rho, restarts=2, seed=2, backend="numpy")
-    auto = convex_roof_upper(f, rho, restarts=2, seed=2, backend="auto")
-    assert abs(plain.value - auto.value) < 1e-9
-
-
-def test_numba_backend_requires_kernel():
+def test_user_functional_gets_roof_bound():
     g = extract_functional(lambda v: coherence_pure(builtin("shannon"), v), 2)
     rho = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
-    if NUMBA_ENABLED:
-        with pytest.raises(ParameterError):
-            convex_roof_upper(g, rho, backend="numba")
-    else:
-        with pytest.raises(ParameterError):
-            convex_roof_upper(builtin("shannon"), rho, backend="numba")
-    res = convex_roof_upper(g, rho, restarts=2, seed=0, backend="numpy")
+    res = convex_roof_upper(g, rho, restarts=2, seed=0)
     assert res.value >= 0.0
 
 
