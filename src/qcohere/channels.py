@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletenessError, DimensionMismatchError
+from .errors import CompletenessError, DimensionMismatchError, ResourceLimitError
 from .simplex import ATOL, TINY
-from .states import check_density, pure_state
+from .states import COMPOSE_CAP, check_density, pure_state
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,9 @@ def compose(stages, prune: float = TINY) -> KrausSet:
 
     Products with Frobenius norm at or below ``prune`` are dropped. Labels
     of the surviving products join the stages' non-empty labels in order.
+    The product count can double with every stage: a stage whose products
+    would number more than COMPOSE_CAP raises ResourceLimitError before any
+    of them is formed.
     """
     stages = list(stages)
     if not stages:
@@ -154,6 +157,10 @@ def compose(stages, prune: float = TINY) -> KrausSet:
     ops = list(stages[0].operators)
     labels = list(stages[0].labels) if stages[0].labels is not None else [""] * len(ops)
     for stage in stages[1:]:
+        if len(ops) * len(stage) > COMPOSE_CAP:
+            raise ResourceLimitError(
+                f"{len(ops)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
+            )
         nxt_ops, nxt_labels = [], []
         slabels = stage.labels if stage.labels is not None else [""] * len(stage)
         for op2, lab2 in zip(stage.operators, slabels):

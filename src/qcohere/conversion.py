@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausSet, apply_selective, compose, is_complete, is_incoherent, kraus_set
+from .channels import (
+    Branch,
+    KrausSet,
+    _join,
+    apply_selective,
+    is_complete,
+    is_incoherent,
+    kraus_set,
+)
 from .errors import (
     DimensionMismatchError,
     InfeasibleStepError,
@@ -347,7 +355,12 @@ def optimal_protocol(psi, phi) -> Protocol:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Verification summary of a protocol against a state pair."""
+    """Verification summary of a protocol against a state pair.
+
+    ``branch_count`` counts the live branches after the last stage, once
+    branches with equal labels and equal post-states are merged;
+    ``success_count`` counts those carrying the success label.
+    """
 
     stage_completeness: tuple
     incoherent: bool
@@ -368,8 +381,41 @@ class ProtocolReport:
         return self.min_success_fidelity >= 1.0 - atol
 
 
+def _step(branches: list, stage: KrausSet) -> list:
+    """Run every live branch through one stage.
+
+    Children with absolute probability at or below TINY are dropped. Two
+    children merge when their labels are equal and their states agree
+    (fidelity within TINY of 1): a mixture of equal pure states is that
+    same pure state, so the first state is kept and the probabilities add.
+    """
+    out = []
+    for parent in branches:
+        for child in apply_selective(stage, parent.state):
+            p = parent.probability * child.probability
+            if p <= TINY:
+                continue
+            label = _join(parent.label, child.label)
+            for k, kept in enumerate(out):
+                if kept.label == label and fidelity_pure(kept.state, child.state) >= 1.0 - TINY:
+                    out[k] = Branch(probability=kept.probability + p, state=kept.state, label=label)
+                    break
+            else:
+                out.append(Branch(probability=p, state=child.state, label=label))
+    return out
+
+
 def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
-    """Simulate ``protocol`` on psi and check it delivers phi as declared."""
+    """Simulate ``protocol`` on psi and check it delivers phi as declared.
+
+    Every stage is checked for completeness and incoherence, then the
+    stages act one after another on the live branches, starting from psi.
+    Branches with equal labels and equal post-states merge, so a stage
+    whose outcomes agree on the post-state leaves one branch, and a
+    protocol from optimal_protocol carries at most two: the cost is linear
+    in the stage count. Nothing from the builder (ladder, gamma, declared
+    probability) enters the simulation.
+    """
     if not protocol.stages:
         return ProtocolReport(
             stage_completeness=(), incoherent=True, witness=None,
@@ -390,8 +436,9 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
         if not ok and witness is None:
             incoherent = False
             witness = w
-    composed = compose(protocol.stages)
-    branches = apply_selective(composed, psi)
+    branches = [Branch(probability=1.0, state=psi)]
+    for stage in protocol.stages:
+        branches = _step(branches, stage)
     succ = [b for b in branches if b.label == protocol.success_label]
     total = float(sum(b.probability for b in succ))
     fid = min((fidelity_pure(phi, b.state) for b in succ), default=1.0)
@@ -419,9 +466,10 @@ def multicopy_probability(psi, phi, n: int, max_amplitudes: int = 1_000_000) -> 
     """Probability of converting psi into n copies of phi.
 
     For n >= 2 the probability vanishes outright whenever psi's support is
-    smaller than phi's support to the n-th power; otherwise the tensor power
-    is formed explicitly (subject to the amplitude cap) and the single-copy
-    rule applies.
+    smaller than phi's support to the n-th power. Otherwise the tensor power
+    of phi's nonzero amplitudes is formed explicitly (subject to the
+    amplitude cap) and the single-copy rule applies; zero amplitudes would
+    only pad it and leave the probability unchanged.
     """
     if n < 1:
         raise ParameterError(f"copy count must be >= 1, got {n}")
@@ -431,5 +479,5 @@ def multicopy_probability(psi, phi, n: int, max_amplitudes: int = 1_000_000) -> 
         return conversion_probability(psi, phi)
     if support_shortcut(psi, phi, n):
         return 0.0
-    target = tensor_power(phi, n, max_amplitudes=max_amplitudes)
+    target = tensor_power(phi[phi != 0], n, max_amplitudes=max_amplitudes)
     return conversion_probability(psi, target)

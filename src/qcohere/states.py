@@ -7,12 +7,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DensityMatrixError, NormalizationError, ParameterError, ResourceLimitError
-from .simplex import ATOL, prob_vector
+from .simplex import ATOL, TINY, prob_vector
 
-# amplitudes with modulus at or below this do not count toward the support
-SUPPORT_TOL = 1e-9
+# amplitudes with modulus at or below this do not count toward the support:
+# their squared modulus is at or below the probability floor TINY
+SUPPORT_TOL = float(np.sqrt(TINY))
 # default cap on the output length of tensor_power
 TENSOR_CAP = 1_000_000
+# cap on the products compose() may form for one stage
+COMPOSE_CAP = 1 << 14
 
 
 def pure_state(amplitudes) -> np.ndarray:
@@ -83,9 +86,14 @@ def tensor_power(psi, n: int, max_amplitudes: int = TENSOR_CAP) -> np.ndarray:
 
 
 def support_size(psi, tol: float = SUPPORT_TOL) -> int:
-    """Number of amplitudes with modulus above ``tol``."""
+    """Number of amplitudes with modulus above ``tol``.
+
+    Squared moduli are compared with ``tol`` squared, so the default counts
+    exactly the amplitudes whose mass exceeds TINY, the floor below which
+    conversion_probability treats mass as zero.
+    """
     psi = np.asarray(psi, dtype=complex)
-    return int(np.count_nonzero(np.abs(psi) > tol))
+    return int(np.count_nonzero(psi.real**2 + psi.imag**2 > tol * tol))
 
 
 def check_density(rho, atol: float = ATOL) -> np.ndarray:

@@ -3,6 +3,7 @@ import pytest
 
 from qcohere import (
     CompletenessError,
+    ResourceLimitError,
     apply_channel,
     apply_selective,
     compose,
@@ -12,6 +13,7 @@ from qcohere import (
     pure_density,
     pure_state,
 )
+from qcohere.states import COMPOSE_CAP
 from randgen import random_incoherent_kraus, random_pure_state
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -154,3 +156,12 @@ def test_compose_closure():
         psi = random_pure_state(rng, d)
         total = sum(b.probability for b in apply_selective(ks, psi))
         assert abs(total - 1.0) <= 1e-9
+
+
+def test_compose_cap():
+    # no product of these stages vanishes, so 25 stages would form 2^25 of them
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    stage = kraus_set([INV2 * np.eye(2, dtype=complex), INV2 * flip])
+    assert 2**25 > COMPOSE_CAP
+    with pytest.raises(ResourceLimitError):
+        compose([stage] * 25)

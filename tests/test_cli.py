@@ -83,6 +83,29 @@ def test_convert_writes_protocol(paths, capsys):
     assert abs(ver["composed_success_probability"] - 1.0 / 3.0) < 1e-9
 
 
+def test_convert_protocol_d64(paths, capsys):
+    rng = np.random.default_rng(64)
+    for name in ("src64", "tgt64"):
+        amps = np.sqrt(rng.dirichlet(np.ones(64))) * np.exp(2j * np.pi * rng.random(64))
+        paths[name] = paths["tmp"] / f"{name}.json"
+        save_state(paths[name], pure_state(amps))
+    proto = paths["tmp"] / "protocol64.json"
+    code, out, _ = run(
+        ["convert", "--source", paths["src64"], "--target", paths["tgt64"],
+         "--protocol", proto], capsys
+    )
+    assert code == 0
+    payload = json.loads(proto.read_text())
+    ver = payload["verification"]
+    assert max(ver["stage_completeness_residuals"]) <= 1e-9
+    assert ver["incoherent"] is True
+    assert abs(ver["composed_success_probability"] - payload["probability"]) <= 1e-9
+    assert abs(payload["probability"] - float(out)) <= 1e-12
+    assert ver["min_success_fidelity"] >= 1.0 - 1e-9
+    assert ver["success_count"] == 1
+    assert ver["branch_count"] <= 2
+
+
 def test_convert_copies(paths, capsys):
     code, out, _ = run(
         ["convert", "--source", paths["pair"], "--target", paths["uni3"],

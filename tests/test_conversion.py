@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcohere import (
@@ -8,6 +8,7 @@ from qcohere import (
     MajorizationError,
     NoLadderError,
     ParameterError,
+    Protocol,
     ResourceLimitError,
     apply_selective,
     build_ladder,
@@ -19,6 +20,7 @@ from qcohere import (
     filter_operator,
     is_complete,
     is_incoherent,
+    kraus_set,
     majorizes,
     multicopy_probability,
     optimal_protocol,
@@ -29,6 +31,7 @@ from qcohere import (
     two_level_step,
     verify_protocol,
 )
+from qcohere.simplex import TINY
 from randgen import random_majorized_pair, random_pure_state
 
 PSI = np.sqrt([0.8, 0.1, 0.1])
@@ -328,6 +331,40 @@ def test_optimal_protocol_self_conversion_with_phases():
     assert abs(report.success_probability - 1.0) < 1e-9
 
 
+def _protocol(stages, psi, phi, label="", probability=1.0):
+    return Protocol(
+        stages=tuple(stages), success_label=label, probability=probability,
+        source_frame=canonicalize(psi), target_frame=canonicalize(phi),
+    )
+
+
+def test_verify_protocol_merges_equal_branches():
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    # both outcomes leave the state unchanged: one live branch at any depth
+    coin = kraus_set([half, half])
+    report = verify_protocol(_protocol([coin] * 40, plus, plus), plus, plus)
+    assert report.passes()
+    assert report.branch_count == 1
+    assert abs(report.success_probability - 1.0) < 1e-12
+    # distinct labels keep equal states apart
+    labelled = kraus_set([half, half], labels=["a", "b"])
+    report = verify_protocol(_protocol([labelled], plus, plus, "a", 0.5), plus, plus)
+    assert report.passes()
+    assert (report.branch_count, report.success_count) == (2, 1)
+
+
+def test_verify_protocol_keeps_distinct_states():
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    measure = kraus_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    report = verify_protocol(_protocol([measure], plus, plus), plus, plus)
+    # |0> and |1> share the empty label but are not merged
+    assert report.branch_count == 2
+    assert abs(report.success_probability - 1.0) < 1e-12
+    assert abs(report.min_success_fidelity - 0.5) < 1e-12
+    assert not report.passes()
+
+
 def test_multicopy_probability():
     psi = pure_state([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0])
     phi = pure_state(np.full(3, 1.0 / np.sqrt(3.0)))
@@ -378,3 +415,41 @@ def test_multicopy_matches_explicit_tensor_power(psi, phi, n):
         assert explicit == 0.0
     else:
         assert p == explicit
+
+
+def test_multicopy_support_matches_probability_floor():
+    # phi's second mass, 1e-16, lies below TINY: it counts toward neither
+    # the support nor the probability
+    phi = np.array([np.sqrt(1.0 - 1e-16), 1e-8])
+    uni = np.full(3, 1.0 / np.sqrt(3.0))
+    explicit = conversion_probability(uni, tensor_power(phi, 2))
+    assert explicit == 1.0
+    assert multicopy_probability(uni, phi, 2) == explicit
+
+
+def test_multicopy_power_skips_zero_amplitudes():
+    # |0> has dimension 2 but support 1: its 20th power is one amplitude
+    assert multicopy_probability(np.full(4, 0.5), [1.0, 0.0], 20) == 1.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(states(9), states(9))
+@example(np.array([1.0, 0.0]), np.array([np.sqrt(1.0 - 1e-14), 1e-7]))
+@example(np.array([np.sqrt(1.0 - 1e-14), 1e-7]), np.array([1.0, 0.0]))
+@example(np.array([1.0, 0.0]), np.array([np.sqrt(1.0 - 1e-10), 1e-5]))
+@example(np.array([np.sqrt(1.0 - 1e-10), 1e-5]), np.array([1.0, 0.0]))
+@example(np.sqrt([0.5, 0.5 - 1e-10, 1e-10]), np.sqrt([0.5, 0.5]))
+@example(np.sqrt([0.5, 0.5]), np.sqrt([0.5, 0.5 - 1e-10, 1e-10]))
+def test_verified_protocol_matches_probability(psi, phi):
+    p = conversion_probability(psi, phi)
+    report = verify_protocol(optimal_protocol(psi, phi), psi, phi)
+    assert report.passes(), report
+    assert abs(report.success_probability - p) <= 1e-9
+    assert report.branch_count <= 2
+    d = max(psi.size, phi.size)
+    a = np.pad(np.abs(psi) ** 2, (0, d - psi.size))
+    b = np.pad(np.abs(phi) ** 2, (0, d - phi.size))
+    # P = 1 iff phi majorizes psi (Vidal, PRL 83, 1046). Masses at or below
+    # TINY count as zero; partial sums equal in exact arithmetic can leave
+    # P an ulp or two below 1, never 1e-12 below it
+    assert majorizes(b, a, slack=TINY) == (p >= 1.0 - 1e-12)

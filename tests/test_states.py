@@ -117,6 +117,12 @@ def test_support_size():
     assert support_size([np.sqrt(1 - 1e-20), 1e-10]) == 1
 
 
+def test_support_size_matches_probability_floor():
+    # mass 1e-16 lies below the probability floor, mass 1e-10 above it
+    assert support_size([np.sqrt(1 - 1e-16), 1e-8]) == 1
+    assert support_size([np.sqrt(1 - 1e-10), 1e-5]) == 2
+
+
 def test_check_density():
     rho = check_density(np.diag([0.5, 0.5]).astype(complex))
     assert rho.shape == (2, 2)
