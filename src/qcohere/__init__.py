@@ -30,6 +30,7 @@ from .errors import (
     DensityMatrixError,
     DimensionMismatchError,
     FileFormatError,
+    IncoherenceError,
     InfeasibleStepError,
     MajorizationError,
     NoLadderError,

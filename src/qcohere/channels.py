@@ -1,5 +1,7 @@
-"""Kraus-operator sets: incoherence and completeness checks, selective
-application to pure states, channel action on density matrices, composition."""
+"""Incoherent Kraus-operator sets, stored with their one nonzero entry per
+column: completeness check, selective application to pure states, channel
+action on density matrices, composition. Dense matrices appear only where
+they enter (``kraus_set``) and leave (``KrausSet.operators``)."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletenessError, DimensionMismatchError, ResourceLimitError
+from .errors import CompletenessError, DimensionMismatchError, IncoherenceError, ResourceLimitError
 from .simplex import ATOL, TINY
 from .states import COMPOSE_CAP, check_density, pure_state
 
@@ -33,20 +35,53 @@ class Branch:
 
 @dataclass(frozen=True)
 class KrausSet:
-    operators: tuple
+    """K_n[rows[n, c], c] = vals[n, c], other entries zero. An all-zero
+    column is stored as row c, value +0: equal operators, equal arrays."""
+
+    rows: np.ndarray
+    vals: np.ndarray
     labels: tuple | None = None
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.rows.shape[1]
 
     def __len__(self) -> int:
-        return len(self.operators)
+        return self.rows.shape[0]
+
+    @property
+    def operators(self) -> tuple:
+        """The operators as dense d x d matrices."""
+        n, d = self.rows.shape
+        ops = np.zeros((n, d, d), dtype=complex)
+        ops[np.arange(n)[:, None], self.rows, np.arange(d)] = self.vals
+        return tuple(ops)
+
+
+def _from_stored(rows, vals, labels=None, atol: float = ATOL) -> KrausSet:
+    """KrausSet from stored arrays, enforcing completeness within ``atol``."""
+    zero = vals == 0
+    if zero.any():
+        rows = np.where(zero, np.arange(rows.shape[1]), rows)
+        vals = np.where(zero, 0j, vals)
+    if labels is not None:
+        labels = tuple(str(s) for s in labels)
+        if len(labels) != rows.shape[0]:
+            raise ValueError(f"{len(labels)} labels for {rows.shape[0]} operators")
+    ks = KrausSet(rows=rows, vals=vals, labels=labels)
+    ok, residual = is_complete(ks, atol=atol)
+    if not ok:
+        raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.3e}")
+    return ks
 
 
 def kraus_set(operators, labels=None, atol: float = ATOL) -> KrausSet:
-    """Build a KrausSet, enforcing completeness within ``atol``."""
-    ops = tuple(np.asarray(k, dtype=complex) for k in operators)
+    """KrausSet of dense operators, enforcing completeness within ``atol``.
+
+    Each column keeps its largest entry. A column with two entries above
+    ATOL raises IncoherenceError, whose witness is the first such column.
+    """
+    ops = [np.asarray(k, dtype=complex) for k in operators]
     if not ops:
         raise ValueError("at least one operator required")
     d = ops[0].shape
@@ -54,42 +89,62 @@ def kraus_set(operators, labels=None, atol: float = ATOL) -> KrausSet:
         raise DimensionMismatchError(f"operators must be square, got shape {d}")
     if any(op.shape != d for op in ops):
         raise DimensionMismatchError("operators differ in shape")
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != len(ops):
-            raise ValueError(f"{len(labels)} labels for {len(ops)} operators")
-    ks = KrausSet(operators=ops, labels=labels)
-    ok, residual = is_complete(ks, atol=atol)
-    if not ok:
-        raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.3e}")
-    return ks
+    ops = np.stack(ops)
+    mag = np.abs(ops)
+    big = mag > ATOL
+    coherent = np.argwhere(big.sum(axis=1) > 1)
+    if coherent.size:
+        n, c = (int(x) for x in coherent[0])
+        r = np.nonzero(big[n, :, c])[0]
+        witness = IncoherenceWitness(n + 1, c + 1, (int(r[0]) + 1, int(r[1]) + 1))
+        raise IncoherenceError(f"coherent operator: {witness}", witness)
+    rows = mag.argmax(axis=1)
+    vals = np.take_along_axis(ops, rows[:, None, :], axis=1)[:, 0, :]
+    return _from_stored(rows, vals, labels=labels, atol=atol)
 
 
 def is_complete(k: KrausSet, atol: float = ATOL):
-    """(flag, residual): max deviation of sum K^dag K from the identity."""
-    d = k.dim
-    acc = np.zeros((d, d), dtype=complex)
-    for op in k.operators:
-        acc += op.conj().T @ op
-    residual = float(np.abs(acc - np.eye(d)).max())
+    """(flag, residual): max deviation of sum K^dag K from the identity.
+
+    Its diagonal holds the column masses. Entry (c, c') can be nonzero only
+    if an operator sends columns c and c' to one row; only then is the
+    whole matrix formed, in O(n d^2).
+    """
+    residual = float(np.abs(np.square(np.abs(k.vals)).sum(axis=0) - 1.0).max())
+    srt = np.sort(k.rows, axis=1)
+    if (srt[:, 1:] == srt[:, :-1]).any():
+        same = k.rows[:, :, None] == k.rows[:, None, :]
+        gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, same)
+        residual = float(np.abs(gram - np.eye(k.dim)).max())
     return residual <= atol, residual
 
 
 def is_incoherent(k: KrausSet, tol: float = ATOL):
-    """Every operator column may hold at most one entry above ``tol``.
-
-    Returns (True, None) or (False, witness) for the first violation found.
-    """
-    for n, op in enumerate(k.operators):
-        big = np.abs(op) > tol
-        for c in range(op.shape[1]):
-            rows = np.nonzero(big[:, c])[0]
-            if rows.size > 1:
-                witness = IncoherenceWitness(
-                    operator=n + 1, column=c + 1, rows=(int(rows[0]) + 1, int(rows[1]) + 1)
-                )
-                return False, witness
+    """(True, None): a KrausSet holds one entry per operator column, so it
+    is incoherent by construction; ``kraus_set`` refuses coherent input with
+    IncoherenceError and its witness."""
     return True, None
+
+
+def _require_complete(k: KrausSet) -> None:
+    ok, residual = is_complete(k)
+    if not ok:
+        raise CompletenessError(f"completeness residual {residual:.3e}")
+
+
+def _branches(k: KrausSet, psi: np.ndarray, prune: float) -> list:
+    """apply_selective on a validated state, without the completeness check."""
+    if k.dim != psi.size:
+        raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {psi.size}")
+    vecs = np.zeros(k.vals.shape, dtype=complex)
+    np.add.at(vecs, (np.arange(len(k))[:, None], k.rows), k.vals * psi)
+    probs = (vecs.real**2 + vecs.imag**2).sum(axis=1)
+    live = np.nonzero(probs > prune)[0]
+    kept = float(probs[live].sum())
+    if abs(kept - 1.0) > ATOL + prune * len(k):
+        raise CompletenessError(f"branch probabilities sum to {kept!r}")
+    labels = k.labels if k.labels is not None else ("",) * len(k)
+    return [Branch(float(probs[n]), vecs[n] / np.sqrt(probs[n]), labels[n]) for n in live]
 
 
 def apply_selective(k: KrausSet, psi, prune: float = TINY) -> list:
@@ -98,38 +153,20 @@ def apply_selective(k: KrausSet, psi, prune: float = TINY) -> list:
     Branches with probability at or below ``prune`` are dropped; the kept
     probabilities still account for all but negligible mass.
     """
-    ok, residual = is_complete(k)
-    if not ok:
-        raise CompletenessError(f"completeness residual {residual:.3e}")
-    psi = pure_state(psi)
-    if k.dim != psi.size:
-        raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {psi.size}")
-    branches = []
-    kept = 0.0
-    for n, op in enumerate(k.operators):
-        vec = op @ psi
-        p = float((vec.real**2 + vec.imag**2).sum())
-        if p <= prune:
-            continue
-        label = k.labels[n] if k.labels is not None else ""
-        branches.append(Branch(probability=p, state=vec / np.sqrt(p), label=label))
-        kept += p
-    if abs(kept - 1.0) > ATOL + prune * len(k.operators):
-        raise CompletenessError(f"branch probabilities sum to {kept!r}")
-    return branches
+    _require_complete(k)
+    return _branches(k, pure_state(psi), prune)
 
 
 def apply_channel(k: KrausSet, rho) -> np.ndarray:
     """sum_n K_n rho K_n^dag for a complete Kraus set."""
-    ok, residual = is_complete(k)
-    if not ok:
-        raise CompletenessError(f"completeness residual {residual:.3e}")
+    _require_complete(k)
     rho = check_density(rho)
     if k.dim != rho.shape[0]:
         raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {rho.shape[0]}")
+    # K rho K^dag moves entry (c, c') of rho to (rows[c], rows[c'])
+    terms = k.vals[:, :, None] * rho * k.vals[:, None, :].conj()
     out = np.zeros_like(rho)
-    for op in k.operators:
-        out += op @ rho @ op.conj().T
+    np.add.at(out, (k.rows[:, :, None], k.rows[:, None, :]), terms)
     return out
 
 
@@ -154,23 +191,22 @@ def compose(stages, prune: float = TINY) -> KrausSet:
     d = stages[0].dim
     if any(s.dim != d for s in stages):
         raise DimensionMismatchError("stages differ in dimension")
-    ops = list(stages[0].operators)
-    labels = list(stages[0].labels) if stages[0].labels is not None else [""] * len(ops)
+    rows, vals = stages[0].rows, stages[0].vals
+    labels = list(stages[0].labels) if stages[0].labels is not None else [""] * len(rows)
     for stage in stages[1:]:
-        if len(ops) * len(stage) > COMPOSE_CAP:
+        if len(rows) * len(stage) > COMPOSE_CAP:
             raise ResourceLimitError(
-                f"{len(ops)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
+                f"{len(rows)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
             )
-        nxt_ops, nxt_labels = [], []
+        # product [m, n] = stage op m after op n: column c goes to rows[n, c],
+        # then on to stage.rows[m, rows[n, c]]
+        rows2 = stage.rows[:, rows].reshape(-1, d)
+        vals2 = (stage.vals[:, rows] * vals).reshape(-1, d)
         slabels = stage.labels if stage.labels is not None else [""] * len(stage)
-        for op2, lab2 in zip(stage.operators, slabels):
-            for op1, lab1 in zip(ops, labels):
-                prod = op2 @ op1
-                if float(np.sqrt((prod.real**2 + prod.imag**2).sum())) <= prune:
-                    continue
-                nxt_ops.append(prod)
-                nxt_labels.append(_join(lab1, lab2))
-        ops, labels = nxt_ops, nxt_labels
+        keep = np.sqrt((vals2.real**2 + vals2.imag**2).sum(axis=1)) > prune
+        rows, vals = rows2[keep], vals2[keep]
+        joined = [_join(lab1, lab2) for lab2 in slabels for lab1 in labels]
+        labels = [lab for lab, k in zip(joined, keep) if k]
     if not any(labels):
         labels = None
-    return kraus_set(ops, labels=labels, atol=len(stages) * ATOL)
+    return _from_stored(rows, vals, labels=labels, atol=len(stages) * ATOL)

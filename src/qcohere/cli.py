@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .channels import is_complete, is_incoherent, kraus_set
+from .channels import is_complete, kraus_set
 from .conversion import (
     build_ladder,
     canonical_pair,
@@ -21,8 +21,8 @@ from .conversion import (
     support_shortcut,
     verify_protocol,
 )
-from .errors import QcohereError
-from .fileio import load_density, load_stages, load_state, save_ensemble, save_protocol
+from .errors import IncoherenceError, QcohereError
+from .fileio import load_density, load_state, read_stages, save_ensemble, save_protocol
 from .measures import builtin, coherence_pure, convex_roof_upper
 from .states import check_density, pure_state, support_size, tensor_power
 
@@ -84,19 +84,20 @@ def cmd_ladder(args) -> int:
 
 
 def cmd_verify_channel(args) -> int:
-    sets, meta = load_stages(args.channel, atol=float("inf"))
-    names = ["channel"] if meta is None else [f"stage {n}" for n in range(1, len(sets) + 1)]
+    stages, meta = read_stages(args.channel)
+    names = ["channel"] if meta is None else [f"stage {n}" for n in range(1, len(stages) + 1)]
     ok_all = True
-    for name, ks in zip(names, sets):
-        complete, residual = is_complete(ks)
-        incoherent, witness = is_incoherent(ks)
-        verdict = "ok" if complete and incoherent else "FAIL"
-        print(f"{name}: completeness residual {residual:.3e}, "
-              f"incoherent: {'yes' if incoherent else 'no'} [{verdict}]")
-        if witness is not None:
-            print(f"  witness: operator {witness.operator}, column {witness.column}, "
-                  f"rows {witness.rows[0]} and {witness.rows[1]}")
-        ok_all = ok_all and complete and incoherent
+    for name, (ops, labels) in zip(names, stages):
+        try:
+            complete, residual = is_complete(kraus_set(ops, labels=labels, atol=float("inf")))
+            print(f"{name}: completeness residual {residual:.3e}, "
+                  f"incoherent: yes [{'ok' if complete else 'FAIL'}]")
+        except IncoherenceError as exc:
+            complete, w = False, exc.witness
+            print(f"{name}: incoherent: no [FAIL]")
+            print(f"  witness: operator {w.operator}, column {w.column}, "
+                  f"rows {w.rows[0]} and {w.rows[1]}")
+        ok_all = ok_all and complete
     return 0 if ok_all else 1
 
 
@@ -147,20 +148,15 @@ def _demo_checks(tol: float):
     y = np.array([0.25, 0.25, 0.5])
     lam = 0.4
     mix = lam * x + (1.0 - lam) * y
-    k1 = np.diag(np.sqrt(lam * x / mix)).astype(complex)
-    k2 = np.diag(np.sqrt((1.0 - lam) * y / mix)).astype(complex)
-    ks = kraus_set([k1, k2])
-    complete, residual = is_complete(ks)
-    incoherent, _ = is_incoherent(ks)
-    out1 = k1 @ np.sqrt(mix)
-    out2 = k2 @ np.sqrt(mix)
-    split = max(
-        float(np.abs(out1 - np.sqrt(lam * x)).max()),
-        float(np.abs(out2 - np.sqrt((1.0 - lam) * y)).max()),
-    )
+    k1 = np.diag(np.sqrt(lam * x / mix))
+    k2 = np.diag(np.sqrt((1.0 - lam) * y / mix))
+    # kraus_set raises IncoherenceError on a coherent pair
+    complete, residual = is_complete(kraus_set([k1, k2]))
+    outs = ((k1, np.sqrt(lam * x)), (k2, np.sqrt((1.0 - lam) * y)))
+    split = max(float(np.abs(k @ np.sqrt(mix) - out).max()) for k, out in outs)
     checks.append((
         "diagonal pair splits a mixture incoherently",
-        complete and incoherent and split <= tol,
+        complete and split <= tol,
         f"residual {residual:.3e}, split deviation {split:.3e}",
     ))
     return checks

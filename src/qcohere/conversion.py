@@ -13,24 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    Branch,
-    KrausSet,
-    _join,
-    apply_selective,
-    is_complete,
-    is_incoherent,
-    kraus_set,
-)
+from .channels import Branch, KrausSet, _branches, _from_stored, _join, compose, is_complete
 from .errors import (
+    CompletenessError,
     DimensionMismatchError,
     InfeasibleStepError,
     MajorizationError,
     NoLadderError,
     ParameterError,
+    ResourceLimitError,
 )
 from .simplex import ATOL, TINY, majorizes, prob_vector, sorted_desc, ttransform_chain
 from .states import (
+    COMPOSE_CAP,
     Canonicalization,
     canonicalize,
     fidelity_pure,
@@ -65,14 +60,17 @@ def canonical_pair(psi, phi) -> tuple:
     return canonicalize(psi), canonicalize(phi)
 
 
-def _require_canonical(psi) -> np.ndarray:
+def _require_nonneg_real(psi) -> np.ndarray:
     psi = pure_state(psi)
     if float(np.abs(psi.imag).max()) > TINY:
-        raise ValueError("state must be canonical: amplitudes are not real")
-    s = psi.real.copy()
-    if float(s.min()) < -TINY:
-        raise ValueError("state must be canonical: negative amplitude")
-    np.clip(s, 0.0, None, out=s)
+        raise ValueError("amplitudes must be real")
+    if float(psi.real.min()) < -TINY:
+        raise ValueError("amplitudes must be nonnegative")
+    return np.clip(psi.real, 0.0, None)
+
+
+def _require_canonical(psi) -> np.ndarray:
+    s = _require_nonneg_real(psi)
     if np.any(np.diff(s) > TINY):
         raise ValueError("state must be canonical: amplitudes not sorted")
     return s
@@ -197,10 +195,9 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     if float(np.abs(out).max()) > ATOL:
         raise ValueError("filter does not map gamma onto phi; inputs inconsistent")
     comp = np.sqrt(np.clip(1.0 - m * m, 0.0, None))
-    success = np.diag(m).astype(complex)
-    if float((comp * comp).sum()) <= TINY:
-        return kraus_set([success], labels=["success"])
-    return kraus_set([success, np.diag(comp).astype(complex)], labels=["success", "fail"])
+    ops = (m, comp) if float((comp * comp).sum()) > TINY else (m,)
+    rows = np.array([np.arange(d)] * len(ops))
+    return _from_stored(rows, np.array(ops, dtype=complex), labels=["success", "fail"][: len(ops)])
 
 
 def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
@@ -229,7 +226,7 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
         # degenerate targets: only the already-converted source is feasible
         if abs(si2 - ci2) > ATOL:
             raise InfeasibleStepError("equal targets require an equal source pair")
-        return kraus_set([np.eye(d, dtype=complex)])
+        return _identity(d)
     p1 = (si2 - cj2) / (ci2 - cj2)
     if p1 < -ATOL or p1 > 1.0 + ATOL:
         raise InfeasibleStepError(f"branch weight {p1!r} outside [0, 1]")
@@ -246,27 +243,15 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     a[i - 1], b[i - 1] = np.cos(th_i), np.sin(th_i)
     a[j - 1], b[j - 1] = np.cos(th_j), np.sin(th_j)
 
-    k1 = np.diag(a).astype(complex)
-    k2 = np.zeros((d, d), dtype=complex)
-    rows = np.arange(d)
-    rows[[i - 1, j - 1]] = rows[[j - 1, i - 1]]
-    k2[rows, np.arange(d)] = b
-    if p2 <= TINY:
-        return kraus_set([k1])
-    if p1 <= TINY:
-        return kraus_set([k2])
-    return kraus_set([k1, k2])
+    # k1 = diag(a); k2 scales by b and swaps coordinates i and j
+    rows = np.array([np.arange(d)] * 2)
+    rows[1, i - 1], rows[1, j - 1] = j - 1, i - 1
+    keep = [p1 > TINY, p2 > TINY]
+    return _from_stored(rows[keep], np.array([a, b], dtype=complex)[keep])
 
 
-def _require_nonneg_real(source) -> np.ndarray:
-    psi = pure_state(source)
-    if float(np.abs(psi.imag).max()) > TINY:
-        raise ValueError("source must have real amplitudes")
-    s = psi.real.copy()
-    if float(s.min()) < -TINY:
-        raise ValueError("source must have nonnegative amplitudes")
-    np.clip(s, 0.0, None, out=s)
-    return s
+def _identity(d: int) -> KrausSet:
+    return _from_stored(np.arange(d)[None], np.ones((1, d), dtype=complex))
 
 
 def deterministic_protocol(psi, gamma) -> list:
@@ -337,15 +322,15 @@ def optimal_protocol(psi, phi) -> Protocol:
     ladder = build_ladder(cs.state, ct.state)
     det = deterministic_protocol(cs.state, ladder.gamma)
     if not det:
-        det = [kraus_set([np.eye(d, dtype=complex)])]
+        det = [_identity(d)]
     filt = filter_operator(ladder, ct.state)
 
-    w_in = cs.matrix()
-    w_out = ct.inverse_matrix()
-    first = kraus_set([op @ w_in for op in det[0].operators], labels=det[0].labels)
-    stages = [first] + det[1:] + [
-        kraus_set([w_out @ op for op in filt.operators], labels=filt.labels)
-    ]
+    # the frames as one-operator sets: cs.matrix() sends column c to row
+    # inverse-permutation[c] with phase c; ct.inverse_matrix() sends column
+    # k to row permutation[k] with the conjugate phase of that row
+    w_in = _from_stored(np.argsort(cs.permutation)[None], cs.phases[None])
+    w_out = _from_stored(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
+    stages = [compose([w_in, det[0]])] + det[1:] + [compose([filt, w_out])]
     return Protocol(
         stages=tuple(stages), success_label="success",
         probability=float(ladder.success_probability),
@@ -382,39 +367,44 @@ class ProtocolReport:
 
 
 def _step(branches: list, stage: KrausSet) -> list:
-    """Run every live branch through one stage.
+    """Run every live branch through one stage, already checked complete.
 
     Children with absolute probability at or below TINY are dropped. Two
     children merge when their labels are equal and their states agree
     (fidelity within TINY of 1): a mixture of equal pure states is that
     same pure state, so the first state is kept and the probabilities add.
     """
-    out = []
+    out = {}  # label -> live branches carrying it
+    count = 0
     for parent in branches:
-        for child in apply_selective(stage, parent.state):
+        for child in _branches(stage, parent.state, TINY):
             p = parent.probability * child.probability
             if p <= TINY:
                 continue
             label = _join(parent.label, child.label)
-            for k, kept in enumerate(out):
-                if kept.label == label and fidelity_pure(kept.state, child.state) >= 1.0 - TINY:
-                    out[k] = Branch(probability=kept.probability + p, state=kept.state, label=label)
+            kept = out.setdefault(label, [])
+            for k, b in enumerate(kept):
+                if fidelity_pure(b.state, child.state) >= 1.0 - TINY:
+                    kept[k] = Branch(probability=b.probability + p, state=b.state, label=label)
                     break
             else:
-                out.append(Branch(probability=p, state=child.state, label=label))
-    return out
+                count += 1
+                if count > COMPOSE_CAP:
+                    raise ResourceLimitError(f"live branches exceed the cap of {COMPOSE_CAP}")
+                kept.append(Branch(probability=p, state=child.state, label=label))
+    return [b for kept in out.values() for b in kept]
 
 
 def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     """Simulate ``protocol`` on psi and check it delivers phi as declared.
 
-    Every stage is checked for completeness and incoherence, then the
-    stages act one after another on the live branches, starting from psi.
-    Branches with equal labels and equal post-states merge, so a stage
-    whose outcomes agree on the post-state leaves one branch, and a
-    protocol from optimal_protocol carries at most two: the cost is linear
-    in the stage count. Nothing from the builder (ladder, gamma, declared
-    probability) enters the simulation.
+    Each stage's completeness residual is measured once; a stage off by
+    more than ATOL raises CompletenessError. The stages then act in turn on
+    the live branches, starting from psi. Branches with equal labels and
+    equal post-states merge, so a protocol from optimal_protocol carries at
+    most two and the cost is linear in the stage count; more than
+    COMPOSE_CAP live branches raise ResourceLimitError. Nothing from the
+    builder (ladder, gamma, declared probability) enters the simulation.
     """
     if not protocol.stages:
         return ProtocolReport(
@@ -426,24 +416,17 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     d = protocol.stages[0].dim
     psi = _pad(pure_state(psi), d)
     phi = _pad(pure_state(phi), d)
-    residuals = []
-    incoherent = True
-    witness = None
-    for stage in protocol.stages:
-        _, res = is_complete(stage)
-        residuals.append(res)
-        ok, w = is_incoherent(stage)
-        if not ok and witness is None:
-            incoherent = False
-            witness = w
+    residuals = tuple(is_complete(stage)[1] for stage in protocol.stages)
     branches = [Branch(probability=1.0, state=psi)]
-    for stage in protocol.stages:
+    for n, (stage, res) in enumerate(zip(protocol.stages, residuals), 1):
+        if res > ATOL:
+            raise CompletenessError(f"stage {n}: completeness residual {res:.3e}")
         branches = _step(branches, stage)
     succ = [b for b in branches if b.label == protocol.success_label]
     total = float(sum(b.probability for b in succ))
     fid = min((fidelity_pure(phi, b.state) for b in succ), default=1.0)
     return ProtocolReport(
-        stage_completeness=tuple(residuals), incoherent=incoherent, witness=witness,
+        stage_completeness=residuals, incoherent=True, witness=None,
         success_probability=total, declared_probability=protocol.probability,
         min_success_fidelity=float(fid), branch_count=len(branches),
         success_count=len(succ),

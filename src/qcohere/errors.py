@@ -29,6 +29,14 @@ class CompletenessError(QcohereError):
     """Kraus operators do not sum to the identity within tolerance."""
 
 
+class IncoherenceError(QcohereError):
+    """An operator column holds two entries above the threshold (``witness``)."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class DensityMatrixError(QcohereError):
     """Matrix is not a valid density operator."""
 

@@ -1,7 +1,8 @@
 """JSON persistence for states, density matrices, channels, and protocols.
 
 Complex numbers are stored as [re, im] pairs; floats round-trip exactly
-through Python's shortest-repr serialization.
+through Python's shortest-repr serialization. Kraus operators are written
+and read as dense matrices.
 """
 
 from __future__ import annotations
@@ -109,13 +110,12 @@ def _channel_payload(k: KrausSet) -> dict:
     return payload
 
 
-def _payload_channel(payload, path, atol) -> KrausSet:
+def _payload_operators(payload, path):
     dim = int(_expect(payload, "dim", path))
     ops = [_json2mat(rows) for rows in _expect(payload, "operators", path)]
     if any(op.shape != (dim, dim) for op in ops):
         raise FileFormatError(f"{path}: operator shape mismatch with dim {dim}")
-    labels = payload.get("labels")
-    return kraus_set(ops, labels=labels, atol=atol)
+    return ops, payload.get("labels")
 
 
 def save_channel(path, k: KrausSet) -> None:
@@ -123,7 +123,7 @@ def save_channel(path, k: KrausSet) -> None:
 
 
 def load_channel(path, atol: float = RENORM_TOL) -> KrausSet:
-    return _payload_channel(_load_json(path), path, atol)
+    return kraus_set(*_payload_operators(_load_json(path), path), atol=atol)
 
 
 def save_protocol(path, protocol, report=None) -> None:
@@ -146,29 +146,26 @@ def save_protocol(path, protocol, report=None) -> None:
     _dump_json(path, payload)
 
 
-def _payload_protocol(payload, path, atol):
-    stages = [
-        _payload_channel(p, path, atol) for p in _expect(payload, "stages", path)
-    ]
+def _payload_protocol(payload, path):
+    stages = [_payload_operators(p, path) for p in _expect(payload, "stages", path)]
     meta = {k: v for k, v in payload.items() if k != "stages"}
     return stages, meta
 
 
 def load_protocol(path, atol: float = RENORM_TOL):
     """Returns (stages, meta). ``meta`` holds the scalar fields as a dict."""
-    return _payload_protocol(_load_json(path), path, atol)
+    stages, meta = _payload_protocol(_load_json(path), path)
+    return [kraus_set(*stage, atol=atol) for stage in stages], meta
 
 
-def load_stages(path, atol: float = RENORM_TOL):
-    """Stages of a protocol file, or a channel file read as a single stage.
-
-    Returns (stages, meta) as ``load_protocol`` does; ``meta`` is None for a
-    channel file.
-    """
+def read_stages(path):
+    """(stages, meta): dense (operators, labels) per stage of a protocol file,
+    or of a channel file as one stage (meta None). Only shapes are checked,
+    so coherent or incomplete stages can still be reported on."""
     payload = _load_json(path)
     if isinstance(payload, dict) and "stages" in payload:
-        return _payload_protocol(payload, path, atol)
-    return [_payload_channel(payload, path, atol)], None
+        return _payload_protocol(payload, path)
+    return [_payload_operators(payload, path)], None
 
 
 def save_ensemble(path, result, dim: int) -> None:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcohere import (
     CompletenessError,
+    IncoherenceError,
     ResourceLimitError,
     apply_channel,
     apply_selective,
@@ -13,6 +16,7 @@ from qcohere import (
     pure_density,
     pure_state,
 )
+from qcohere.simplex import TINY
 from qcohere.states import COMPOSE_CAP
 from randgen import random_incoherent_kraus, random_pure_state
 
@@ -51,8 +55,9 @@ def test_is_incoherent_identity_and_diagonal():
 
 def test_is_incoherent_hadamard_witness():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    ok, witness = is_incoherent(kraus_set([h]))
-    assert not ok
+    with pytest.raises(IncoherenceError) as info:
+        kraus_set([h])
+    witness = info.value.witness
     assert witness.operator == 1
     assert witness.column == 1
     assert witness.rows == (1, 2)
@@ -165,3 +170,55 @@ def test_compose_cap():
     assert 2**25 > COMPOSE_CAP
     with pytest.raises(ResourceLimitError):
         compose([stage] * 25)
+
+
+def _dense_branches(ops, psi):
+    out = []
+    for op in ops:
+        vec = op @ psi
+        p = float((np.abs(vec) ** 2).sum())
+        if p > TINY:
+            out.append((p, vec / np.sqrt(p)))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+def test_stored_form_matches_dense(seed, d, max_ops):
+    # random_incoherent_kraus folds in non-injective merges: two columns of
+    # one operator sent to one row, whose cross terms completeness must see
+    rng = np.random.default_rng(seed)
+    ks = random_incoherent_kraus(rng, d, max_ops=max_ops)
+    later = random_incoherent_kraus(rng, d, max_ops=max_ops)
+    ops = ks.operators
+    # the dense form reads back bit for bit
+    back = kraus_set(ops, labels=ks.labels).operators
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back, ops))
+
+    # column phases on one operator keep every column mass but stop the
+    # cross terms of merge partners from cancelling
+    twisted = [ops[0] * np.exp(2j * np.pi * rng.random(d))] + list(ops[1:])
+    for dense in (ops, twisted):
+        gram = sum(op.conj().T @ op for op in dense)
+        residual = is_complete(kraus_set(dense, atol=np.inf))[1]
+        assert abs(residual - float(np.abs(gram - np.eye(d)).max())) <= 1e-12
+
+    psi = random_pure_state(rng, d)
+    branches = apply_selective(ks, psi)
+    want = _dense_branches(ops, psi)
+    assert len(branches) == len(want)
+    for b, (p, state) in zip(branches, want):
+        assert abs(b.probability - p) <= 1e-12
+        assert np.abs(b.state - state).max() <= 1e-12
+
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    rho /= rho.trace().real
+    dense = sum(op @ rho @ op.conj().T for op in ops)
+    assert np.abs(apply_channel(ks, rho) - dense).max() <= 1e-12
+
+    products = [op2 @ op1 for op2 in later.operators for op1 in ops]
+    products = [m for m in products if np.linalg.norm(m) > TINY]
+    both = compose([ks, later])
+    assert len(both) == len(products)
+    assert max(np.abs(m - ref).max() for m, ref in zip(both.operators, products)) <= 1e-12

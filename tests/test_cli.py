@@ -174,9 +174,11 @@ def test_verify_channel_good(paths, capsys):
 
 def test_verify_channel_coherent(paths, capsys):
     chan = paths["tmp"] / "had.json"
-    had = np.full((2, 2), INV2, dtype=complex)
+    had = np.full((2, 2), INV2)
     had[1, 1] = -INV2
-    save_channel(chan, kraus_set([had]))
+    # kraus_set refuses a coherent operator, so the file is written directly
+    payload = {"dim": 2, "operators": [[[[v, 0.0] for v in row] for row in had]]}
+    chan.write_text(json.dumps(payload))
     code, out, _ = run(["verify-channel", "--channel", chan], capsys)
     assert code == 1
     assert "incoherent: no [FAIL]" in out

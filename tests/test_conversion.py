@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcohere import (
+    CompletenessError,
     InfeasibleStepError,
     MajorizationError,
     NoLadderError,
@@ -31,7 +34,9 @@ from qcohere import (
     two_level_step,
     verify_protocol,
 )
+from qcohere import channels, conversion
 from qcohere.simplex import TINY
+from qcohere.states import COMPOSE_CAP
 from randgen import random_majorized_pair, random_pure_state
 
 PSI = np.sqrt([0.8, 0.1, 0.1])
@@ -354,6 +359,44 @@ def test_verify_protocol_merges_equal_branches():
     assert (report.branch_count, report.success_count) == (2, 1)
 
 
+def test_verify_protocol_checks_each_stage_once(monkeypatch):
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    protocol = _protocol([kraus_set([half, half], labels=["a", "b"])] * 12, plus, plus)
+    calls = []
+
+    def counting(k, *args, **kwargs):
+        calls.append(k)
+        return is_complete(k, *args, **kwargs)
+
+    monkeypatch.setattr(channels, "is_complete", counting)
+    monkeypatch.setattr(conversion, "is_complete", counting)
+    report = verify_protocol(protocol, plus, plus)
+    assert report.branch_count == 4096
+    assert len(calls) == 12
+
+
+def test_verify_protocol_rejects_incomplete_stage():
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    loose = kraus_set([np.sqrt(0.5 + 1e-7) * np.eye(2), np.sqrt(0.5) * np.eye(2)], atol=1e-6)
+    with pytest.raises(CompletenessError):
+        verify_protocol(_protocol([loose], plus, plus), plus, plus)
+
+
+def test_verify_protocol_branch_cap():
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    labelled = kraus_set([half, half], labels=["a", "b"])
+    # distinct labels keep every branch apart: 2^stages of them
+    protocol = _protocol([labelled] * 12, plus, plus, ".".join("a" * 12), 2.0**-12)
+    report = verify_protocol(protocol, plus, plus)
+    assert report.passes()
+    assert (report.branch_count, report.success_count) == (4096, 1)
+    assert 2**20 > COMPOSE_CAP
+    with pytest.raises(ResourceLimitError):
+        verify_protocol(_protocol([labelled] * 20, plus, plus), plus, plus)
+
+
 def test_verify_protocol_keeps_distinct_states():
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     measure = kraus_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -453,3 +496,30 @@ def test_verified_protocol_matches_probability(psi, phi):
     # TINY count as zero; partial sums equal in exact arithmetic can leave
     # P an ulp or two below 1, never 1e-12 below it
     assert majorizes(b, a, slack=TINY) == (p >= 1.0 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(states(9), states(9))
+def test_protocol_stages_read_back_bit_exact(psi, phi):
+    # the filter's fail operator has all-zero columns whenever P < 1
+    for stage in optimal_protocol(psi, phi).stages:
+        ops = stage.operators
+        back = kraus_set(ops, labels=stage.labels)
+        assert back.labels == stage.labels
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.operators, ops))
+
+
+def test_optimal_protocol_d512_stays_small():
+    # dense stages would need about 4 GB here
+    rng = np.random.default_rng(512)
+    psi = random_pure_state(rng, 512, phases=True)
+    phi = random_pure_state(rng, 512, phases=True)
+    tracemalloc.start()
+    try:
+        report = verify_protocol(optimal_protocol(psi, phi), psi, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passes()
+    assert abs(report.success_probability - conversion_probability(psi, phi)) <= 1e-9
+    assert peak < 64 * 2**20

@@ -140,6 +140,25 @@ def test_protocol_round_trip(tmp_path):
     assert abs(succ - 1.0 / 3.0) < 1e-9
 
 
+def test_protocol_file_round_trip_bit_exact(tmp_path):
+    path = tmp_path / "protocol.json"
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        # integer weights give exact zero amplitudes, i^k phases signed zeros
+        amps = []
+        for d in rng.integers(2, 9, size=2):
+            w = rng.integers(0, 4, size=d) + np.eye(d, dtype=int)[rng.integers(d)]
+            amps.append(np.sqrt(w / w.sum()) * 1j ** rng.integers(0, 4, size=d))
+        protocol = optimal_protocol(*amps)
+        if not protocol.stages:
+            continue
+        save_protocol(path, protocol)
+        stages, _ = load_protocol(path)
+        for got, want in zip(stages, protocol.stages):
+            assert got.labels == want.labels
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.operators, want.operators))
+
+
 def test_protocol_without_report(tmp_path):
     path = tmp_path / "protocol.json"
     psi = random_pure_state(np.random.default_rng(2), 3)
