@@ -1,13 +1,21 @@
-"""Compass search for the convex-roof ensemble.
+"""Searches for the convex-roof ensemble.
 
 An ensemble of ``m`` pure states decomposing a rank-``r`` density matrix is
-parameterized by an m x r complex matrix packed into a flat float64 array
-(re, im pairs, row-major). Orthonormalizing its columns via QR and applying
-them to the scaled eigenvector rows yields the unnormalized member vectors;
-the objective is the probability-weighted functional value over the members.
+an m x r complex matrix Q with orthonormal columns applied to the scaled
+eigenvector rows S: the rows of Q S are the unnormalized members, and the
+objective is the probability-weighted functional value over the members.
+Both searches score all members of an ensemble with one row-wise call.
 
-``refine`` runs a coordinate compass search: cycle the parameters, try
-+step/-step, keep strict improvements, halve the step when a sweep stalls.
+``refine`` works for any functional. It runs a coordinate compass search on
+a free m x r matrix packed into a flat float64 array (re, im pairs,
+row-major), whose QR factor is Q: cycle the parameters, try +step/-step,
+keep strict improvements, halve the step when a sweep stalls.
+
+``descend`` needs the functional's gradient. It runs Riemannian conjugate
+gradient on the complex Stiefel manifold (Edelman, Arias & Smith, SIAM J.
+Matrix Anal. Appl. 20, 303 (1998)) for a stack of starting points at once:
+Polak-Ribiere+ directions, an Armijo line search over a few trial steps
+scored in one batched call, and a QR retraction.
 """
 
 import numpy as np
@@ -17,44 +25,145 @@ WEIGHT_FLOOR = 1e-14
 # accept a move only if it beats the incumbent by this margin
 IMPROVE_EPS = 1e-12
 
-
-def objective(params, scaled, m, fun):
-    amat = params.view(np.complex128).reshape(m, -1)
-    q, _ = np.linalg.qr(amat)
-    wmat = q @ scaled
-    sq = wmat.real**2 + wmat.imag**2
-    weights = sq.sum(axis=1)
-    total = 0.0
-    for j in range(m):
-        if weights[j] > WEIGHT_FLOOR:
-            total += weights[j] * float(fun(sq[j] / weights[j]))
-    return total
+# iteration cap of one gradient descent
+MAX_ITER = 200
+# sufficient-decrease constant of the Armijo test
+ARMIJO = 1e-4
+# trial steps of one line search, as multiples of the predicted step
+LADDER = np.array([2.0, 1.0, 0.5])
+# a descent stops once its Riemannian gradient norm is at most this, or once
+# no trial step moves it by more than MIN_MOVE and none decreases the value
+GRAD_TOL = 1e-9
+MIN_MOVE = 1e-14
 
 
-def refine(params, scaled, m, fun, max_sweeps, init_step, min_step):
-    """Improve ``params`` in place; returns the best objective value."""
-    best = objective(params, scaled, m, fun)
+def ensemble_value(w, rows, floor=WEIGHT_FLOOR):
+    """Weighted functional value of the members, the rows of each matrix in
+    the stack ``w`` of shape (..., m, d); members of weight at most ``floor``
+    count 0."""
+    sq = w.real**2 + w.imag**2
+    weights = sq.sum(axis=-1)
+    live = weights > floor
+    terms = np.zeros(weights.shape)
+    terms[live] = weights[live] * rows(sq[live] / weights[live, None])
+    # a running sum in member order, so the value does not depend on how
+    # numpy would group a pairwise sum
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def refine(params, scaled, m, rows, max_sweeps, init_step, min_step):
+    """Improve ``params`` in place; returns (best value, sweeps, stop reason).
+
+    The +step and -step moves of a parameter are scored in one batched call;
+    -step counts only when +step fails, as in a one-at-a-time search.
+    """
+
+    def objective(p):
+        q, _ = np.linalg.qr(p.view(np.complex128).reshape(*p.shape[:-1], m, -1))
+        return ensemble_value(q @ scaled, rows)
+
+    best = float(objective(params))
     step = init_step
     sweep = 0
     n = params.size
+    pair = np.empty((2, n))
     while sweep < max_sweeps and step > min_step:
         improved = False
         for idx in range(n):
             base = params[idx]
-            params[idx] = base + step
-            val = objective(params, scaled, m, fun)
-            if val < best - IMPROVE_EPS:
-                best = val
-                improved = True
-                continue
-            params[idx] = base - step
-            val = objective(params, scaled, m, fun)
-            if val < best - IMPROVE_EPS:
-                best = val
-                improved = True
-                continue
-            params[idx] = base
+            pair[:] = params
+            pair[0, idx] = base + step
+            pair[1, idx] = base - step
+            up, down = objective(pair)
+            if up < best - IMPROVE_EPS:
+                params[idx], best, improved = pair[0, idx], float(up), True
+            elif down < best - IMPROVE_EPS:
+                params[idx], best, improved = pair[1, idx], float(down), True
         if not improved:
             step *= 0.5
         sweep += 1
-    return best
+    return best, sweep, "step" if step <= min_step else "sweeps"
+
+
+def retract(y):
+    """Q factor of each matrix in the stack, with R's diagonal made positive."""
+    q, r = np.linalg.qr(y)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def _inner(a, b):
+    return np.einsum("...ij,...ij->...", a.conj(), b).real
+
+
+def _project(q, z):
+    """Tangent part of z at q: z - q herm(q^H z)."""
+    s = q.conj().swapaxes(-1, -2) @ z
+    return z - q @ (0.5 * (s + s.conj().swapaxes(-1, -2)))
+
+
+def descend(q, scaled, rows, gradient):
+    """Riemannian CG from each start in the stack ``q`` of shape (n, m, r).
+
+    Returns the final stack, the values, the iteration counts and the stop
+    reasons ("converged", "stalled" or "cap"). A start leaves the stack once
+    it stops, so the work shrinks as restarts converge.
+    """
+    n = q.shape[0]
+    scaled_h = scaled.conj().T
+    out_q, out_val = np.empty_like(q), np.empty(n)
+    iters = np.zeros(n, dtype=int)
+    stops = np.full(n, "cap", dtype=object)
+    idx = np.arange(n)  # the restart behind each row of the live state
+    w = q @ scaled
+    val = ensemble_value(w, rows)
+    grad = _project(q, gradient(w) @ scaled_h)
+    gg = _inner(grad, grad)
+    eta, slope = -grad, -gg
+    step = 1.0 / np.maximum(np.sqrt(gg), 1.0)
+    for _ in range(MAX_ITER):
+        # line search: one batched call tries a ladder of steps around the
+        # predicted one and keeps the lowest value passing the Armijo test
+        trial = step[:, None] * LADDER
+        qt = retract(q[:, None] + trial[..., None, None] * eta[:, None])
+        wt = qt @ scaled
+        ft = ensemble_value(wt, rows)
+        ft[ft > val[:, None] + ARMIJO * trial * slope[:, None]] = np.inf
+        pick = ft.argmin(axis=1)
+        k = np.arange(idx.size)
+        fn = ft[k, pick]
+        moved = fn < np.inf
+        iters[idx] += 1
+        # a restart whose ladder fails stays put, restarts along -grad
+        # (Polak-Ribiere+ gives beta = 0 there) and next tries below its
+        # smallest step; it has stalled once that step no longer moves it
+        stuck = ~moved & (trial[:, -1] * np.sqrt(_inner(eta, eta)) <= MIN_MOVE)
+        keep = moved[:, None, None]
+        q = np.where(keep, qt[k, pick], q)
+        w = np.where(keep, wt[k, pick], w)
+        val = np.where(moved, fn, val)
+        t = np.where(moved, trial[k, pick], trial[:, -1] * LADDER[-1])
+        gn = _project(q, gradient(w) @ scaled_h)
+        ggn = _inner(gn, gn)
+        # Polak-Ribiere+, with the old gradient and direction moved to q
+        old = _project(q, np.stack((grad, eta)))
+        beta = np.maximum(_inner(gn, gn - old[0]) / gg, 0.0)
+        eta = beta[:, None, None] * old[1] - gn
+        sn = _inner(gn, eta)
+        reset = sn >= 0.0
+        eta[reset], sn[reset] = -gn[reset], -ggn[reset]
+        # the next prediction rescales this step by the change of slope
+        step = t * slope / sn
+        grad, gg, slope = gn, ggn, sn
+        done = stuck | (gg <= GRAD_TOL**2)
+        if done.any():
+            stops[idx[stuck]] = "stalled"
+            stops[idx[done & ~stuck]] = "converged"
+            out_q[idx[done]], out_val[idx[done]] = q[done], val[done]
+            live = ~done
+            idx, q, w, val, grad, gg, eta, slope, step = (
+                a[live] for a in (idx, q, w, val, grad, gg, eta, slope, step))
+            if idx.size == 0:
+                break
+    out_q[idx], out_val[idx] = q, val
+    return out_q, out_val, iters, stops

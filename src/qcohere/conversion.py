@@ -434,22 +434,33 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
 
 
 def support_shortcut(psi, phi, n: int) -> bool:
-    """True when psi's support is smaller than that of n copies of phi.
+    """True when n copies of phi hold mass above TINY outside any set of
+    support(psi) amplitudes.
 
     Incoherent operations never enlarge the support, so the conversion
-    probability of psi into n copies of phi is then exactly zero.
+    probability of psi into n copies of phi is then exactly zero. Two lower
+    bounds show it without forming the copies: the s masses of phi whose
+    n-th power exceeds TINY give s**n products that all clear the floor, and
+    the support(psi) largest products hold at most support(psi) * top**n of
+    the copies' total mass total**n, top and total being phi's largest and
+    total mass (pure_state lets total differ from 1 by up to 1e-9).
     """
-    s_psi, s_phi = support_size(psi), support_size(phi)
-    # s_phi >= 2 gives s_phi ** bit_length(s_psi) > s_psi, so capping the
+    s_psi = support_size(psi)
+    phi = np.asarray(phi, dtype=complex)
+    masses = phi.real**2 + phi.imag**2
+    s_n = int(np.count_nonzero(masses**n > TINY))
+    # s_n >= 2 gives s_n ** bit_length(s_psi) > s_psi, so capping the
     # exponent there keeps the integer small and the comparison exact
-    return s_psi < s_phi ** min(n, s_psi.bit_length())
+    if s_psi < s_n ** min(n, s_psi.bit_length()):
+        return True
+    return s_psi * masses.max() ** n < masses.sum() ** n - 2 * TINY
 
 
 def multicopy_probability(psi, phi, n: int, max_amplitudes: int = 1_000_000) -> float:
     """Probability of converting psi into n copies of phi.
 
-    For n >= 2 the probability vanishes outright whenever psi's support is
-    smaller than phi's support to the n-th power. Otherwise the tensor power
+    For n >= 2 the probability vanishes outright whenever ``support_shortcut``
+    finds mass of the n copies outside psi's support. Otherwise the tensor power
     of phi's nonzero amplitudes is formed explicitly (subject to the
     amplitude cap) and the single-copy rule applies; zero amplitudes would
     only pad it and leave the probability unchanged.

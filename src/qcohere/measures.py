@@ -10,7 +10,7 @@ families, and computes certified upper bounds on the roof extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,11 +25,24 @@ class CoherenceFunctional:
     """A named simplex functional.
 
     ``dimension`` is None for any-dimension families and a fixed d otherwise.
+    ``rows``, when given, evaluates many points at once: it maps an array of
+    simplex points along its last axis to their values over the leading
+    axes. ``gradient``, when given, maps unnormalized member amplitudes w
+    (last axis) to the gradient G of g(w) = p f(|w_i|^2 / p), p = sum_i
+    |w_i|^2, in the real sense: dg = Re sum_i conj(G_i) dw_i. The
+    convex-roof search descends along it.
+
+    The convex-roof searches call ``rows`` and ``gradient`` in place of
+    ``evaluate`` whenever they are given, so a copy that replaces
+    ``evaluate`` (``dataclasses.replace`` included) must replace them
+    together with it, or set them to None.
     """
 
     name: str
     evaluate: Callable
     dimension: int | None = None
+    rows: Callable | None = None
+    gradient: Callable | None = None
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -39,26 +52,51 @@ class CoherenceFunctional:
             )
         return float(self.evaluate(x))
 
+    def values(self, x) -> np.ndarray:
+        """f at each point along the last axis of x; one ``evaluate`` call per
+        point when the functional has no row-wise form."""
+        if self.rows is not None:
+            return self.rows(x)
+        flat = x.reshape(-1, x.shape[-1])
+        return np.array([float(self.evaluate(p)) for p in flat]).reshape(x.shape[:-1])
 
-def _shannon(x) -> float:
-    nz = x[x > 0.0]
-    return float(-(nz * np.log2(nz)).sum()) + 0.0
+
+# The built-in formulas reduce over the last axis, so one definition serves a
+# single point (``evaluate``) and a stack of points (``rows``).
 
 
-def _l1(x) -> float:
-    s = float(np.sqrt(x).sum())
+def _shannon(x):
+    t = np.where(x > 0.0, x, 1.0)
+    return -(t * np.log2(t)).sum(axis=-1) + 0.0
+
+
+def _shannon_gradient(w):
+    # p f(a/p) with a = |w|^2 has partial derivative -log2(a_i/p) in a_i;
+    # a zero amplitude contributes 0 (w log x -> 0)
+    sq = w.real**2 + w.imag**2
+    weights = sq.sum(axis=-1, keepdims=True)
+    x = sq / np.where(weights > 0.0, weights, 1.0)
+    return -2.0 * w * np.log2(np.where(x > 0.0, x, 1.0))
+
+
+def _l1(x):
+    s = np.sqrt(x).sum(axis=-1)
     return s * s - 1.0
 
 
-def _alpha_entropy(x, alpha: float) -> float:
-    return float(np.log2((x**alpha).sum()) / (1.0 - alpha))
+def _alpha_entropy(x, alpha: float):
+    return np.log2((x**alpha).sum(axis=-1)) / (1.0 - alpha)
 
 
-def _kyfan(x, l: int) -> float:
-    keep = x.size - l + 1
+def _kyfan(x, l: int):
+    keep = x.shape[-1] - l + 1
     if keep <= 0:
-        return 0.0
-    return float(np.sort(x)[:keep].sum())
+        return np.zeros(x.shape[:-1])
+    return np.sort(x, axis=-1)[..., :keep].sum(axis=-1)
+
+
+def _rowwise(name, fun, gradient=None) -> CoherenceFunctional:
+    return CoherenceFunctional(name, fun, rows=fun, gradient=gradient)
 
 
 def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> CoherenceFunctional:
@@ -70,19 +108,17 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
     kyfan:   sum of the d-l+1 smallest entries, integer l >= 2
     """
     if name == "shannon":
-        return CoherenceFunctional("shannon", _shannon)
+        return _rowwise("shannon", _shannon, _shannon_gradient)
     if name == "l1":
-        return CoherenceFunctional("l1", _l1)
+        return _rowwise("l1", _l1)
     if name == "alpha":
         if alpha is None or not 0.0 < alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha}")
-        return CoherenceFunctional(
-            f"alpha({alpha:g})", lambda x, a=float(alpha): _alpha_entropy(x, a)
-        )
+        return _rowwise(f"alpha({alpha:g})", lambda x, a=float(alpha): _alpha_entropy(x, a))
     if name == "kyfan":
         if l is None or int(l) != l or l < 2:
             raise ParameterError(f"kyfan order must be an integer >= 2, got {l}")
-        return CoherenceFunctional(f"kyfan({int(l)})", lambda x, k=int(l): _kyfan(x, k))
+        return _rowwise(f"kyfan({int(l)})", lambda x, k=int(l): _kyfan(x, k))
     raise ParameterError(f"unknown functional family {name!r}")
 
 
@@ -153,17 +189,33 @@ def extract_functional(mu: Callable, d: int) -> CoherenceFunctional:
     return CoherenceFunctional(name="extracted", evaluate=ev, dimension=int(d))
 
 
+class RestartReport(NamedTuple):
+    """How one restart of the roof search ended.
+
+    ``iterations`` counts compass sweeps or conjugate-gradient steps; ``stop``
+    is "step" or "sweeps" for the compass search and "converged", "stalled"
+    or "cap" for the gradient search.
+    """
+
+    value: float
+    iterations: int
+    stop: str
+
+
 @dataclass(frozen=True)
 class RoofResult:
     """Upper bound on the convex-roof extension plus the achieving ensemble.
 
     ``ensemble`` holds (weight, amplitude-vector) pairs mixing back to the
     input density matrix; the weighted measure values sum to ``value``.
+    ``restarts`` holds one ``RestartReport`` per search restart; it is empty
+    when a pure or diagonal input needs no search.
     """
 
     value: float
     ensemble: tuple
     quality: str = "upper-bound"
+    restarts: tuple = ()
 
 
 def _basis_ensemble(diag: np.ndarray, d: int):
@@ -175,6 +227,48 @@ def _basis_ensemble(diag: np.ndarray, d: int):
             e[k] = 1.0
             members.append((p, e))
     return members
+
+
+# size of the seeded perturbation that moves the first gradient restart off
+# the eigen-ensemble: exactly there the empty members have zero gradient, so
+# the descent could never leave the rank-r subspace
+EIGEN_NUDGE = 1e-2
+
+
+def _compass_search(f, scaled, m, restarts, rng, sweeps, init_step, min_step):
+    r = scaled.shape[0]
+    best_val, best_params, reports = np.inf, None, []
+    for it in range(restarts):
+        if it == 0:
+            params = np.zeros(2 * m * r)
+            for k in range(r):
+                params[2 * (k * r + k)] = 1.0  # embed the eigen-ensemble
+        else:
+            params = rng.standard_normal(2 * m * r)
+        val, n_sweeps, stop = _roofopt.refine(
+            params, scaled, m, f.values, sweeps, init_step, min_step
+        )
+        reports.append(RestartReport(float(val), n_sweeps, stop))
+        if val < best_val:
+            best_val, best_params = val, params
+    q, _ = np.linalg.qr(best_params.view(np.complex128).reshape(m, r))
+    return q, reports
+
+
+def _gradient_search(f, scaled, m, restarts, rng):
+    r = scaled.shape[0]
+    eigen = np.eye(m, r, dtype=complex)
+    starts = rng.standard_normal((restarts, m, r, 2)).view(np.complex128)[..., 0]
+    starts[0] = eigen + EIGEN_NUDGE * starts[0]
+    q, vals, iters, stops = _roofopt.descend(
+        _roofopt.retract(starts), scaled, f.values, f.gradient
+    )
+    reports = [RestartReport(float(v), int(n), s) for v, n, s in zip(vals, iters, stops)]
+    best = int(np.argmin(vals))
+    # the eigen-ensemble bounds the result from above
+    if _roofopt.ensemble_value(scaled, f.values) < vals[best]:
+        return eigen, reports
+    return q[best], reports
 
 
 def convex_roof_upper(
@@ -189,14 +283,20 @@ def convex_roof_upper(
 ) -> RoofResult:
     """Upper-bound the convex roof of ``f`` over decompositions of ``rho``.
 
-    Deterministic for a fixed seed: the eigen-ensemble seeds restart 0 (so
-    the bound never exceeds the eigendecomposition average), further
-    restarts draw random ensembles, and each is refined by compass search.
+    Deterministic for a fixed seed. A functional with a ``gradient`` runs
+    Riemannian conjugate gradient on all restarts at once: restart 0 starts
+    next to the eigen-ensemble, the others at random ensembles, and the
+    eigen-ensemble is returned whenever it scores lower. Any other functional
+    runs a compass search per restart (``sweeps``, ``init_step`` and
+    ``min_step`` govern it), restart 0 starting at the eigen-ensemble. Either
+    way the bound never exceeds the eigendecomposition average.
     """
     rho = check_density(rho)
     d = rho.shape[0]
     if f.dimension is not None and f.dimension != d:
         raise DimensionMismatchError(f"{f.name} expects dimension {f.dimension}, got {d}")
+    if restarts < 1:
+        raise ParameterError(f"restarts must be >= 1, got {restarts}")
 
     diag = np.diag(rho)
     if float(np.abs(rho - np.diag(diag)).max()) <= ATOL:
@@ -221,33 +321,15 @@ def convex_roof_upper(
     scaled = np.ascontiguousarray((vecs[:, keep] * np.sqrt(w[keep])).T)
 
     rng = np.random.default_rng(seed)
-    n_par = 2 * m * r
-    best_val = np.inf
-    best_params = None
-    for it in range(restarts):
-        if it == 0:
-            params = np.zeros(n_par)
-            for k in range(r):
-                params[2 * (k * r + k)] = 1.0  # embed the eigen-ensemble
-        else:
-            params = rng.standard_normal(n_par)
-        val = _roofopt.refine(params, scaled, m, f.evaluate, sweeps, init_step, min_step)
-        if val < best_val:
-            best_val = val
-            best_params = params
+    if f.gradient is not None:
+        q, reports = _gradient_search(f, scaled, m, restarts, rng)
+    else:
+        q, reports = _compass_search(f, scaled, m, restarts, rng, sweeps, init_step, min_step)
 
-    amat = best_params.view(np.complex128).reshape(m, r)
-    q, _ = np.linalg.qr(amat)
     wmat = q @ scaled
     sq = wmat.real**2 + wmat.imag**2
     weights = sq.sum(axis=1)
-    members = []
-    value = 0.0
-    for j in range(m):
-        p = float(weights[j])
-        if p <= TINY:
-            continue
-        vec = wmat[j] / np.sqrt(p)
-        members.append((p, vec))
-        value += p * f(sq[j] / p)
-    return RoofResult(value=float(value), ensemble=tuple(members))
+    kept = np.flatnonzero(weights > TINY)
+    members = tuple((float(weights[j]), wmat[j] / np.sqrt(weights[j])) for j in kept)
+    value = float(_roofopt.ensemble_value(wmat, f.values, floor=TINY))
+    return RoofResult(value=value, ensemble=members, restarts=tuple(reports))

@@ -470,6 +470,26 @@ def test_multicopy_support_matches_probability_floor():
     assert multicopy_probability(uni, phi, 2) == explicit
 
 
+def test_multicopy_support_counts_products_above_floor():
+    # both masses of phi exceed TINY, but their product, 4e-24, does not: two
+    # copies have support 3 at the floor, so three uniform amplitudes suffice
+    phi = np.sqrt([1.0 - 2e-12, 2e-12])
+    uni = np.full(3, 1.0 / np.sqrt(3.0))
+    explicit = conversion_probability(uni, tensor_power(phi, 2))
+    assert explicit == 1.0
+    assert multicopy_probability(uni, phi, 2) == explicit
+
+
+def test_multicopy_support_bound_uses_phi_total_mass():
+    # pure_state accepts a squared norm within 1e-9 of 1, so n copies of a
+    # support-1 phi hold total**n, not 1, and all of it in one amplitude
+    phi = [np.sqrt(1.0 - 3e-10), 0.0]
+    assert conversion_probability([1.0, 0.0], tensor_power(phi, 2)) == 1.0
+    assert multicopy_probability([1.0, 0.0], phi, 2) == 1.0
+    # rounding alone: the mass 1 - 2**-52 to the power 10**4 is 1 - 2.2e-12
+    assert multicopy_probability([1.0, 0.0], [np.sqrt(1.0 - 1e-16), 0.0], 10_000) == 1.0
+
+
 def test_multicopy_power_skips_zero_amplitudes():
     # |0> has dimension 2 but support 1: its 20th power is one amplitude
     assert multicopy_probability(np.full(4, 0.5), [1.0, 0.0], 20) == 1.0
