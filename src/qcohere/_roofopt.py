@@ -1,29 +1,23 @@
-"""Searches for the convex-roof ensemble.
+"""Gradient search for the convex-roof ensemble.
 
 An ensemble of ``m`` pure states decomposing a rank-``r`` density matrix is
 an m x r complex matrix Q with orthonormal columns applied to the scaled
 eigenvector rows S: the rows of Q S are the unnormalized members, and the
-objective is the probability-weighted functional value over the members.
-Both searches score all members of an ensemble with one row-wise call.
+objective is the probability-weighted functional value over the members,
+scored for all members with one row-wise call.
 
-``refine`` works for any functional. It runs a coordinate compass search on
-a free m x r matrix packed into a flat float64 array (re, im pairs,
-row-major), whose QR factor is Q: cycle the parameters, try +step/-step,
-keep strict improvements, halve the step when a sweep stalls.
-
-``descend`` needs the functional's gradient. It runs Riemannian conjugate
-gradient on the complex Stiefel manifold (Edelman, Arias & Smith, SIAM J.
-Matrix Anal. Appl. 20, 303 (1998)) for a stack of starting points at once:
-Polak-Ribiere+ directions, an Armijo line search over a few trial steps
-scored in one batched call, and a QR retraction.
+``descend`` runs Riemannian conjugate gradient on the complex Stiefel
+manifold (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303 (1998))
+for a stack of starting points at once: Polak-Ribiere+ directions, an Armijo
+line search over a few trial steps scored in one batched call, and a QR
+retraction. ``smoothed`` gives the objective of f((1 - eps) x + eps / d),
+on which a descent stalled at a cusp of f can move again.
 """
 
 import numpy as np
 
 # member weights at or below this are treated as empty and skipped
 WEIGHT_FLOOR = 1e-14
-# accept a move only if it beats the incumbent by this margin
-IMPROVE_EPS = 1e-12
 
 # iteration cap of one gradient descent
 MAX_ITER = 200
@@ -35,6 +29,12 @@ LADDER = np.array([2.0, 1.0, 0.5])
 # no trial step moves it by more than MIN_MOVE and none decreases the value
 GRAD_TOL = 1e-9
 MIN_MOVE = 1e-14
+# a restart that no trial step moves, with a gradient norm at most this, sits
+# at the rounding floor of a smooth minimum ("converged"); one with a larger
+# gradient is held by a cusp of f ("stalled")
+FLOOR_GRAD = 1e-5
+# weight of the uniform point mixed into every member by ``smoothed``
+SMOOTHING = 1e-3
 
 
 def ensemble_value(w, rows, floor=WEIGHT_FLOOR):
@@ -49,40 +49,6 @@ def ensemble_value(w, rows, floor=WEIGHT_FLOOR):
     # a running sum in member order, so the value does not depend on how
     # numpy would group a pairwise sum
     return np.cumsum(terms, axis=-1)[..., -1]
-
-
-def refine(params, scaled, m, rows, max_sweeps, init_step, min_step):
-    """Improve ``params`` in place; returns (best value, sweeps, stop reason).
-
-    The +step and -step moves of a parameter are scored in one batched call;
-    -step counts only when +step fails, as in a one-at-a-time search.
-    """
-
-    def objective(p):
-        q, _ = np.linalg.qr(p.view(np.complex128).reshape(*p.shape[:-1], m, -1))
-        return ensemble_value(q @ scaled, rows)
-
-    best = float(objective(params))
-    step = init_step
-    sweep = 0
-    n = params.size
-    pair = np.empty((2, n))
-    while sweep < max_sweeps and step > min_step:
-        improved = False
-        for idx in range(n):
-            base = params[idx]
-            pair[:] = params
-            pair[0, idx] = base + step
-            pair[1, idx] = base - step
-            up, down = objective(pair)
-            if up < best - IMPROVE_EPS:
-                params[idx], best, improved = pair[0, idx], float(up), True
-            elif down < best - IMPROVE_EPS:
-                params[idx], best, improved = pair[1, idx], float(down), True
-        if not improved:
-            step *= 0.5
-        sweep += 1
-    return best, sweep, "step" if step <= min_step else "sweeps"
 
 
 def retract(y):
@@ -157,8 +123,9 @@ def descend(q, scaled, rows, gradient):
         grad, gg, slope = gn, ggn, sn
         done = stuck | (gg <= GRAD_TOL**2)
         if done.any():
-            stops[idx[stuck]] = "stalled"
-            stops[idx[done & ~stuck]] = "converged"
+            stalled = stuck & (gg > FLOOR_GRAD**2)
+            stops[idx[stalled]] = "stalled"
+            stops[idx[done & ~stalled]] = "converged"
             out_q[idx[done]], out_val[idx[done]] = q[done], val[done]
             live = ~done
             idx, q, w, val, grad, gg, eta, slope, step = (
@@ -167,3 +134,26 @@ def descend(q, scaled, rows, gradient):
                 break
     out_q[idx], out_val[idx] = q, val
     return out_q, out_val, iters, stops
+
+
+def smoothed(rows, gradient):
+    """(rows, gradient) of f((1 - eps) x + eps / d), eps = SMOOTHING, whose
+    masses all stay at least eps / d, off the zero amplitudes where f may
+    have a cusp.
+
+    A member w scores as the real v with |v|^2 = (1 - eps) |w|^2 + eps p / d,
+    p = sum |w|^2, so the chain rule gives the gradient from f's at v.
+    """
+
+    def smooth_rows(x):
+        return rows((1.0 - SMOOTHING) * x + SMOOTHING / x.shape[-1])
+
+    def smooth_gradient(w):
+        spread = SMOOTHING / w.shape[-1]
+        sq = w.real**2 + w.imag**2
+        v = np.sqrt((1.0 - SMOOTHING) * sq + spread * sq.sum(axis=-1, keepdims=True))
+        # the partial derivatives in |v_k|^2, then in |w_i|^2
+        dv = np.real(gradient(v)) / (2.0 * np.where(v > 0.0, v, 1.0))
+        return 2.0 * w * ((1.0 - SMOOTHING) * dv + spread * dv.sum(axis=-1, keepdims=True))
+
+    return smooth_rows, smooth_gradient

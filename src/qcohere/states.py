@@ -48,16 +48,6 @@ class Canonicalization:
     permutation: np.ndarray
     phases: np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        """The incoherent unitary P @ D mapping the original state to ``state``."""
-        d = self.state.size
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(d), self.permutation] = self.phases[self.permutation]
-        return m
-
-    def inverse_matrix(self) -> np.ndarray:
-        return self.matrix().conj().T
-
 
 def canonicalize(psi) -> Canonicalization:
     """Strip phases and sort moduli non-increasing (stable on ties)."""
@@ -71,18 +61,22 @@ def canonicalize(psi) -> Canonicalization:
 
 
 def tensor_power(psi, n: int, max_amplitudes: int = TENSOR_CAP) -> np.ndarray:
-    """n-fold Kronecker power of ``psi`` (row-major, last factor fastest)."""
+    """n-fold Kronecker power of ``psi`` (row-major, last factor fastest),
+    by repeated squaring: O(log n) Kronecker products."""
     psi = pure_state(psi)
     if n < 1:
         raise ParameterError(f"copy count must be >= 1, got {n}")
-    if psi.size**n > max_amplitudes:
+    # size >= 2 and n >= bit_length(cap) give size**n > cap, so the integer
+    # power is formed only for small n
+    if psi.size > 1 and (n >= int(max_amplitudes).bit_length() or psi.size**n > max_amplitudes):
         raise ResourceLimitError(
             f"{psi.size}^{n} amplitudes exceed the cap of {max_amplitudes}"
         )
-    out = psi
-    for _ in range(n - 1):
-        out = np.kron(out, psi)
-    return out
+    if n == 1:
+        return psi
+    half = tensor_power(psi, n // 2, max_amplitudes)
+    out = np.kron(half, half)
+    return np.kron(out, psi) if n % 2 else out
 
 
 def support_size(psi, tol: float = SUPPORT_TOL) -> int:

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -408,6 +409,52 @@ def test_verify_protocol_keeps_distinct_states():
     assert not report.passes()
 
 
+def _scrambling_stage(rng, d):
+    """Two unlabelled operators, each a random permutation with Dirichlet
+    column weights and a global phase: the children of a branch share the
+    empty label but differ in state, so the live branches nearly double with
+    each stage, and paths reaching equal states leave them with different
+    global phases."""
+    ops = []
+    for w in rng.dirichlet(np.ones(2), size=d).T:
+        k = np.zeros((d, d), dtype=complex)
+        k[rng.permutation(d), np.arange(d)] = np.sqrt(w) * np.exp(2j * np.pi * rng.random())
+        ops.append(k)
+    return kraus_set(ops)
+
+
+def test_fingerprint_ignores_global_phase():
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        d = int(rng.integers(1, 9))
+        # random moduli, and equal moduli, where the largest entry is a tie
+        for psi in (random_pure_state(rng, d), np.exp(2j * np.pi * rng.random(d)) / np.sqrt(d)):
+            turned = psi * np.exp(2j * np.pi * rng.random())
+            assert conversion._fingerprint(turned) == conversion._fingerprint(psi)
+
+
+def test_verify_protocol_unlabelled_branches_stay_fast():
+    rng = np.random.default_rng(8)
+    stage = _scrambling_stage(rng, 8)
+    psi = random_pure_state(rng, 8)
+    start = time.perf_counter()
+    report = verify_protocol(_protocol([stage] * 12, psi, psi), psi, psi)
+    assert time.perf_counter() - start < 0.5
+    # children reaching equal states along different paths merged
+    assert 2000 < report.branch_count < 4000
+    assert abs(report.success_probability - 1.0) < 1e-9
+
+
+def test_verify_protocol_unlabelled_branches_reach_cap():
+    rng = np.random.default_rng(8)
+    stage = _scrambling_stage(rng, 8)
+    psi = random_pure_state(rng, 8)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        verify_protocol(_protocol([stage] * 20, psi, psi), psi, psi)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_multicopy_probability():
     psi = pure_state([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0])
     phi = pure_state(np.full(3, 1.0 / np.sqrt(3.0)))
@@ -438,6 +485,12 @@ def test_multicopy_support_shortcut_skips_tensor_power():
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     assert multicopy_probability(uni, plus, 20) == 0.0
     assert multicopy_probability(uni, plus, 10**9) == 0.0
+
+
+def test_multicopy_support_one_target_is_fast():
+    start = time.perf_counter()
+    assert multicopy_probability(np.full(4, 0.5), [1.0, 0.0], 10**9) == 1.0
+    assert time.perf_counter() - start < 0.01
 
 
 def states(max_dim):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -62,12 +64,13 @@ def test_canonicalize_round_trip():
         assert np.all(np.diff(c.state) <= 1e-15)
         assert np.all(c.state >= 0.0)
         assert np.abs(np.abs(c.phases) - 1.0).max() <= 1e-12
-        m = c.matrix()
-        assert np.abs(m @ psi - c.state).max() <= 1e-12
-        assert np.abs(c.inverse_matrix() @ c.state - psi).max() <= 1e-12
-        # the frame change is unitary and incoherent
-        assert np.abs(m @ m.conj().T - np.eye(d)).max() <= 1e-12
-        assert all(np.count_nonzero(np.abs(m[:, k]) > 1e-12) == 1 for k in range(d))
+        # the frame change P D: strip phases, then permute; its inverse
+        # undoes it, so it is unitary and incoherent
+        assert sorted(c.permutation) == list(range(d))
+        assert np.abs((c.phases * psi)[c.permutation] - c.state).max() <= 1e-12
+        back = np.empty(d, dtype=complex)
+        back[c.permutation] = c.state
+        assert np.abs(back * c.phases.conj() - psi).max() <= 1e-12
         np.testing.assert_allclose(
             squared_amplitudes(c.state.astype(complex)),
             sorted_desc(squared_amplitudes(psi)),
@@ -80,6 +83,25 @@ def test_tensor_power_pair():
     out = tensor_power(psi, 2)
     np.testing.assert_allclose(out, np.full(4, 0.5), atol=1e-15)
     np.testing.assert_array_equal(tensor_power(psi, 1), psi)
+
+
+def test_tensor_power_matches_repeated_kron():
+    rng = np.random.default_rng(4)
+    psi = random_pure_state(rng, 3)
+    out = psi
+    for n in range(2, 10):
+        out = np.kron(out, psi)
+        np.testing.assert_allclose(tensor_power(psi, n), out, rtol=0.0, atol=1e-15)
+
+
+def test_tensor_power_large_copy_counts_are_fast():
+    start = time.perf_counter()
+    # the cap test never forms 2**(10**8)
+    with pytest.raises(ResourceLimitError):
+        tensor_power([INV2, INV2], 10**8)
+    # one amplitude never reaches the cap: O(log n) products
+    np.testing.assert_array_equal(tensor_power([1.0], 10**9), [1.0])
+    assert time.perf_counter() - start < 0.01
 
 
 def test_tensor_power_embedded_zero():
