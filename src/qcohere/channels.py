@@ -36,11 +36,12 @@ class Branch:
 @dataclass(frozen=True)
 class KrausSet:
     """K_n[rows[n, c], c] = vals[n, c], other entries zero. An all-zero
-    column is stored as row c, value +0: equal operators, equal arrays."""
+    column is stored as row c, value +0: equal operators, equal arrays.
+    ``labels`` holds one string per operator, "" when it has none."""
 
     rows: np.ndarray
     vals: np.ndarray
-    labels: tuple | None = None
+    labels: tuple
 
     @property
     def dim(self) -> int:
@@ -64,10 +65,9 @@ def _from_stored(rows, vals, labels=None, atol: float = ATOL) -> KrausSet:
     if zero.any():
         rows = np.where(zero, np.arange(rows.shape[1]), rows)
         vals = np.where(zero, 0j, vals)
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != rows.shape[0]:
-            raise ValueError(f"{len(labels)} labels for {rows.shape[0]} operators")
+    labels = ("",) * rows.shape[0] if labels is None else tuple(str(s) for s in labels)
+    if len(labels) != rows.shape[0]:
+        raise ValueError(f"{len(labels)} labels for {rows.shape[0]} operators")
     ks = KrausSet(rows=rows, vals=vals, labels=labels)
     ok, residual = is_complete(ks, atol=atol)
     if not ok:
@@ -119,7 +119,7 @@ def is_complete(k: KrausSet, atol: float = ATOL):
     return residual <= atol, residual
 
 
-def is_incoherent(k: KrausSet, tol: float = ATOL):
+def is_incoherent(k: KrausSet):
     """(True, None): a KrausSet holds one entry per operator column, so it
     is incoherent by construction; ``kraus_set`` refuses coherent input with
     IncoherenceError and its witness."""
@@ -132,29 +132,28 @@ def _require_complete(k: KrausSet) -> None:
         raise CompletenessError(f"completeness residual {residual:.3e}")
 
 
-def _branches(k: KrausSet, psi: np.ndarray, prune: float) -> list:
+def _branches(k: KrausSet, psi: np.ndarray) -> list:
     """apply_selective on a validated state, without the completeness check."""
     if k.dim != psi.size:
         raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {psi.size}")
     vecs = np.zeros(k.vals.shape, dtype=complex)
     np.add.at(vecs, (np.arange(len(k))[:, None], k.rows), k.vals * psi)
     probs = (vecs.real**2 + vecs.imag**2).sum(axis=1)
-    live = np.nonzero(probs > prune)[0]
+    live = np.nonzero(probs > TINY)[0]
     kept = float(probs[live].sum())
-    if abs(kept - 1.0) > ATOL + prune * len(k):
+    if abs(kept - 1.0) > ATOL + TINY * len(k):
         raise CompletenessError(f"branch probabilities sum to {kept!r}")
-    labels = k.labels if k.labels is not None else ("",) * len(k)
-    return [Branch(float(probs[n]), vecs[n] / np.sqrt(probs[n]), labels[n]) for n in live]
+    return [Branch(float(probs[n]), vecs[n] / np.sqrt(probs[n]), k.labels[n]) for n in live]
 
 
-def apply_selective(k: KrausSet, psi, prune: float = TINY) -> list:
+def apply_selective(k: KrausSet, psi) -> list:
     """All measurement branches of ``k`` on a pure state.
 
-    Branches with probability at or below ``prune`` are dropped; the kept
+    Branches with probability at or below TINY are dropped; the kept
     probabilities still account for all but negligible mass.
     """
     _require_complete(k)
-    return _branches(k, pure_state(psi), prune)
+    return _branches(k, pure_state(psi))
 
 
 def apply_channel(k: KrausSet, rho) -> np.ndarray:
@@ -176,10 +175,10 @@ def _join(a: str, b: str) -> str:
     return a or b
 
 
-def compose(stages, prune: float = TINY) -> KrausSet:
+def compose(stages) -> KrausSet:
     """Collapse sequential stages into one Kraus set (stage 1 acts first).
 
-    Products with Frobenius norm at or below ``prune`` are dropped. Labels
+    Products with Frobenius norm at or below TINY are dropped. Labels
     of the surviving products join the stages' non-empty labels in order.
     The product count can double with every stage: a stage whose products
     would number more than COMPOSE_CAP raises ResourceLimitError before any
@@ -191,8 +190,7 @@ def compose(stages, prune: float = TINY) -> KrausSet:
     d = stages[0].dim
     if any(s.dim != d for s in stages):
         raise DimensionMismatchError("stages differ in dimension")
-    rows, vals = stages[0].rows, stages[0].vals
-    labels = list(stages[0].labels) if stages[0].labels is not None else [""] * len(rows)
+    rows, vals, labels = stages[0].rows, stages[0].vals, stages[0].labels
     for stage in stages[1:]:
         if len(rows) * len(stage) > COMPOSE_CAP:
             raise ResourceLimitError(
@@ -202,11 +200,8 @@ def compose(stages, prune: float = TINY) -> KrausSet:
         # then on to stage.rows[m, rows[n, c]]
         rows2 = stage.rows[:, rows].reshape(-1, d)
         vals2 = (stage.vals[:, rows] * vals).reshape(-1, d)
-        slabels = stage.labels if stage.labels is not None else [""] * len(stage)
-        keep = np.sqrt((vals2.real**2 + vals2.imag**2).sum(axis=1)) > prune
+        keep = np.sqrt((vals2.real**2 + vals2.imag**2).sum(axis=1)) > TINY
         rows, vals = rows2[keep], vals2[keep]
-        joined = [_join(lab1, lab2) for lab2 in slabels for lab1 in labels]
+        joined = [_join(lab1, lab2) for lab2 in stage.labels for lab1 in labels]
         labels = [lab for lab, k in zip(joined, keep) if k]
-    if not any(labels):
-        labels = None
     return _from_stored(rows, vals, labels=labels, atol=len(stages) * ATOL)

@@ -26,6 +26,7 @@ from .errors import (
 from .simplex import ATOL, TINY, majorizes, prob_vector, sorted_desc, ttransform_chain
 from .states import (
     COMPOSE_CAP,
+    TENSOR_CAP,
     Canonicalization,
     canonicalize,
     fidelity_pure,
@@ -354,12 +355,14 @@ class ProtocolReport:
     branch_count: int
     success_count: int
 
-    def passes(self, atol: float = ATOL) -> bool:
-        if self.stage_completeness and max(self.stage_completeness) > atol:
+    def passes(self) -> bool:
+        """Every stage complete, the declared probability delivered and
+        every success branch on the target, each within ATOL."""
+        if self.stage_completeness and max(self.stage_completeness) > ATOL:
             return False
-        if abs(self.success_probability - self.declared_probability) > atol:
+        if abs(self.success_probability - self.declared_probability) > ATOL:
             return False
-        return self.min_success_fidelity >= 1.0 - atol
+        return self.min_success_fidelity >= 1.0 - ATOL
 
 
 # cell size of the branch fingerprints, far above TINY: equal post-states
@@ -394,7 +397,7 @@ def _step(branches: list, stage: KrausSet) -> list:
     out = {}  # (label, fingerprint or None) -> live branches carrying them
     count = 0
     for parent in branches:
-        for child in _branches(stage, parent.state, TINY):
+        for child in _branches(stage, parent.state):
             p = parent.probability * child.probability
             if p <= TINY:
                 continue
@@ -471,7 +474,7 @@ def support_shortcut(psi, phi, n: int) -> bool:
     return s_psi * masses.max() ** n < masses.sum() ** n - 2 * TINY
 
 
-def multicopy_probability(psi, phi, n: int, max_amplitudes: int = 1_000_000) -> float:
+def multicopy_probability(psi, phi, n: int, max_amplitudes: int = TENSOR_CAP) -> float:
     """Probability of converting psi into n copies of phi.
 
     For n >= 2 the probability vanishes outright whenever ``support_shortcut``

@@ -20,30 +20,25 @@ from .states import pure_state
 RENORM_TOL = 1e-6
 
 
-def _c2pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+def _to_pairs(a) -> list:
+    """Nested lists of [re, im] pairs of a complex array."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def _pair2c(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FileFormatError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _vec2json(v: np.ndarray) -> list:
-    return [_c2pair(z) for z in np.asarray(v, dtype=complex)]
-
-
-def _json2vec(rows) -> np.ndarray:
-    return np.array([_pair2c(p) for p in rows], dtype=complex)
-
-
-def _mat2json(m: np.ndarray) -> list:
-    return [[_c2pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _json2mat(rows) -> np.ndarray:
-    return np.array([[_pair2c(p) for p in row] for row in rows], dtype=complex)
+def _from_pairs(x, shape, path) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs; a
+    leading None in ``shape`` admits any count. Signed zeros survive."""
+    try:
+        a = np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: expected numeric [re, im] pairs ({exc})") from exc
+    want = (*shape, 2)
+    if a.ndim != len(want) or any(n not in (None, m) for n, m in zip(want, a.shape)):
+        raise FileFormatError(f"{path}: expected [re, im] pairs of shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise FileFormatError(f"{path}: missing or non-finite number")
+    return a.view(complex)[..., 0]
 
 
 def _load_json(path):
@@ -66,17 +61,21 @@ def _expect(payload, key, path):
     return payload[key]
 
 
+def _dim(payload, path) -> int:
+    dim = _expect(payload, "dim", path)
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise FileFormatError(f"{path}: dim must be an integer, got {dim!r}")
+    return dim
+
+
 def save_state(path, psi) -> None:
     psi = pure_state(psi)
-    _dump_json(path, {"dim": int(psi.size), "amplitudes": _vec2json(psi)})
+    _dump_json(path, {"dim": int(psi.size), "amplitudes": _to_pairs(psi)})
 
 
 def load_state(path) -> np.ndarray:
     payload = _load_json(path)
-    dim = int(_expect(payload, "dim", path))
-    amps = _json2vec(_expect(payload, "amplitudes", path))
-    if amps.size != dim:
-        raise FileFormatError(f"{path}: dim {dim} but {amps.size} amplitudes")
+    amps = _from_pairs(_expect(payload, "amplitudes", path), (_dim(payload, path),), path)
     n2 = float((amps.real**2 + amps.imag**2).sum())
     if abs(n2 - 1.0) > RENORM_TOL:
         raise NormalizationError(f"{path}: squared norm {n2!r} too far from 1")
@@ -88,42 +87,38 @@ def load_state(path) -> np.ndarray:
 
 def save_density(path, rho) -> None:
     rho = np.asarray(rho, dtype=complex)
-    _dump_json(path, {"dim": int(rho.shape[0]), "matrix": _mat2json(rho)})
+    _dump_json(path, {"dim": int(rho.shape[0]), "matrix": _to_pairs(rho)})
 
 
 def load_density(path) -> np.ndarray:
     payload = _load_json(path)
-    dim = int(_expect(payload, "dim", path))
-    rho = _json2mat(_expect(payload, "matrix", path))
-    if rho.shape != (dim, dim):
-        raise FileFormatError(f"{path}: dim {dim} but matrix shape {rho.shape}")
-    return rho
+    dim = _dim(payload, path)
+    return _from_pairs(_expect(payload, "matrix", path), (dim, dim), path)
 
 
 def _channel_payload(k: KrausSet) -> dict:
-    payload = {
-        "dim": int(k.dim),
-        "operators": [_mat2json(op) for op in k.operators],
-    }
-    if k.labels is not None:
+    payload = {"dim": int(k.dim), "operators": _to_pairs(k.operators)}
+    if any(k.labels):
         payload["labels"] = list(k.labels)
     return payload
 
 
 def _payload_operators(payload, path):
-    dim = int(_expect(payload, "dim", path))
-    ops = [_json2mat(rows) for rows in _expect(payload, "operators", path)]
-    if any(op.shape != (dim, dim) for op in ops):
-        raise FileFormatError(f"{path}: operator shape mismatch with dim {dim}")
-    return ops, payload.get("labels")
+    dim = _dim(payload, path)
+    ops = _from_pairs(_expect(payload, "operators", path), (None, dim, dim), path)
+    labels = payload.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != len(ops)):
+        raise FileFormatError(f"{path}: expected a list of {len(ops)} labels, got {labels!r}")
+    return ops, labels
 
 
 def save_channel(path, k: KrausSet) -> None:
     _dump_json(path, _channel_payload(k))
 
 
-def load_channel(path, atol: float = RENORM_TOL) -> KrausSet:
-    return kraus_set(*_payload_operators(_load_json(path), path), atol=atol)
+def load_channel(path) -> KrausSet:
+    """Channel file as a KrausSet, complete within RENORM_TOL."""
+    return kraus_set(*_payload_operators(_load_json(path), path), atol=RENORM_TOL)
 
 
 def save_protocol(path, protocol, report=None) -> None:
@@ -153,10 +148,11 @@ def _payload_protocol(payload, path):
     return stages, meta
 
 
-def load_protocol(path, atol: float = RENORM_TOL):
-    """Returns (stages, meta). ``meta`` holds the scalar fields as a dict."""
+def load_protocol(path):
+    """Returns (stages, meta), each stage complete within RENORM_TOL.
+    ``meta`` holds the scalar fields as a dict."""
     stages, meta = _payload_protocol(_load_json(path), path)
-    return [kraus_set(*stage, atol=atol) for stage in stages], meta
+    return [kraus_set(*stage, atol=RENORM_TOL) for stage in stages], meta
 
 
 def read_stages(path):
@@ -176,7 +172,7 @@ def save_ensemble(path, result, dim: int) -> None:
         "value": float(result.value),
         "quality": result.quality,
         "members": [
-            {"weight": float(w), "amplitudes": _vec2json(vec)}
+            {"weight": float(w), "amplitudes": _to_pairs(vec)}
             for w, vec in result.ensemble
         ],
     })

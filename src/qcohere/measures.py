@@ -177,27 +177,30 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
     raise ParameterError(f"unknown functional family {name!r}")
 
 
+# largest sampled residual a valid functional may show
+VALIDATION_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Sampled residuals for the three defining requirements.
 
-    ``passes`` is True when every residual is at most ``tolerance``.
+    ``passes`` is True when every residual is at most VALIDATION_TOL.
     """
 
     vertex_residual: float
     permutation_residual: float
     concavity_violation: float
     samples: int
-    tolerance: float
 
     @property
     def passes(self) -> bool:
         worst = max(self.vertex_residual, self.permutation_residual, self.concavity_violation)
-        return worst <= self.tolerance
+        return worst <= VALIDATION_TOL
 
 
 def validate_functional(
-    f: CoherenceFunctional, d: int, samples: int = 1000, seed: int = 0, tolerance: float = 1e-7
+    f: CoherenceFunctional, d: int, samples: int = 1000, seed: int = 0
 ) -> ValidationReport:
     """Check f(vertices)=0, permutation invariance, and concavity by sampling."""
     if f.dimension is not None and f.dimension != d:
@@ -222,7 +225,6 @@ def validate_functional(
         permutation_residual=float(perm_res),
         concavity_violation=float(max(conc, 0.0)),
         samples=samples,
-        tolerance=tolerance,
     )
 
 

@@ -98,7 +98,7 @@ def apply_chain(chain, v) -> np.ndarray:
     return v
 
 
-def ttransform_chain(x, y, atol: float = ATOL) -> list:
+def ttransform_chain(x, y) -> list:
     """Chain of at most d-1 T-transforms carrying ``y`` to ``x``.
 
     Both inputs must be sorted non-increasing with x majorized by y. The
@@ -119,10 +119,10 @@ def ttransform_chain(x, y, atol: float = ATOL) -> list:
     v = y.copy()
     for _ in range(x.size):
         diff = v - x
-        donors = np.nonzero(diff > atol)[0]
+        donors = np.nonzero(diff > ATOL)[0]
         if donors.size == 0:
             break
-        recipients = np.nonzero(diff < -atol)[0]
+        recipients = np.nonzero(diff < -ATOL)[0]
         # largest donor, then the nearest recipient to its right; this pair
         # has no differing coordinate between them, which keeps x majorized
         # by the running vector after the transfer

@@ -9,9 +9,6 @@ import numpy as np
 from .errors import DensityMatrixError, NormalizationError, ParameterError, ResourceLimitError
 from .simplex import ATOL, TINY, prob_vector
 
-# amplitudes with modulus at or below this do not count toward the support:
-# their squared modulus is at or below the probability floor TINY
-SUPPORT_TOL = float(np.sqrt(TINY))
 # default cap on the output length of tensor_power
 TENSOR_CAP = 1_000_000
 # cap on the products compose() may form for one stage
@@ -79,29 +76,25 @@ def tensor_power(psi, n: int, max_amplitudes: int = TENSOR_CAP) -> np.ndarray:
     return np.kron(out, psi) if n % 2 else out
 
 
-def support_size(psi, tol: float = SUPPORT_TOL) -> int:
-    """Number of amplitudes with modulus above ``tol``.
-
-    Squared moduli are compared with ``tol`` squared, so the default counts
-    exactly the amplitudes whose mass exceeds TINY, the floor below which
-    conversion_probability treats mass as zero.
-    """
+def support_size(psi) -> int:
+    """Number of amplitudes whose mass exceeds TINY, the floor below which
+    conversion_probability treats mass as zero."""
     psi = np.asarray(psi, dtype=complex)
-    return int(np.count_nonzero(psi.real**2 + psi.imag**2 > tol * tol))
+    return int(np.count_nonzero(psi.real**2 + psi.imag**2 > TINY))
 
 
-def check_density(rho, atol: float = ATOL) -> np.ndarray:
-    """Validate a density matrix (hermitian, unit trace, PSD within ``atol``)."""
+def check_density(rho) -> np.ndarray:
+    """Validate a density matrix (hermitian, unit trace, PSD within ATOL)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DensityMatrixError(f"expected a square matrix, got shape {rho.shape}")
-    if float(np.abs(rho - rho.conj().T).max()) > atol:
+    if float(np.abs(rho - rho.conj().T).max()) > ATOL:
         raise DensityMatrixError("matrix is not hermitian")
     tr = float(rho.trace().real)
-    if abs(tr - 1.0) > atol:
-        raise DensityMatrixError(f"trace {tr!r}, expected 1 within {atol:.0e}")
+    if abs(tr - 1.0) > ATOL:
+        raise DensityMatrixError(f"trace {tr!r}, expected 1 within {ATOL:.0e}")
     w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if float(w.min()) < -atol:
+    if float(w.min()) < -ATOL:
         raise DensityMatrixError(f"negative eigenvalue {w.min():.3e}")
     return rho
 
