@@ -11,7 +11,11 @@ import numpy as np
 
 from .errors import CompletenessError, DimensionMismatchError, IncoherenceError, ResourceLimitError
 from .simplex import ATOL, TINY
-from .states import COMPOSE_CAP, check_density, pure_state
+from .states import check_density, pure_state
+
+# cap on the products compose() may form for one stage, and on the live
+# branches verify_protocol may carry
+COMPOSE_CAP = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .states import check_density, pure_state, support_size, tensor_power
 
 
 def _functional(args):
-    return builtin(args.functional, alpha=getattr(args, "alpha", None), l=getattr(args, "l", None))
+    return builtin(args.functional, alpha=args.alpha, l=args.l)
 
 
 def cmd_measure(args) -> int:
@@ -242,10 +242,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except QcohereError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QcohereError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

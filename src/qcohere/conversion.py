@@ -13,21 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Branch, KrausSet, _branches, _from_stored, _join, compose, is_complete
+from .channels import (
+    COMPOSE_CAP,
+    Branch,
+    KrausSet,
+    _branches,
+    _from_stored,
+    _join,
+    compose,
+    is_complete,
+)
 from .errors import (
     CompletenessError,
     DimensionMismatchError,
     InfeasibleStepError,
-    MajorizationError,
     NoLadderError,
     ParameterError,
     ResourceLimitError,
 )
-from .simplex import ATOL, TINY, majorizes, prob_vector, sorted_desc, ttransform_chain
+from .simplex import ATOL, TINY, prob_vector, sorted_desc, ttransform_chain
 from .states import (
-    COMPOSE_CAP,
     TENSOR_CAP,
-    Canonicalization,
     canonicalize,
     fidelity_pure,
     pure_state,
@@ -85,30 +91,22 @@ def _suffix_sums(a: np.ndarray) -> np.ndarray:
 def _min_block_ratio(sa, sb, hi: int):
     """Minimizing (l, ratio) of block sums over 1-based l in [1, hi].
 
-    Blocks run from l to hi inclusive. Candidates with target mass at or
-    below 1e-12 are skipped (vacuous constraints); a candidate with target
-    mass but source mass at or below 1e-12 forces ratio 0. Among minima
-    within 1e-12 of each other the smallest l wins.
+    Blocks run from l to hi inclusive; ``sa`` and ``sb`` are suffix sums.
+    Blocks with target mass at or below 1e-12 are skipped (vacuous
+    constraints); the first block with target mass but source mass at or
+    below 1e-12 forces ratio 0. Among minima within 1e-12 of each other the
+    smallest l wins. The l = 1 block holds the target's largest mass, so
+    some block always has target mass.
     """
-    d = sa.size
-    top_a = sa[hi] if hi < d else 0.0
-    top_b = sb[hi] if hi < d else 0.0
-    candidates = []
-    for l in range(1, hi + 1):
-        block_b = sb[l - 1] - top_b
-        if block_b <= TINY:
-            continue
-        block_a = sa[l - 1] - top_a
-        if block_a <= TINY:
-            return l, 0.0
-        candidates.append((l, block_a / block_b))
-    if not candidates:
-        return 0, np.inf
-    rmin = min(r for _, r in candidates)
-    for l, r in candidates:
-        if r <= rmin + RATIO_TIE:
-            return l, r
-    return candidates[0]
+    block_a = sa[:hi] - (sa[hi] if hi < sa.size else 0.0)
+    block_b = sb[:hi] - (sb[hi] if hi < sb.size else 0.0)
+    live = block_b > TINY
+    empty = live & (block_a <= TINY)
+    if empty.any():
+        return int(empty.argmax()) + 1, 0.0
+    ratio = np.divide(block_a, block_b, out=np.full(hi, np.inf), where=live)
+    l = int((ratio <= ratio.min() + RATIO_TIE).argmax())
+    return l + 1, float(ratio[l])
 
 
 def conversion_probability(psi, phi) -> float:
@@ -119,11 +117,7 @@ def conversion_probability(psi, phi) -> float:
     psi, phi, d = _common_pair(psi, phi)
     a = sorted_desc(squared_amplitudes(psi))
     b = sorted_desc(squared_amplitudes(phi))
-    sa = _suffix_sums(a)
-    sb = _suffix_sums(b)
-    _, ratio = _min_block_ratio(sa, sb, d)
-    if not np.isfinite(ratio):
-        return 1.0
+    _, ratio = _min_block_ratio(_suffix_sums(a), _suffix_sums(b), d)
     return float(min(max(ratio, 0.0), 1.0))
 
 
@@ -135,16 +129,26 @@ class ConversionLadder:
     coordinates into blocks [l_j, l_{j-1}-1] with l_0 = d+1; ``ratios``
     are the corresponding block mass ratios, strictly increasing.
     ``gamma`` is the intermediate state: sqrt(r_j) * phi_i on block j.
+    ``success_probability`` is r_1 clipped to [0, 1].
     """
 
     breakpoints: tuple
     ratios: tuple
     gamma: np.ndarray
-    success_probability: float
 
     @property
     def dim(self) -> int:
         return self.gamma.size
+
+    @property
+    def success_probability(self) -> float:
+        return float(min(max(self.ratios[0], 0.0), 1.0))
+
+
+def _coordinate_ratios(breakpoints, ratios, d: int) -> np.ndarray:
+    """Each coordinate's block ratio r_j, in coordinate order."""
+    sizes = -np.diff([d + 1, *breakpoints])
+    return np.repeat(ratios[::-1], sizes[::-1])
 
 
 def build_ladder(psi, phi) -> ConversionLadder:
@@ -161,22 +165,13 @@ def build_ladder(psi, phi) -> ConversionLadder:
     hi = d
     while hi >= 1:
         l, ratio = _min_block_ratio(sa, sb, hi)
-        if l == 0 or ratio <= 0.0:
+        if ratio <= 0.0:
             raise NoLadderError("conversion probability is zero")
         breakpoints.append(l)
-        ratios.append(float(ratio))
+        ratios.append(ratio)
         hi = l - 1
-
-    gamma = np.zeros(d)
-    prev = d + 1
-    for l, r in zip(breakpoints, ratios):
-        gamma[l - 1 : prev - 1] = np.sqrt(r) * t[l - 1 : prev - 1]
-        prev = l
-    p = float(min(max(ratios[0], 0.0), 1.0))
-    return ConversionLadder(
-        breakpoints=tuple(breakpoints), ratios=tuple(ratios), gamma=gamma,
-        success_probability=p,
-    )
+    gamma = np.sqrt(_coordinate_ratios(breakpoints, ratios, d)) * t
+    return ConversionLadder(breakpoints=tuple(breakpoints), ratios=tuple(ratios), gamma=gamma)
 
 
 def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
@@ -187,11 +182,7 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     if t.size != d:
         raise DimensionMismatchError(f"phi has dimension {t.size}, ladder {d}")
     r1 = ladder.ratios[0]
-    m = np.ones(d)
-    prev = d + 1
-    for l, r in zip(ladder.breakpoints, ladder.ratios):
-        m[l - 1 : prev - 1] = np.sqrt(r1 / r)
-        prev = l
+    m = np.sqrt(r1 / _coordinate_ratios(ladder.breakpoints, ladder.ratios, d))
     out = m * ladder.gamma - np.sqrt(r1) * t
     if float(np.abs(out).max()) > ATOL:
         raise ValueError("filter does not map gamma onto phi; inputs inconsistent")
@@ -258,9 +249,11 @@ def _identity(d: int) -> KrausSet:
 def deterministic_protocol(psi, gamma) -> list:
     """Stages converting canonical psi into canonical gamma with certainty.
 
-    Requires psi's squared amplitudes to be majorized by gamma's. Each
-    stage is a two-outcome incoherent step whose branches coincide, so
-    every measurement path ends in gamma; at most d-1 stages are needed.
+    Requires psi's squared amplitudes to be majorized by gamma's;
+    ``ttransform_chain`` raises MajorizationError otherwise. Each stage is
+    a two-outcome incoherent step whose branches coincide, so every
+    measurement path ends in gamma; at most d-1 stages are needed, none
+    when psi already equals gamma.
     """
     s = _require_canonical(psi)
     g = _require_canonical(gamma)
@@ -268,11 +261,7 @@ def deterministic_protocol(psi, gamma) -> list:
         raise DimensionMismatchError(f"dimensions {s.size} and {g.size} differ")
     x = prob_vector(s * s)
     y = prob_vector(g * g)
-    if not majorizes(y, x):
-        raise MajorizationError("gamma's squared amplitudes must majorize psi's")
     chain = ttransform_chain(x, y)
-    if not chain:
-        return []
     # walk y -> x recording intermediates, then invert transform by transform
     useq = [y]
     for tr in reversed(chain):
@@ -293,16 +282,15 @@ def deterministic_protocol(psi, gamma) -> list:
 class Protocol:
     """Full conversion protocol in the original frames.
 
-    ``stages`` act in order; measurement paths whose joined label equals
-    ``success_label`` leave the target state, and their total probability
-    is ``probability``.
+    ``stages`` act in order, the source's canonicalization folded into the
+    first and the target's undone in the last; measurement paths whose
+    joined label equals ``success_label`` leave the target state, and their
+    total probability is ``probability``.
     """
 
     stages: tuple
     success_label: str
     probability: float
-    source_frame: Canonicalization
-    target_frame: Canonicalization
 
 
 def optimal_protocol(psi, phi) -> Protocol:
@@ -316,10 +304,7 @@ def optimal_protocol(psi, phi) -> Protocol:
     d = cs.state.size
     p = conversion_probability(psi, phi)
     if p <= 0.0:
-        return Protocol(
-            stages=(), success_label="success", probability=0.0,
-            source_frame=cs, target_frame=ct,
-        )
+        return Protocol(stages=(), success_label="success", probability=0.0)
     ladder = build_ladder(cs.state, ct.state)
     det = deterministic_protocol(cs.state, ladder.gamma)
     if not det:
@@ -334,8 +319,7 @@ def optimal_protocol(psi, phi) -> Protocol:
     stages = [compose([w_in, det[0]])] + det[1:] + [compose([filt, w_out])]
     return Protocol(
         stages=tuple(stages), success_label="success",
-        probability=float(ladder.success_probability),
-        source_frame=cs, target_frame=ct,
+        probability=ladder.success_probability,
     )
 
 

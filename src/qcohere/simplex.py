@@ -21,12 +21,14 @@ TINY = 1e-12
 def prob_vector(entries) -> np.ndarray:
     """Validate ``entries`` as a probability vector and return it as float64.
 
-    Entries in [-1e-12, 0) are clamped to 0; anything more negative is
-    rejected. The sum must be 1 within 1e-9.
+    Entries must be finite. Entries in [-1e-12, 0) are clamped to 0;
+    anything more negative is rejected. The sum must be 1 within 1e-9.
     """
     x = np.atleast_1d(np.asarray(entries, dtype=float)).copy()
     if x.ndim != 1 or x.size == 0:
         raise NormalizationError("expected a non-empty 1-d sequence")
+    if not np.isfinite(x).all():
+        raise NormalizationError("entries must be finite")
     if np.any(x < -TINY):
         raise NormalizationError(f"entry {x.min():.3e} below -{TINY:.0e}")
     np.clip(x, 0.0, None, out=x)

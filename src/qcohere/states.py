@@ -11,8 +11,6 @@ from .simplex import ATOL, TINY, prob_vector
 
 # default cap on the output length of tensor_power
 TENSOR_CAP = 1_000_000
-# cap on the products compose() may form for one stage
-COMPOSE_CAP = 1 << 14
 
 
 def pure_state(amplitudes) -> np.ndarray:
@@ -20,6 +18,8 @@ def pure_state(amplitudes) -> np.ndarray:
     psi = np.atleast_1d(np.asarray(amplitudes, dtype=complex)).copy()
     if psi.ndim != 1 or psi.size == 0:
         raise NormalizationError("expected a non-empty 1-d sequence")
+    if not np.isfinite(psi).all():
+        raise NormalizationError("amplitudes must be finite")
     n2 = float((psi.real**2 + psi.imag**2).sum())
     if abs(n2 - 1.0) > ATOL:
         raise NormalizationError(f"squared norm {n2!r}, expected 1 within {ATOL:.0e}")
@@ -88,6 +88,8 @@ def check_density(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DensityMatrixError(f"expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise DensityMatrixError("entries must be finite")
     if float(np.abs(rho - rho.conj().T).max()) > ATOL:
         raise DensityMatrixError("matrix is not hermitian")
     tr = float(rho.trace().real)

@@ -17,7 +17,7 @@ from qcohere import (
     pure_state,
 )
 from qcohere.simplex import TINY
-from qcohere.states import COMPOSE_CAP
+from qcohere.channels import COMPOSE_CAP
 from randgen import random_incoherent_kraus, random_pure_state
 
 INV2 = 1.0 / np.sqrt(2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -37,7 +38,7 @@ from qcohere import (
 )
 from qcohere import channels, conversion
 from qcohere.simplex import TINY
-from qcohere.states import COMPOSE_CAP
+from qcohere.channels import COMPOSE_CAP
 from randgen import random_majorized_pair, random_pure_state
 
 PSI = np.sqrt([0.8, 0.1, 0.1])
@@ -298,6 +299,11 @@ def test_optimal_protocol_worked_example():
     report = verify_protocol(protocol, PSI, PHI)
     assert report.passes()
     assert abs(report.success_probability - 1.0 / 3.0) < 1e-9
+    # verify_protocol raises on an incomplete stage, so these reports are built
+    incomplete = report.stage_completeness[:-1] + (2e-9,)
+    assert not dataclasses.replace(report, stage_completeness=incomplete).passes()
+    overstated = report.declared_probability + 2e-9
+    assert not dataclasses.replace(report, declared_probability=overstated).passes()
     assert report.min_success_fidelity >= 1.0 - 1e-9
 
 
@@ -337,11 +343,8 @@ def test_optimal_protocol_self_conversion_with_phases():
     assert abs(report.success_probability - 1.0) < 1e-9
 
 
-def _protocol(stages, psi, phi, label="", probability=1.0):
-    return Protocol(
-        stages=tuple(stages), success_label=label, probability=probability,
-        source_frame=canonicalize(psi), target_frame=canonicalize(phi),
-    )
+def _protocol(stages, label="", probability=1.0):
+    return Protocol(stages=tuple(stages), success_label=label, probability=probability)
 
 
 def test_verify_protocol_merges_equal_branches():
@@ -349,13 +352,13 @@ def test_verify_protocol_merges_equal_branches():
     half = np.sqrt(0.5) * np.eye(2, dtype=complex)
     # both outcomes leave the state unchanged: one live branch at any depth
     coin = kraus_set([half, half])
-    report = verify_protocol(_protocol([coin] * 40, plus, plus), plus, plus)
+    report = verify_protocol(_protocol([coin] * 40), plus, plus)
     assert report.passes()
     assert report.branch_count == 1
     assert abs(report.success_probability - 1.0) < 1e-12
     # distinct labels keep equal states apart
     labelled = kraus_set([half, half], labels=["a", "b"])
-    report = verify_protocol(_protocol([labelled], plus, plus, "a", 0.5), plus, plus)
+    report = verify_protocol(_protocol([labelled], "a", 0.5), plus, plus)
     assert report.passes()
     assert (report.branch_count, report.success_count) == (2, 1)
 
@@ -363,7 +366,7 @@ def test_verify_protocol_merges_equal_branches():
 def test_verify_protocol_checks_each_stage_once(monkeypatch):
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     half = np.sqrt(0.5) * np.eye(2, dtype=complex)
-    protocol = _protocol([kraus_set([half, half], labels=["a", "b"])] * 12, plus, plus)
+    protocol = _protocol([kraus_set([half, half], labels=["a", "b"])] * 12)
     calls = []
 
     def counting(k, *args, **kwargs):
@@ -381,7 +384,7 @@ def test_verify_protocol_rejects_incomplete_stage():
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     loose = kraus_set([np.sqrt(0.5 + 1e-7) * np.eye(2), np.sqrt(0.5) * np.eye(2)], atol=1e-6)
     with pytest.raises(CompletenessError):
-        verify_protocol(_protocol([loose], plus, plus), plus, plus)
+        verify_protocol(_protocol([loose]), plus, plus)
 
 
 def test_verify_protocol_branch_cap():
@@ -389,19 +392,19 @@ def test_verify_protocol_branch_cap():
     half = np.sqrt(0.5) * np.eye(2, dtype=complex)
     labelled = kraus_set([half, half], labels=["a", "b"])
     # distinct labels keep every branch apart: 2^stages of them
-    protocol = _protocol([labelled] * 12, plus, plus, ".".join("a" * 12), 2.0**-12)
+    protocol = _protocol([labelled] * 12, ".".join("a" * 12), 2.0**-12)
     report = verify_protocol(protocol, plus, plus)
     assert report.passes()
     assert (report.branch_count, report.success_count) == (4096, 1)
     assert 2**20 > COMPOSE_CAP
     with pytest.raises(ResourceLimitError):
-        verify_protocol(_protocol([labelled] * 20, plus, plus), plus, plus)
+        verify_protocol(_protocol([labelled] * 20), plus, plus)
 
 
 def test_verify_protocol_keeps_distinct_states():
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     measure = kraus_set([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    report = verify_protocol(_protocol([measure], plus, plus), plus, plus)
+    report = verify_protocol(_protocol([measure]), plus, plus)
     # |0> and |1> share the empty label but are not merged
     assert report.branch_count == 2
     assert abs(report.success_probability - 1.0) < 1e-12
@@ -438,7 +441,7 @@ def test_verify_protocol_unlabelled_branches_stay_fast():
     stage = _scrambling_stage(rng, 8)
     psi = random_pure_state(rng, 8)
     start = time.perf_counter()
-    report = verify_protocol(_protocol([stage] * 12, psi, psi), psi, psi)
+    report = verify_protocol(_protocol([stage] * 12), psi, psi)
     assert time.perf_counter() - start < 0.5
     # children reaching equal states along different paths merged
     assert 2000 < report.branch_count < 4000
@@ -451,7 +454,7 @@ def test_verify_protocol_unlabelled_branches_reach_cap():
     psi = random_pure_state(rng, 8)
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError):
-        verify_protocol(_protocol([stage] * 20, psi, psi), psi, psi)
+        verify_protocol(_protocol([stage] * 20), psi, psi)
     assert time.perf_counter() - start < 5.0
 
 

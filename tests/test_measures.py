@@ -9,6 +9,7 @@ from qcohere import (
     builtin,
     canonicalize,
     coherence_pure,
+    convex_roof_upper,
     extract_functional,
     validate_functional,
 )
@@ -125,5 +126,9 @@ def test_extracted_functional_dimension_guard():
     g = extract_functional(lambda v: 0.0, 3)
     with pytest.raises(DimensionMismatchError):
         g(np.full(4, 0.25))
+    with pytest.raises(DimensionMismatchError):
+        validate_functional(g, 4, samples=10)
+    with pytest.raises(DimensionMismatchError):
+        convex_roof_upper(g, np.full((4, 4), 0.25))
     report = validate_functional(g, 3, samples=100)
     assert report.passes

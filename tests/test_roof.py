@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcohere import (
+    ParameterError,
     _roofopt,
     builtin,
     coherence_pure,
@@ -132,6 +133,8 @@ def test_restart_reports():
     pure = pure_density(np.sqrt([0.5, 0.5]))
     assert convex_roof_upper(builtin("shannon"), pure).restarts == ()
     assert convex_roof_upper(builtin("shannon"), np.diag([0.5, 0.5])).restarts == ()
+    with pytest.raises(ParameterError):
+        convex_roof_upper(builtin("shannon"), rho, restarts=0)
 
 
 def random_density(rng, d, rank):

@@ -8,8 +8,13 @@ from qcohere import (
     NormalizationError,
     ParameterError,
     ResourceLimitError,
+    builtin,
     canonicalize,
     check_density,
+    coherence_pure,
+    conversion_probability,
+    convex_roof_upper,
+    prob_vector,
     pure_density,
     pure_state,
     sorted_desc,
@@ -154,6 +159,30 @@ def test_check_density():
         check_density(np.diag([0.7, 0.7]))
     with pytest.raises(DensityMatrixError):
         check_density(np.diag([1.5, -0.5]))
+
+
+NAN = float("nan")
+NAN_DENSITY = [[NAN, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: pure_state([NAN, 1.0]), NormalizationError),
+        (lambda: pure_state([complex(0.0, NAN), 1.0]), NormalizationError),
+        (lambda: prob_vector([NAN, 1.0]), NormalizationError),
+        (lambda: check_density(NAN_DENSITY), DensityMatrixError),
+        (lambda: conversion_probability([NAN, 1.0], [1.0, 0.0]), NormalizationError),
+        (lambda: coherence_pure(builtin("shannon"), [NAN, 1.0]), NormalizationError),
+        (lambda: convex_roof_upper(builtin("shannon"), NAN_DENSITY), DensityMatrixError),
+    ],
+    ids=["pure_state", "pure_state_imag", "prob_vector", "check_density",
+         "conversion_probability", "coherence_pure", "convex_roof_upper"],
+)
+def test_nan_entries_rejected(call, error):
+    # every comparison with NaN is false, so range checks alone let it through
+    with pytest.raises(error):
+        call()
 
 
 def test_pure_density():
