@@ -16,8 +16,7 @@ on which a descent stalled at a cusp of f can move again.
 
 import numpy as np
 
-# member weights at or below this are treated as empty and skipped
-WEIGHT_FLOOR = 1e-14
+from .simplex import TINY
 
 # iteration cap of one gradient descent
 MAX_ITER = 200
@@ -37,13 +36,13 @@ FLOOR_GRAD = 1e-5
 SMOOTHING = 1e-3
 
 
-def ensemble_value(w, rows, floor=WEIGHT_FLOOR):
+def ensemble_value(w, rows):
     """Weighted functional value of the members, the rows of each matrix in
-    the stack ``w`` of shape (..., m, d); members of weight at most ``floor``
-    count 0."""
+    the stack ``w`` of shape (..., m, d); members of weight at most TINY
+    are empty and count 0."""
     sq = w.real**2 + w.imag**2
     weights = sq.sum(axis=-1)
-    live = weights > floor
+    live = weights > TINY
     terms = np.zeros(weights.shape)
     terms[live] = weights[live] * rows(sq[live] / weights[live, None])
     # a running sum in member order, so the value does not depend on how

@@ -9,7 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletenessError, DimensionMismatchError, IncoherenceError, ResourceLimitError
+from .errors import (
+    CompletenessError,
+    DimensionMismatchError,
+    IncoherenceError,
+    ParameterError,
+    ResourceLimitError,
+)
 from .simplex import ATOL, TINY
 from .states import check_density, pure_state
 
@@ -71,10 +77,11 @@ def _from_stored(rows, vals, labels=None, atol: float = ATOL) -> KrausSet:
         vals = np.where(zero, 0j, vals)
     labels = ("",) * rows.shape[0] if labels is None else tuple(str(s) for s in labels)
     if len(labels) != rows.shape[0]:
-        raise ValueError(f"{len(labels)} labels for {rows.shape[0]} operators")
+        raise ParameterError(f"{len(labels)} labels for {rows.shape[0]} operators")
     ks = KrausSet(rows=rows, vals=vals, labels=labels)
-    ok, residual = is_complete(ks, atol=atol)
-    if not ok:
+    _, residual = is_complete(ks)
+    # NaN-safe: a NaN residual fails this test
+    if not residual <= atol:
         raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.3e}")
     return ks
 
@@ -87,7 +94,7 @@ def kraus_set(operators, labels=None, atol: float = ATOL) -> KrausSet:
     """
     ops = [np.asarray(k, dtype=complex) for k in operators]
     if not ops:
-        raise ValueError("at least one operator required")
+        raise ParameterError("at least one operator required")
     d = ops[0].shape
     if len(d) != 2 or d[0] != d[1]:
         raise DimensionMismatchError(f"operators must be square, got shape {d}")
@@ -107,8 +114,9 @@ def kraus_set(operators, labels=None, atol: float = ATOL) -> KrausSet:
     return _from_stored(rows, vals, labels=labels, atol=atol)
 
 
-def is_complete(k: KrausSet, atol: float = ATOL):
-    """(flag, residual): max deviation of sum K^dag K from the identity.
+def is_complete(k: KrausSet):
+    """(flag, residual): max deviation of sum K^dag K from the identity,
+    and whether it is at most ATOL.
 
     Its diagonal holds the column masses. Entry (c, c') can be nonzero only
     if an operator sends columns c and c' to one row; only then is the
@@ -120,7 +128,7 @@ def is_complete(k: KrausSet, atol: float = ATOL):
         same = k.rows[:, :, None] == k.rows[:, None, :]
         gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, same)
         residual = float(np.abs(gram - np.eye(k.dim)).max())
-    return residual <= atol, residual
+    return residual <= ATOL, residual
 
 
 def is_incoherent(k: KrausSet):
@@ -190,7 +198,7 @@ def compose(stages) -> KrausSet:
     """
     stages = list(stages)
     if not stages:
-        raise ValueError("at least one stage required")
+        raise ParameterError("at least one stage required")
     d = stages[0].dim
     if any(s.dim != d for s in stages):
         raise DimensionMismatchError("stages differ in dimension")

@@ -108,7 +108,7 @@ def cmd_roof(args) -> int:
     )
     print(f"upper bound: {result.value:.12f}")
     if args.ensemble:
-        save_ensemble(args.ensemble, result, rho.shape[0])
+        save_ensemble(args.ensemble, result)
     return 0
 
 

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .simplex import ATOL, TINY, prob_vector, sorted_desc, ttransform_chain
 from .states import (
-    TENSOR_CAP,
     canonicalize,
     fidelity_pure,
     pure_state,
@@ -49,6 +48,8 @@ RATIO_TIE = 1e-12
 def _pad(psi: np.ndarray, d: int) -> np.ndarray:
     if psi.size == d:
         return psi
+    if psi.size > d:
+        raise DimensionMismatchError(f"state dimension {psi.size} exceeds {d}")
     out = np.zeros(d, dtype=psi.dtype)
     out[: psi.size] = psi
     return out
@@ -70,16 +71,16 @@ def canonical_pair(psi, phi) -> tuple:
 def _require_nonneg_real(psi) -> np.ndarray:
     psi = pure_state(psi)
     if float(np.abs(psi.imag).max()) > TINY:
-        raise ValueError("amplitudes must be real")
+        raise ParameterError("amplitudes must be real")
     if float(psi.real.min()) < -TINY:
-        raise ValueError("amplitudes must be nonnegative")
+        raise ParameterError("amplitudes must be nonnegative")
     return np.clip(psi.real, 0.0, None)
 
 
 def _require_canonical(psi) -> np.ndarray:
     s = _require_nonneg_real(psi)
     if np.any(np.diff(s) > TINY):
-        raise ValueError("state must be canonical: amplitudes not sorted")
+        raise ParameterError("state must be canonical: amplitudes not sorted")
     return s
 
 
@@ -185,7 +186,7 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     m = np.sqrt(r1 / _coordinate_ratios(ladder.breakpoints, ladder.ratios, d))
     out = m * ladder.gamma - np.sqrt(r1) * t
     if float(np.abs(out).max()) > ATOL:
-        raise ValueError("filter does not map gamma onto phi; inputs inconsistent")
+        raise ParameterError("filter does not map gamma onto phi; inputs inconsistent")
     comp = np.sqrt(np.clip(1.0 - m * m, 0.0, None))
     ops = (m, comp) if float((comp * comp).sum()) > TINY else (m,)
     rows = np.array([np.arange(d)] * len(ops))
@@ -458,13 +459,13 @@ def support_shortcut(psi, phi, n: int) -> bool:
     return s_psi * masses.max() ** n < masses.sum() ** n - 2 * TINY
 
 
-def multicopy_probability(psi, phi, n: int, max_amplitudes: int = TENSOR_CAP) -> float:
+def multicopy_probability(psi, phi, n: int) -> float:
     """Probability of converting psi into n copies of phi.
 
     For n >= 2 the probability vanishes outright whenever ``support_shortcut``
     finds mass of the n copies outside psi's support. Otherwise the tensor power
-    of phi's nonzero amplitudes is formed explicitly (subject to the
-    amplitude cap) and the single-copy rule applies; zero amplitudes would
+    of phi's nonzero amplitudes is formed explicitly (at most TENSOR_CAP
+    amplitudes) and the single-copy rule applies; zero amplitudes would
     only pad it and leave the probability unchanged.
     """
     if n < 1:
@@ -475,5 +476,5 @@ def multicopy_probability(psi, phi, n: int, max_amplitudes: int = TENSOR_CAP) ->
         return conversion_probability(psi, phi)
     if support_shortcut(psi, phi, n):
         return 0.0
-    target = tensor_power(phi[phi != 0], n, max_amplitudes=max_amplitudes)
+    target = tensor_power(phi[phi != 0], n)
     return conversion_probability(psi, target)

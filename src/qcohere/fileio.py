@@ -14,7 +14,8 @@ import numpy as np
 
 from .channels import KrausSet, kraus_set
 from .errors import FileFormatError, NormalizationError
-from .states import pure_state
+from .simplex import TINY
+from .states import check_density, pure_state
 
 # states off normalization by at most this much are renormalized with a warning
 RENORM_TOL = 1e-6
@@ -50,9 +51,11 @@ def _load_json(path):
 
 
 def _dump_json(path, payload) -> None:
+    # json.dumps without indentation runs the C encoder; json.dump, or any
+    # indent, streams through the pure-Python one
+    text = json.dumps(payload) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _expect(payload, key, path):
@@ -79,14 +82,14 @@ def load_state(path) -> np.ndarray:
     n2 = float((amps.real**2 + amps.imag**2).sum())
     if abs(n2 - 1.0) > RENORM_TOL:
         raise NormalizationError(f"{path}: squared norm {n2!r} too far from 1")
-    if n2 > 0 and abs(n2 - 1.0) > 1e-12:
+    if n2 > 0 and abs(n2 - 1.0) > TINY:
         warnings.warn(f"{path}: renormalizing state (squared norm {n2!r})", stacklevel=2)
         amps = amps / np.sqrt(n2)
     return pure_state(amps)
 
 
 def save_density(path, rho) -> None:
-    rho = np.asarray(rho, dtype=complex)
+    rho = check_density(rho)
     _dump_json(path, {"dim": int(rho.shape[0]), "matrix": _to_pairs(rho)})
 
 
@@ -165,12 +168,13 @@ def read_stages(path):
     return [_payload_operators(payload, path)], None
 
 
-def save_ensemble(path, result, dim: int) -> None:
+def save_ensemble(path, result) -> None:
     """Roof ensemble: value plus (weight, amplitudes) members."""
     _dump_json(path, {
-        "dim": int(dim),
+        "dim": len(result.ensemble[0][1]),
         "value": float(result.value),
-        "quality": result.quality,
+        # the roof search certifies an upper bound only
+        "quality": "upper-bound",
         "members": [
             {"weight": float(w), "amplitudes": _to_pairs(vec)}
             for w, vec in result.ensemble

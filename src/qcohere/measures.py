@@ -271,7 +271,6 @@ class RoofResult:
 
     value: float
     ensemble: tuple
-    quality: str = "upper-bound"
     restarts: tuple = ()
 
 
@@ -365,5 +364,5 @@ def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int 
     weights = sq.sum(axis=1)
     kept = np.flatnonzero(weights > TINY)
     members = tuple((float(weights[j]), wmat[j] / np.sqrt(weights[j])) for j in kept)
-    value = float(_roofopt.ensemble_value(wmat, f.values, floor=TINY))
+    value = float(_roofopt.ensemble_value(wmat, f.values))
     return RoofResult(value=value, ensemble=members, restarts=tuple(reports))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MajorizationError, NormalizationError
+from .errors import DimensionMismatchError, MajorizationError, NormalizationError, ParameterError
 
 # comparison slack for sums and partial-sum dominance
 ATOL = 1e-9
@@ -54,16 +54,16 @@ def tail_sum(x, l: int) -> float:
     return float(np.sort(x)[: d - l + 1].sum())
 
 
-def majorizes(y, x, slack: float = ATOL) -> bool:
+def majorizes(y, x) -> bool:
     """True iff x is majorized by y: every leading partial sum of the
-    sorted-descending x is bounded by y's, within ``slack``."""
+    sorted-descending x is bounded by y's, within ATOL."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
         raise DimensionMismatchError(f"lengths {x.size} and {y.size} differ")
     cx = np.cumsum(sorted_desc(x))
     cy = np.cumsum(sorted_desc(y))
-    return bool(np.all(cx <= cy + slack))
+    return bool(np.all(cx <= cy + ATOL))
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ class TTransform:
 
     def __post_init__(self):
         if self.i < 1 or self.j < 1 or self.i == self.j:
-            raise ValueError(f"bad coordinate pair ({self.i}, {self.j})")
+            raise ParameterError(f"bad coordinate pair ({self.i}, {self.j})")
         if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"mix weight {self.t} outside [0, 1]")
+            raise ParameterError(f"mix weight {self.t} outside [0, 1]")
 
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float).copy()
@@ -113,7 +113,7 @@ def ttransform_chain(x, y) -> list:
         raise DimensionMismatchError(f"lengths {x.size} and {y.size} differ")
     for name, v in (("x", x), ("y", y)):
         if np.any(np.diff(v) > TINY):
-            raise ValueError(f"{name} must be sorted non-increasing")
+            raise ParameterError(f"{name} must be sorted non-increasing")
     if not majorizes(y, x):
         raise MajorizationError("x is not majorized by y")
 

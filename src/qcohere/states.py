@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DensityMatrixError, NormalizationError, ParameterError, ResourceLimitError
 from .simplex import ATOL, TINY, prob_vector
 
-# default cap on the output length of tensor_power
+# cap on the output length of tensor_power
 TENSOR_CAP = 1_000_000
 
 
@@ -57,21 +57,20 @@ def canonicalize(psi) -> Canonicalization:
     return Canonicalization(state=mod[perm], permutation=perm, phases=phases)
 
 
-def tensor_power(psi, n: int, max_amplitudes: int = TENSOR_CAP) -> np.ndarray:
+def tensor_power(psi, n: int) -> np.ndarray:
     """n-fold Kronecker power of ``psi`` (row-major, last factor fastest),
-    by repeated squaring: O(log n) Kronecker products."""
+    by repeated squaring: O(log n) Kronecker products. An output longer
+    than TENSOR_CAP raises ResourceLimitError before any product is formed."""
     psi = pure_state(psi)
     if n < 1:
         raise ParameterError(f"copy count must be >= 1, got {n}")
     # size >= 2 and n >= bit_length(cap) give size**n > cap, so the integer
     # power is formed only for small n
-    if psi.size > 1 and (n >= int(max_amplitudes).bit_length() or psi.size**n > max_amplitudes):
-        raise ResourceLimitError(
-            f"{psi.size}^{n} amplitudes exceed the cap of {max_amplitudes}"
-        )
+    if psi.size > 1 and (n >= TENSOR_CAP.bit_length() or psi.size**n > TENSOR_CAP):
+        raise ResourceLimitError(f"{psi.size}^{n} amplitudes exceed the cap of {TENSOR_CAP}")
     if n == 1:
         return psi
-    half = tensor_power(psi, n // 2, max_amplitudes)
+    half = tensor_power(psi, n // 2)
     out = np.kron(half, half)
     return np.kron(out, psi) if n % 2 else out
 

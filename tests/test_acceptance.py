@@ -145,7 +145,7 @@ def test_criterion_04_unit_probability_iff_majorized():
             phi = random_pure_state(rng, d, phases=True)
         a = sorted_desc(squared_amplitudes(psi))
         b = sorted_desc(squared_amplitudes(phi))
-        maj = majorizes(b, a, slack=1e-9)
+        maj = majorizes(b, a)
         unit = conversion_probability(psi, phi) >= 1.0 - 1e-9
         majorized_seen += maj
         mismatches += maj != unit

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from qcohere import kraus_set, pure_density, pure_state, save_channel, save_density, save_state
+from qcohere import cli
 from qcohere.cli import main
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -81,6 +83,24 @@ def test_convert_writes_protocol(paths, capsys):
     assert ver["incoherent"] is True
     assert ver["min_success_fidelity"] >= 1.0 - 1e-9
     assert abs(ver["composed_success_probability"] - 1.0 / 3.0) < 1e-9
+
+
+def test_convert_failed_verification(paths, capsys, monkeypatch):
+    verify = cli.verify_protocol
+
+    def off_by_1e6(protocol, psi, phi):
+        report = verify(protocol, psi, phi)
+        return dataclasses.replace(report, declared_probability=report.declared_probability + 1e-6)
+
+    monkeypatch.setattr(cli, "verify_protocol", off_by_1e6)
+    proto = paths["tmp"] / "protocol.json"
+    code, _, err = run(
+        ["convert", "--source", paths["psi"], "--target", paths["phi"],
+         "--protocol", proto], capsys
+    )
+    assert code == 1
+    assert "protocol failed self-verification" in err
+    assert "verification" in json.loads(proto.read_text())
 
 
 def test_convert_protocol_d64(paths, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from qcohere import (
     CompletenessError,
+    DensityMatrixError,
     FileFormatError,
     NormalizationError,
     apply_selective,
@@ -118,7 +119,7 @@ def test_malformed_operators_raise_file_format_error(tmp_path):
 
 def test_written_files_keep_the_per_entry_encoding(tmp_path):
     # the files hold one [float(re), float(im)] pair per entry, signed zeros
-    # included, indented by two spaces
+    # included
     def pairs(a):
         a = np.asarray(a, dtype=complex)
         if a.ndim == 1:
@@ -126,7 +127,7 @@ def test_written_files_keep_the_per_entry_encoding(tmp_path):
         return [pairs(row) for row in a]
 
     def expect(path, payload):
-        assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+        assert path.read_text(encoding="utf-8") == json.dumps(payload) + "\n"
 
     path = tmp_path / "file.json"
     psi = pure_state(np.array([0.6, -0.0, 0.8j]) * 1j)
@@ -152,6 +153,14 @@ def test_density_round_trip_bit_exact(tmp_path):
     path.write_text(json.dumps({"dim": 2, "matrix": [[[1.0, 0.0]]]}))
     with pytest.raises(FileFormatError):
         load_density(path)
+
+
+def test_density_save_rejects_what_load_rejects(tmp_path):
+    # a NaN entry would be written as a bare NaN token
+    path = tmp_path / "rho.json"
+    with pytest.raises(DensityMatrixError):
+        save_density(path, [[float("nan"), 0.0], [0.0, 1.0]])
+    assert not path.exists()
 
 
 def test_channel_round_trip(tmp_path):
@@ -235,7 +244,7 @@ def test_ensemble_save(tmp_path):
     path = tmp_path / "ensemble.json"
     rho = pure_density(pure_state([0.6, 0.8]))
     result = convex_roof_upper(builtin("shannon"), rho, restarts=1, seed=0)
-    save_ensemble(path, result, 2)
+    save_ensemble(path, result)
     payload = json.loads(path.read_text())
     assert payload["dim"] == 2
     assert payload["quality"] == "upper-bound"

@@ -1,8 +1,12 @@
-"""The README quick start runs as written and shows the values it returns."""
+"""The README quick start runs as written and shows the values it returns,
+and the package keeps the README's promise of fixed thresholds."""
 
 import ast
+import inspect
 import pathlib
 import re
+
+import qcohere
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +37,23 @@ def test_readme_quick_start_values():
             assert abs(value - float(comment)) <= 1e-12
         else:
             assert repr(value) == comment, expr
+
+
+# parameter names that would make a threshold or a cap a per-call option
+THRESHOLD_NAMES = {"atol", "tol", "tolerance", "slack", "floor", "prune", "max_amplitudes"}
+
+
+def test_thresholds_are_not_parameters():
+    # "The thresholds are fixed, not options": only kraus_set takes an atol,
+    # which the file loaders relax and verify-channel lifts
+    found = []
+    for name in sorted(dir(qcohere)):
+        obj = getattr(qcohere, name)
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # builtin exception bases have no signature
+            continue
+        found += [f"{name}({p})" for p in params if p in THRESHOLD_NAMES]
+    assert found == ["kraus_set(atol)"]

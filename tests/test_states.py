@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 
 from qcohere import (
+    CompletenessError,
     DensityMatrixError,
+    DimensionMismatchError,
     NormalizationError,
     ParameterError,
     ResourceLimitError,
+    TTransform,
+    build_ladder,
     builtin,
     canonicalize,
     check_density,
     coherence_pure,
+    compose,
     conversion_probability,
     convex_roof_upper,
+    filter_operator,
+    kraus_set,
+    optimal_protocol,
     prob_vector,
     pure_density,
     pure_state,
@@ -21,6 +29,8 @@ from qcohere import (
     squared_amplitudes,
     support_size,
     tensor_power,
+    ttransform_chain,
+    verify_protocol,
 )
 from randgen import random_pure_state
 
@@ -175,12 +185,41 @@ NAN_DENSITY = [[NAN, 0.0], [0.0, 1.0]]
         (lambda: conversion_probability([NAN, 1.0], [1.0, 0.0]), NormalizationError),
         (lambda: coherence_pure(builtin("shannon"), [NAN, 1.0]), NormalizationError),
         (lambda: convex_roof_upper(builtin("shannon"), NAN_DENSITY), DensityMatrixError),
+        (lambda: kraus_set([NAN_DENSITY]), CompletenessError),
     ],
     ids=["pure_state", "pure_state_imag", "prob_vector", "check_density",
-         "conversion_probability", "coherence_pure", "convex_roof_upper"],
+         "conversion_probability", "coherence_pure", "convex_roof_upper", "kraus_set"],
 )
 def test_nan_entries_rejected(call, error):
     # every comparison with NaN is false, so range checks alone let it through
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: kraus_set([np.eye(2)], labels=["a", "b"]), ParameterError),
+        (lambda: kraus_set([]), ParameterError),
+        (lambda: compose([]), ParameterError),
+        (lambda: build_ladder([0.6j, 0.8], [1.0, 0.0]), ParameterError),
+        (lambda: build_ladder([-0.8, 0.6], [1.0, 0.0]), ParameterError),
+        (lambda: build_ladder([0.6, 0.8], [1.0, 0.0]), ParameterError),
+        (lambda: filter_operator(build_ladder([0.8, 0.6], [1.0, 0.0]), [INV2, INV2]),
+         ParameterError),
+        (lambda: TTransform(1, 1, 0.5), ParameterError),
+        (lambda: TTransform(1, 2, 1.5), ParameterError),
+        (lambda: ttransform_chain([0.3, 0.7], [0.5, 0.5]), ParameterError),
+        (lambda: verify_protocol(optimal_protocol([0.8, 0.6, 0.0], [1.0, 0.0, 0.0]),
+                                 np.full(5, 5**-0.5), [1.0, 0.0, 0.0]),
+         DimensionMismatchError),
+    ],
+    ids=["labels", "no_operators", "no_stages", "complex_amplitudes",
+         "negative_amplitudes", "unsorted_state", "inconsistent_filter",
+         "equal_coordinates", "mix_weight", "unsorted_chain", "oversized_state"],
+)
+def test_validation_errors_are_qcohere_errors(call, error):
+    # errors.py: every validation error is a QcohereError
     with pytest.raises(error):
         call()
 
