@@ -87,9 +87,9 @@ def cmd_verify_channel(args) -> int:
     stages, meta = read_stages(args.channel)
     names = ["channel"] if meta is None else [f"stage {n}" for n in range(1, len(stages) + 1)]
     ok_all = True
-    for name, (ops, labels) in zip(names, stages):
+    for name, stage in zip(names, stages):
         try:
-            complete, residual = is_complete(kraus_set(ops, labels=labels, atol=float("inf")))
+            complete, residual = is_complete(stage(atol=float("inf")))
             print(f"{name}: completeness residual {residual:.3e}, "
                   f"incoherent: yes [{'ok' if complete else 'FAIL'}]")
         except IncoherenceError as exc:

@@ -1,18 +1,23 @@
 """JSON persistence for states, density matrices, channels, and protocols.
 
 Complex numbers are stored as [re, im] pairs; floats round-trip exactly
-through Python's shortest-repr serialization. Kraus operators are written
-and read as dense matrices.
+through Python's shortest-repr serialization. A Kraus set is written as its
+stored form, ``{"dim", "rows", "values"}`` plus ``"labels"`` when some
+operator has one: operator n sends column c to row rows[n][c] with amplitude
+values[n][c]. Dense ``"operators"`` files, written before this encoding or
+by hand, are still read, through ``kraus_set``.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
-from .channels import KrausSet, kraus_set
+from .channels import KrausSet, _from_stored, kraus_set
 from .errors import FileFormatError, NormalizationError
 from .simplex import TINY
 from .states import check_density, pure_state
@@ -100,19 +105,49 @@ def load_density(path) -> np.ndarray:
 
 
 def _channel_payload(k: KrausSet) -> dict:
-    payload = {"dim": int(k.dim), "operators": _to_pairs(k.operators)}
+    payload = {"dim": int(k.dim), "rows": k.rows.tolist(), "values": _to_pairs(k.vals)}
     if any(k.labels):
         payload["labels"] = list(k.labels)
     return payload
 
 
-def _payload_operators(payload, path):
-    dim = _dim(payload, path)
-    ops = _from_pairs(_expect(payload, "operators", path), (None, dim, dim), path)
+def _rows(x, dim, path) -> np.ndarray:
+    """Integer array of shape (n >= 1, dim) with entries in [0, dim). JSON
+    booleans and floats are refused, even where numpy would cast them."""
+    try:
+        kinds = set(map(type, chain.from_iterable(x)))
+        rows = np.array(x, dtype=np.int64) if kinds <= {int} else None
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != dim:
+        raise FileFormatError(f"{path}: rows must be {dim} integers per operator")
+    if ((rows < 0) | (rows >= dim)).any():
+        raise FileFormatError(f"{path}: rows must lie in [0, {dim})")
+    return rows
+
+
+def _stage(payload, path, dim=None):
+    """One channel, or one stage of a protocol of dimension ``dim``, checked
+    and decoded. Returns the KrausSet constructor with its arguments bound;
+    called with the completeness tolerance ``atol`` it builds the set.
+    Compact {"rows", "values"} stages go straight to the stored form; dense
+    "operators" go through kraus_set, which raises IncoherenceError on a
+    coherent operator."""
+    own = _dim(payload, path)
+    if dim is not None and own != dim:
+        raise FileFormatError(f"{path}: a stage of dim {own} in a protocol of dim {dim}")
+    if "rows" in payload:
+        rows = _rows(payload["rows"], own, path)
+        args = (rows, _from_pairs(_expect(payload, "values", path), rows.shape, path))
+        build = _from_stored
+    else:
+        args = (_from_pairs(_expect(payload, "operators", path), (None, own, own), path),)
+        build = kraus_set
+    count = len(args[0])
     labels = payload.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != len(ops)):
-        raise FileFormatError(f"{path}: expected a list of {len(ops)} labels, got {labels!r}")
-    return ops, labels
+    if labels is not None and (not isinstance(labels, list) or len(labels) != count):
+        raise FileFormatError(f"{path}: expected a list of {count} labels, got {labels!r}")
+    return partial(build, *args, labels=labels)
 
 
 def save_channel(path, k: KrausSet) -> None:
@@ -121,7 +156,7 @@ def save_channel(path, k: KrausSet) -> None:
 
 def load_channel(path) -> KrausSet:
     """Channel file as a KrausSet, complete within RENORM_TOL."""
-    return kraus_set(*_payload_operators(_load_json(path), path), atol=RENORM_TOL)
+    return _stage(_load_json(path), path)(atol=RENORM_TOL)
 
 
 def save_protocol(path, protocol, report=None) -> None:
@@ -145,27 +180,32 @@ def save_protocol(path, protocol, report=None) -> None:
     _dump_json(path, payload)
 
 
-def _payload_protocol(payload, path):
-    stages = [_payload_operators(p, path) for p in _expect(payload, "stages", path)]
+def _protocol(payload, path):
+    """(stages, meta) of a protocol payload; each stage must have its dim."""
+    dim = _dim(payload, path)
+    stages = _expect(payload, "stages", path)
+    if not isinstance(stages, list):
+        raise FileFormatError(f"{path}: stages must be a list")
     meta = {k: v for k, v in payload.items() if k != "stages"}
-    return stages, meta
+    return [_stage(p, path, dim) for p in stages], meta
 
 
 def load_protocol(path):
     """Returns (stages, meta), each stage complete within RENORM_TOL.
     ``meta`` holds the scalar fields as a dict."""
-    stages, meta = _payload_protocol(_load_json(path), path)
-    return [kraus_set(*stage, atol=RENORM_TOL) for stage in stages], meta
+    stages, meta = _protocol(_load_json(path), path)
+    return [stage(atol=RENORM_TOL) for stage in stages], meta
 
 
 def read_stages(path):
-    """(stages, meta): dense (operators, labels) per stage of a protocol file,
-    or of a channel file as one stage (meta None). Only shapes are checked,
-    so coherent or incomplete stages can still be reported on."""
+    """(stages, meta) of a protocol file, or of a channel file as one stage
+    (meta None). Each stage is checked and decoded as in load_protocol, but
+    its KrausSet is built only when the stage is called with a tolerance
+    ``atol``, so coherent or incomplete stages can still be reported on."""
     payload = _load_json(path)
     if isinstance(payload, dict) and "stages" in payload:
-        return _payload_protocol(payload, path)
-    return [_payload_operators(payload, path)], None
+        return _protocol(payload, path)
+    return [_stage(payload, path)], None
 
 
 def save_ensemble(path, result) -> None:

@@ -126,6 +126,25 @@ def test_convert_protocol_d64(paths, capsys):
     assert ver["branch_count"] <= 2
 
 
+def test_convert_protocol_d128_file_stays_small(paths, capsys):
+    # the stored form takes 1.0 MB here, dense matrices about 50 MB
+    rng = np.random.default_rng(128)
+    for name in ("src128", "tgt128"):
+        amps = np.sqrt(rng.dirichlet(np.ones(128))) * np.exp(2j * np.pi * rng.random(128))
+        paths[name] = paths["tmp"] / f"{name}.json"
+        save_state(paths[name], pure_state(amps))
+    proto = paths["tmp"] / "protocol128.json"
+    code, _, _ = run(
+        ["convert", "--source", paths["src128"], "--target", paths["tgt128"],
+         "--protocol", proto], capsys
+    )
+    assert code == 0
+    assert proto.stat().st_size < 2_000_000
+    code, out, _ = run(["verify-channel", "--channel", proto], capsys)
+    assert code == 0
+    assert "FAIL" not in out
+
+
 def test_convert_copies(paths, capsys):
     code, out, _ = run(
         ["convert", "--source", paths["pair"], "--target", paths["uni3"],

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcohere import (
     CompletenessError,
@@ -28,7 +30,7 @@ from qcohere import (
     verify_protocol,
 )
 from qcohere.cli import main
-from randgen import random_incoherent_kraus, random_pure_state
+from randgen import _merge_pair, random_incoherent_kraus, random_pure_state
 
 
 def test_state_round_trip_bit_exact(tmp_path):
@@ -117,9 +119,175 @@ def test_malformed_operators_raise_file_format_error(tmp_path):
             load_channel(path)
 
 
+# each file breaks one field of the valid compact qubit identity
+# {"dim": 2, "rows": [[0, 1]], "values": [[[1.0, 0.0], [1.0, 0.0]]]}
+ONE = [[1.0, 0.0], [1.0, 0.0]]
+MALFORMED_COMPACT = {
+    "float rows": {"dim": 2, "rows": [[0.0, 1]], "values": [ONE]},
+    "bool rows": {"dim": 2, "rows": [[0, True]], "values": [ONE]},
+    "negative row": {"dim": 2, "rows": [[-1, 1]], "values": [ONE]},
+    "row at dim": {"dim": 2, "rows": [[0, 2]], "values": [ONE]},
+    "ragged rows": {"dim": 2, "rows": [[0, 1], [0]], "values": [ONE, ONE]},
+    "nested row": {"dim": 2, "rows": [[[0], 1]], "values": [ONE]},
+    "no operators": {"dim": 2, "rows": [], "values": []},
+    "zero dim": {"dim": 0, "rows": [[]], "values": [[]]},
+    "shape mismatch": {"dim": 2, "rows": [[0, 1], [0, 1]], "values": [ONE]},
+    "missing values": {"dim": 2, "rows": [[0, 1]]},
+    "non-finite value": {"dim": 2, "rows": [[0, 1]], "values": [[[1.0, 0.0], [float("inf"), 0.0]]]},
+    "wrong label count": {"dim": 2, "rows": [[0, 1]], "values": [ONE], "labels": ["a", "b"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_COMPACT))
+def test_malformed_compact_channels_raise_file_format_error(tmp_path, capsys, name):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps(MALFORMED_COMPACT[name]))
+    with pytest.raises(FileFormatError):
+        load_channel(path)
+    assert main(["verify-channel", "--channel", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_compact_identity_loads(tmp_path):
+    # the valid file the MALFORMED_COMPACT cases break
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"dim": 2, "rows": [[0, 1]], "values": [ONE]}))
+    ks = load_channel(path)
+    assert np.array_equal(ks.operators[0], np.eye(2))
+
+
+@st.composite
+def kraus_sets(draw):
+    """Complete incoherent Kraus sets: permutations scaled by square roots of
+    small integer weights (zero weights give zero columns) times units with
+    signed zero parts, optionally composed with a merge pair that sends two
+    columns to one row."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    ints = st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=n, max_size=n)
+    w = np.array(draw(ints), dtype=float)
+    w[0, w.sum(axis=0) == 0] = 1.0
+    mag = np.sqrt(w / w.sum(axis=0))
+    units = np.array([1.0, 1j, -1.0, -1j, complex(-0.0, 1.0), complex(1.0, -0.0),
+                      complex(-1.0, -0.0), complex(-0.0, -1.0)])
+    unit = units[np.array(draw(st.lists(st.lists(st.integers(0, 7), min_size=d, max_size=d),
+                                        min_size=n, max_size=n)))]
+    vals = np.empty((n, d), dtype=complex)
+    vals.real, vals.imag = mag * unit.real, mag * unit.imag
+    ops = []
+    for m in range(n):
+        k = np.zeros((d, d), dtype=complex)
+        k[draw(st.permutations(range(d))), np.arange(d)] = vals[m]
+        ops.append(k)
+    if d >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        a, b = _merge_pair(d, i, j)
+        ops = [a @ k for k in ops] + [b @ k for k in ops]
+    labels = draw(st.lists(st.sampled_from(["", "a", "success", "fail.2"]),
+                           min_size=len(ops), max_size=len(ops)))
+    return kraus_set(ops, labels=labels)
+
+
+def _merged_signed():
+    """Columns 1 and 2 both go to row 1 in each operator; column 3 is zero in
+    the first operator and -0.0 - 1j in the second."""
+    r = 1.0 / np.sqrt(2.0)
+    a = np.array([[r, r, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    b = np.array([[r, -r, 0.0], [0.0, 0.0, complex(-0.0, -1.0)], [0.0, 0.0, 0.0]])
+    return kraus_set([a, b], labels=["", "b"])
+
+
+def _same(a, b):
+    return (a.rows.dtype == b.rows.dtype and a.rows.tobytes() == b.rows.tobytes()
+            and a.vals.dtype == b.vals.dtype and a.vals.tobytes() == b.vals.tobytes()
+            and a.labels == b.labels)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kraus_sets())
+@example(_merged_signed())
+def test_channel_round_trip_bit_identical(tmp_path_factory, ks):
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    save_channel(path, ks)
+    assert _same(load_channel(path), ks)
+
+
+def _dense_payload(ks):
+    """A channel as the dense encoder wrote it: every operator as a d x d
+    matrix of [re, im] pairs."""
+    payload = {"dim": ks.dim, "operators": np.stack(
+        (np.real(ks.operators), np.imag(ks.operators)), -1).tolist()}
+    if any(ks.labels):
+        payload["labels"] = list(ks.labels)
+    return payload
+
+
+def test_dense_files_still_load(tmp_path, capsys):
+    path = tmp_path / "dense.json"
+    rng = np.random.default_rng(17)
+    sets = [_merged_signed()] + [random_incoherent_kraus(rng, int(rng.integers(1, 6)))
+                                 for _ in range(20)]
+    for ks in sets:
+        path.write_text(json.dumps(_dense_payload(ks)))
+        assert _same(load_channel(path), ks)
+
+    psi = np.sqrt([0.8, 0.1, 0.1]).astype(complex)
+    phi = np.sqrt([0.4, 0.3, 0.3]).astype(complex)
+    protocol = optimal_protocol(psi, phi)
+    path.write_text(json.dumps({
+        "dim": 3, "success_label": protocol.success_label,
+        "probability": protocol.probability,
+        "stages": [_dense_payload(s) for s in protocol.stages],
+    }))
+    stages, meta = load_protocol(path)
+    assert meta["probability"] == protocol.probability
+    assert len(stages) == len(protocol.stages)
+    assert all(_same(a, b) for a, b in zip(stages, protocol.stages))
+    # verify-channel reports the same on the dense and the compact file
+    assert main(["verify-channel", "--channel", str(path)]) == 0
+    dense_out = capsys.readouterr().out
+    save_protocol(path, protocol)
+    assert main(["verify-channel", "--channel", str(path)]) == 0
+    assert capsys.readouterr().out == dense_out
+
+
+def _protocol_payload(path, psi, phi):
+    save_protocol(path, optimal_protocol(psi, phi))
+    return json.loads(path.read_text())
+
+
+def test_protocol_stage_dims_must_match(tmp_path, capsys):
+    path = tmp_path / "protocol.json"
+    qubit = _protocol_payload(path, np.sqrt([0.9, 0.1]), np.sqrt([0.6, 0.4]))
+    three = _protocol_payload(path, np.sqrt([0.8, 0.1, 0.1]), np.sqrt([0.4, 0.3, 0.3]))
+    assert qubit["dim"] == 2 and three["dim"] == 3 and qubit["stages"] and three["stages"]
+    extra = dict(three, stages=three["stages"] + qubit["stages"][:1])
+    wide = dict(three, dim=7)
+    # not a stage list at all
+    scalar = dict(three, stages=5)
+    for payload in (extra, wide, scalar):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FileFormatError):
+            load_protocol(path)
+        assert main(["verify-channel", "--channel", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "[ok]" not in captured.out
+
+
+def test_empty_protocol_has_dim_zero(tmp_path):
+    # probability zero: no stages
+    path = tmp_path / "protocol.json"
+    protocol = optimal_protocol([1.0, 0.0, 0.0], np.full(3, 1.0 / np.sqrt(3.0)))
+    assert not protocol.stages
+    save_protocol(path, protocol)
+    stages, meta = load_protocol(path)
+    assert stages == [] and meta["dim"] == 0
+
+
 def test_written_files_keep_the_per_entry_encoding(tmp_path):
-    # the files hold one [float(re), float(im)] pair per entry, signed zeros
-    # included
+    # the files hold one [float(re), float(im)] pair per stored entry,
+    # signed zeros included
     def pairs(a):
         a = np.asarray(a, dtype=complex)
         if a.ndim == 1:
@@ -138,7 +306,9 @@ def test_written_files_keep_the_per_entry_encoding(tmp_path):
     expect(path, {"dim": 3, "matrix": pairs(rho)})
     ks = kraus_set([np.diag([1.0, 0.6, 0.0]), np.diag([0.0, -0.8j, 1.0])], labels=["", "b"])
     save_channel(path, ks)
-    expect(path, {"dim": 3, "operators": [pairs(op) for op in ks.operators],
+    # a Kraus set is written as its stored form: the row and the value of
+    # each operator column
+    expect(path, {"dim": 3, "rows": [[0, 1, 2], [0, 1, 2]], "values": pairs(ks.vals),
                   "labels": ["", "b"]})
 
 
