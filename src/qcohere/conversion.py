@@ -5,10 +5,14 @@ starts l of the ratio of squared-amplitude tail sums, taken in canonical
 frames. The optimal protocol realizing it is a chain of two-outcome
 incoherent steps reaching an intermediate state gamma, followed by a
 single two-operator filter built from the ladder of minimizing tails.
+The steps are built together: one array kernel computes every step's
+branch weights, trig pairs and stored operators as a single stack and
+checks them all in one pass; ``two_level_step`` is its one-step call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleStepError,
     NoLadderError,
+    NormalizationError,
     ParameterError,
     ResourceLimitError,
 )
@@ -193,6 +198,102 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     return _from_stored(rows, np.array(ops, dtype=complex), labels=["success", "fail"][: len(ops)])
 
 
+def _pair_steps(d: int, n2, si2, sj2, ci2, cj2, i, j) -> list:
+    """Two-outcome incoherent steps for k coordinate pairs, built as one stack.
+
+    Stage m acts on a real nonnegative source of squared norm ``n2[m]``
+    whose squared amplitudes at 0-based coordinates ``i[m]``, ``j[m]`` are
+    ``si2[m]``, ``sj2[m]``; it leaves ``ci2[m]``, ``cj2[m]`` there. With
+    branch weight p1 = (si2 - cj2) / (ci2 - cj2), operator 1 is diagonal
+    with sqrt(p1) off the pair, operator 2 swaps i and j with sqrt(1 - p1)
+    off the pair, and the pair columns hold trig pairs (cos, sin), which
+    keep each column exactly normalized even for tiny sources. Equal
+    targets give the identity. An operator is dropped only when its branch
+    weight is at or below TINY and none of its columns holds mass above
+    ATOL. All stages share one (k, 2, d) array of rows and one of values;
+    each returned KrausSet views its stage's kept operators. The first
+    stage failing a check raises, naming itself as "stage m of k".
+    """
+    n2, si2, sj2, ci2, cj2 = (np.asarray(v, dtype=float) for v in (n2, si2, sj2, ci2, cj2))
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    k = si2.size
+    if k == 0:
+        return []
+    at = np.arange(k)
+    # where() rather than min/max/clip: the same result as Python's min and
+    # max on the scalars, signed zeros and NaN included
+    with np.errstate(invalid="ignore", divide="ignore"):
+        neg = np.where(cj2 < ci2, cj2, ci2) < -TINY
+        asked = ci2, cj2
+        ci2 = np.where(0.0 > ci2, 0.0, ci2)
+        cj2 = np.where(0.0 > cj2, 0.0, cj2)
+        gap = np.abs((si2 + sj2) - (ci2 + cj2))
+        equal = np.abs(ci2 - cj2) <= TINY
+        weight = (si2 - cj2) / np.where(equal, 1.0, ci2 - cj2)
+        off = ~equal & ((weight < -ATOL) | (weight > 1.0 + ATOL))
+        p1 = np.where(equal, 1.0, np.where(0.0 > weight, 0.0, weight))
+        p1 = np.where(1.0 < p1, 1.0, p1)
+        p2 = 1.0 - p1
+        t1, t2 = np.sqrt(p1), np.sqrt(p2)
+        ci, cj = np.sqrt(ci2), np.sqrt(cj2)
+        # columns (i, j) of both operators; equal targets keep the identity
+        th = np.where(equal, 0.0, np.arctan2(t2 * [cj, ci], t1 * [ci, cj]))
+        cos, sin = np.cos(th), np.sin(th)
+        # column masses of each operator: off the pair, then i and j
+        mass1 = np.array([t1 * t1, *(cos * cos)])
+        mass2 = np.array([t2 * t2, *(sin * sin)])
+        keep1 = (p1 > TINY) | (mass1[1:] > ATOL).any(axis=0)
+        keep2 = (p2 > TINY) | (mass2[1:] > ATOL).any(axis=0)
+        mass = np.where(keep1, mass1, 0.0) + np.where(keep2, mass2, 0.0)
+        if d == 2:  # no column off the pair
+            mass = mass[1:]
+        residual = np.abs(mass - 1.0).max(axis=0)
+
+    rows = np.empty((k, 2, d), dtype=np.intp)
+    rows[:] = np.arange(d)
+    rows[at, 1, i], rows[at, 1, j] = j, i
+    vals = np.empty((k, 2, d), dtype=complex)
+    vals[:, 0] = t1[:, None]
+    vals[:, 1] = t2[:, None]
+    vals[at, 0, i], vals[at, 0, j] = cos
+    vals[at, 1, i], vals[at, 1, j] = sin
+    zero = vals == 0
+    if zero.any():
+        np.copyto(rows, np.arange(d), where=zero)
+        vals[zero] = 0.0
+    lo = np.where(keep1, 0, 1)
+    hi = np.where(keep2, 2, 1)
+    stages = [
+        KrausSet(rows=rows[m, a:b], vals=vals[m, a:b], labels=("",) * (b - a))
+        for m, a, b in zip(range(k), lo.tolist(), hi.tolist())
+    ]
+    # a zero pair column leaves operator 2 with one row twice, where only
+    # the full Gram matrix measures completeness
+    for m in np.flatnonzero(keep2 & (rows[at, 1, i] == rows[at, 1, j])):
+        residual[m] = is_complete(stages[m])[1]
+
+    checks = (
+        (~(np.abs(n2 - 1.0) <= ATOL), NormalizationError,
+         lambda m: f"squared norm {float(n2[m])!r}, expected 1 within {ATOL:.0e}"),
+        (neg, InfeasibleStepError,
+         lambda m: f"negative target pair ({float(asked[0][m])}, {float(asked[1][m])})"),
+        (gap > ATOL, InfeasibleStepError,
+         lambda m: f"pair mass {float(si2[m] + sj2[m])!r} differs from target mass "
+                   f"{float(ci2[m] + cj2[m])!r}"),
+        (equal & (np.abs(si2 - ci2) > ATOL), InfeasibleStepError,
+         lambda m: "equal targets require an equal source pair"),
+        (off, InfeasibleStepError, lambda m: f"branch weight {float(weight[m])!r} outside [0, 1]"),
+        (~(residual <= ATOL), CompletenessError,
+         lambda m: f"sum K^dag K deviates from identity by {residual[m]:.3e}"),
+    )
+    failed = np.array([c[0] for c in checks])
+    if failed.any():
+        m = int(failed.any(axis=0).argmax())
+        _, err, message = next(c for c in checks if c[0][m])
+        raise err(f"stage {m + 1} of {k}: {message(m)}")
+    return stages
+
+
 def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     """Two-outcome incoherent step moving pair mass at coordinates i, j.
 
@@ -200,47 +301,17 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     squared amplitudes wanted at 1-based coordinates ``i`` and ``j``. Both
     outcomes produce the same post-state (source with the pair replaced).
     The pair masses must agree and the implied branch weight must lie in
-    [0, 1]; otherwise the step is infeasible.
+    [0, 1]; otherwise the step is infeasible. This is the one-stage call of
+    the stacked builder behind ``deterministic_protocol``.
     """
     s = _require_nonneg_real(source)
     d = s.size
     if not (1 <= i <= d and 1 <= j <= d) or i == j:
         raise ParameterError(f"bad coordinate pair ({i}, {j}) for dimension {d}")
-    ci2, cj2 = float(target_pair[0]), float(target_pair[1])
-    if min(ci2, cj2) < -TINY:
-        raise InfeasibleStepError(f"negative target pair ({ci2}, {cj2})")
-    ci2, cj2 = max(ci2, 0.0), max(cj2, 0.0)
-    si2, sj2 = float(s[i - 1] ** 2), float(s[j - 1] ** 2)
-    if abs((si2 + sj2) - (ci2 + cj2)) > ATOL:
-        raise InfeasibleStepError(
-            f"pair mass {si2 + sj2!r} differs from target mass {ci2 + cj2!r}"
-        )
-    if abs(ci2 - cj2) <= TINY:
-        # degenerate targets: only the already-converted source is feasible
-        if abs(si2 - ci2) > ATOL:
-            raise InfeasibleStepError("equal targets require an equal source pair")
-        return _identity(d)
-    p1 = (si2 - cj2) / (ci2 - cj2)
-    if p1 < -ATOL or p1 > 1.0 + ATOL:
-        raise InfeasibleStepError(f"branch weight {p1!r} outside [0, 1]")
-    p1 = min(max(p1, 0.0), 1.0)
-    p2 = 1.0 - p1
-    t1, t2 = np.sqrt(p1), np.sqrt(p2)
-    ci, cj = np.sqrt(ci2), np.sqrt(cj2)
-
-    a = np.full(d, t1)
-    b = np.full(d, t2)
-    # trig pairs keep each column exactly normalized even for tiny sources
-    th_i = np.arctan2(t2 * cj, t1 * ci)
-    th_j = np.arctan2(t2 * ci, t1 * cj)
-    a[i - 1], b[i - 1] = np.cos(th_i), np.sin(th_i)
-    a[j - 1], b[j - 1] = np.cos(th_j), np.sin(th_j)
-
-    # k1 = diag(a); k2 scales by b and swaps coordinates i and j
-    rows = np.array([np.arange(d)] * 2)
-    rows[1, i - 1], rows[1, j - 1] = j - 1, i - 1
-    keep = [p1 > TINY, p2 > TINY]
-    return _from_stored(rows[keep], np.array([a, b], dtype=complex)[keep])
+    return _pair_steps(
+        d, [float((s * s).sum())], [float(s[i - 1] ** 2)], [float(s[j - 1] ** 2)],
+        [float(target_pair[0])], [float(target_pair[1])], [i - 1], [j - 1],
+    )[0]
 
 
 def _identity(d: int) -> KrausSet:
@@ -255,6 +326,12 @@ def deterministic_protocol(psi, gamma) -> list:
     a two-outcome incoherent step whose branches coincide, so every
     measurement path ends in gamma; at most d-1 stages are needed, none
     when psi already equals gamma.
+
+    Stage m undoes the chain's transform T_{m+1}: its targets are the two
+    masses that transform mixes when the chain is walked back from gamma,
+    and its source is psi with the earlier stages' targets in place. Both
+    walks touch only the two coordinates of each transform; all stages are
+    then built and checked in one stacked pass.
     """
     s = _require_canonical(psi)
     g = _require_canonical(gamma)
@@ -263,20 +340,32 @@ def deterministic_protocol(psi, gamma) -> list:
     x = prob_vector(s * s)
     y = prob_vector(g * g)
     chain = ttransform_chain(x, y)
-    # walk y -> x recording intermediates, then invert transform by transform
-    useq = [y]
-    for tr in reversed(chain):
-        useq.append(tr.apply(useq[-1]))
-    useq.reverse()  # useq[m] is the squared vector before inverting T_{m+1}
-    stages = []
-    current = s.copy()
+    k = len(chain)
+    # backward: T_k acts on y first, T_1 last; each stage's targets are
+    # the pair just before its transform mixes them
+    v = y.tolist()
+    ci2, cj2 = [0.0] * k, [0.0] * k
+    for m in range(k - 1, -1, -1):
+        tr = chain[m]
+        a, b = v[tr.i - 1], v[tr.j - 1]
+        ci2[m], cj2[m] = a, b
+        v[tr.i - 1] = tr.t * a + (1.0 - tr.t) * b
+        v[tr.j - 1] = (1.0 - tr.t) * a + tr.t * b
+    # forward: each stage's source pair, and its squared norm carried from
+    # psi's by the pair changes of the stages before it
+    cur = s.tolist()
+    n2 = float((s * s).sum())
+    norms, si2, sj2 = [], [], []
     for m, tr in enumerate(chain):
-        target = useq[m + 1]
-        pair = (float(target[tr.i - 1]), float(target[tr.j - 1]))
-        stages.append(two_level_step(current, pair, tr.i, tr.j))
-        current[tr.i - 1] = np.sqrt(pair[0])
-        current[tr.j - 1] = np.sqrt(pair[1])
-    return stages
+        a2, b2 = cur[tr.i - 1] ** 2, cur[tr.j - 1] ** 2
+        norms.append(n2)
+        si2.append(a2)
+        sj2.append(b2)
+        cur[tr.i - 1], cur[tr.j - 1] = math.sqrt(ci2[m]), math.sqrt(cj2[m])
+        n2 += (cur[tr.i - 1] ** 2 + cur[tr.j - 1] ** 2) - (a2 + b2)
+    return _pair_steps(
+        s.size, norms, si2, sj2, ci2, cj2, [tr.i - 1 for tr in chain], [tr.j - 1 for tr in chain]
+    )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from qcohere import (
     InfeasibleStepError,
     MajorizationError,
     NoLadderError,
+    NormalizationError,
     ParameterError,
     Protocol,
     ResourceLimitError,
@@ -38,7 +39,7 @@ from qcohere import (
     verify_protocol,
 )
 from qcohere import channels, conversion
-from qcohere.simplex import TINY
+from qcohere.simplex import ATOL, TINY, prob_vector, ttransform_chain
 from qcohere.channels import COMPOSE_CAP
 from randgen import random_majorized_pair, random_pure_state
 
@@ -241,6 +242,56 @@ def test_two_level_step_infeasible():
         two_level_step(s, (0.7, 0.3), 0, 2)
 
 
+def test_two_level_step_keeps_operator_with_column_mass():
+    # branch 2 weighs 1e-14, below TINY, yet its column 1 carries almost all
+    # of that column's mass: dropping it left a residual of 9.99e-01
+    s = np.sqrt([1e-14, 1.0 - 1e-14])
+    target = (1e-17, 1.0 - 1e-17)
+    ks = two_level_step(s, target, 1, 2)
+    assert len(ks) == 2
+    assert is_complete(ks)[0]
+    branches = apply_selective(ks, s)
+    assert len(branches) == 1
+    assert fidelity_pure(branches[0].state, np.sqrt(target).astype(complex)) == 1.0
+
+
+def test_stacked_steps_name_the_failing_stage():
+    ok = (1.0, 0.5, 0.5, 0.7, 0.3)  # n2, si2, sj2, ci2, cj2 of a feasible step
+
+    def steps(*stages):
+        cols = list(zip(*stages))
+        return conversion._pair_steps(3, *cols, [0] * len(stages), [1] * len(stages))
+
+    assert len(steps(ok, ok)) == 2
+    # the first failing stage raises, whatever fails after it
+    with pytest.raises(InfeasibleStepError, match="^stage 2 of 3: pair mass"):
+        steps(ok, (1.0, 0.5, 0.5, 0.8, 0.3), (0.5, *ok[1:]))
+    with pytest.raises(NormalizationError, match="^stage 3 of 3: squared norm"):
+        steps(ok, ok, (0.5, *ok[1:]))
+    with pytest.raises(InfeasibleStepError, match="^stage 1 of 2: negative target"):
+        steps((1.0, 0.5, 0.5, 1.0 + 1e-11, -1e-11), ok)
+    with pytest.raises(InfeasibleStepError, match="^stage 2 of 2: equal targets"):
+        steps(ok, (1.0, 0.7, 0.3, 0.5, 0.5))
+    with pytest.raises(InfeasibleStepError, match="^stage 1 of 2: branch weight"):
+        steps((1.0, 0.1, 0.9, 0.7, 0.3), ok)
+    with pytest.raises(CompletenessError, match="^stage 2 of 2: sum K"):
+        steps(ok, (1.0, np.nan, 0.5, 0.7, 0.3))
+    # a stage with a zero pair column is checked through is_complete
+    stage = steps((1.0, 0.5, 0.5, 1.0, 0.0))[0]
+    assert stage.rows[1].tolist() == [0, 0, 2]
+    assert is_complete(stage)[0]
+
+
+def test_stacked_stages_view_one_stack():
+    psi = np.sqrt([0.4, 0.3, 0.2, 0.1])
+    gamma = np.sqrt([0.7, 0.2, 0.1, 0.0])
+    stages = deterministic_protocol(psi, gamma)
+    assert len(stages) >= 2
+    base = stages[0].rows.base
+    assert base is not None and all(ks.rows.base is base for ks in stages)
+    assert all(ks.rows.flags.c_contiguous and ks.vals.flags.c_contiguous for ks in stages)
+
+
 def run_stages(stages, psi):
     return apply_selective(compose(stages), pure_state(psi))
 
@@ -292,6 +343,115 @@ def test_deterministic_protocol_random_pairs():
         assert abs(sum(b.probability for b in branches) - 1.0) < 1e-9
         for b in branches:
             assert fidelity_pure(b.state, gamma.astype(complex)) >= 1.0 - 1e-9
+
+
+def reference_two_level_step(source, target_pair, i, j):
+    """One stage built on its own, as before the stacked builder; it drops
+    an operator on branch weight alone."""
+    s = conversion._require_nonneg_real(source)
+    d = s.size
+    if not (1 <= i <= d and 1 <= j <= d) or i == j:
+        raise ParameterError(f"bad coordinate pair ({i}, {j}) for dimension {d}")
+    ci2, cj2 = float(target_pair[0]), float(target_pair[1])
+    if min(ci2, cj2) < -TINY:
+        raise InfeasibleStepError(f"negative target pair ({ci2}, {cj2})")
+    ci2, cj2 = max(ci2, 0.0), max(cj2, 0.0)
+    si2, sj2 = float(s[i - 1] ** 2), float(s[j - 1] ** 2)
+    if abs((si2 + sj2) - (ci2 + cj2)) > ATOL:
+        raise InfeasibleStepError("pair mass differs from target mass")
+    if abs(ci2 - cj2) <= TINY:
+        if abs(si2 - ci2) > ATOL:
+            raise InfeasibleStepError("equal targets require an equal source pair")
+        return conversion._identity(d)
+    p1 = (si2 - cj2) / (ci2 - cj2)
+    if p1 < -ATOL or p1 > 1.0 + ATOL:
+        raise InfeasibleStepError(f"branch weight {p1!r} outside [0, 1]")
+    p1 = min(max(p1, 0.0), 1.0)
+    p2 = 1.0 - p1
+    t1, t2 = np.sqrt(p1), np.sqrt(p2)
+    ci, cj = np.sqrt(ci2), np.sqrt(cj2)
+    a = np.full(d, t1)
+    b = np.full(d, t2)
+    th_i = np.arctan2(t2 * cj, t1 * ci)
+    th_j = np.arctan2(t2 * ci, t1 * cj)
+    a[i - 1], b[i - 1] = np.cos(th_i), np.sin(th_i)
+    a[j - 1], b[j - 1] = np.cos(th_j), np.sin(th_j)
+    rows = np.array([np.arange(d)] * 2)
+    rows[1, i - 1], rows[1, j - 1] = j - 1, i - 1
+    keep = [p1 > TINY, p2 > TINY]
+    return channels._from_stored(rows[keep], np.array([a, b], dtype=complex)[keep])
+
+
+def reference_deterministic_protocol(psi, gamma):
+    """Stage by stage: the chain walked back from gamma as full vectors,
+    then one reference step per transform."""
+    s = conversion._require_canonical(psi)
+    g = conversion._require_canonical(gamma)
+    chain = ttransform_chain(prob_vector(s * s), prob_vector(g * g))
+    useq = [prob_vector(g * g)]
+    for tr in reversed(chain):
+        useq.append(tr.apply(useq[-1]))
+    useq.reverse()
+    stages = []
+    current = s.copy()
+    for m, tr in enumerate(chain):
+        target = useq[m + 1]
+        pair = (float(target[tr.i - 1]), float(target[tr.j - 1]))
+        stages.append(reference_two_level_step(current, pair, tr.i, tr.j))
+        current[tr.i - 1] = np.sqrt(pair[0])
+        current[tr.j - 1] = np.sqrt(pair[1])
+    return stages
+
+
+def canonical_masses(max_dim):
+    """Sorted mass vectors with ties, exact zeros and masses near the 1e-12 floor."""
+    floor = st.sampled_from([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11])
+    body = st.lists(st.integers(0, 4), min_size=1, max_size=max_dim).filter(any)
+    return st.tuples(body, st.lists(floor, max_size=3)).map(
+        lambda bt: np.sort(np.array(bt[0] + bt[1], dtype=float) / (sum(bt[0]) + sum(bt[1])))[::-1]
+    )
+
+
+def same_stage(a, b):
+    return (
+        a.rows.dtype == b.rows.dtype and a.rows.shape == b.rows.shape
+        and a.rows.tobytes() == b.rows.tobytes()
+        and a.vals.dtype == b.vals.dtype and a.vals.tobytes() == b.vals.tobytes()
+        and a.labels == b.labels
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(canonical_masses(10), canonical_masses(10), st.sampled_from([0.0, 0.5, 1.0 - 1e-10, 1.0]))
+@example(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1.0)
+@example(np.array([0.5, 0.5 - 3e-9, 3e-9]), np.array([0.5, 0.5, 0.0]), 1.0)
+def test_stacked_build_matches_stagewise_reference(x, y, mix):
+    """``mix`` < 1 pulls y toward x's top-heavy rearrangement, which keeps y
+    majorizing x; mix = 1 leaves independent draws, most not majorized."""
+    d = max(x.size, y.size)
+    x, y = np.pad(x, (0, d - x.size)), np.pad(y, (0, d - y.size))
+    top = np.zeros(d)
+    top[0] = 1.0
+    y = mix * y + (1.0 - mix) * top
+    y = np.sort(y / y.sum())[::-1]
+    psi, gamma = np.sqrt(x), np.sqrt(y)
+    try:
+        want = reference_deterministic_protocol(psi, gamma)
+    except CompletenessError:
+        # the reference drops operators that still carry column mass; the
+        # stacked build keeps them and must reach gamma with certainty
+        stages = deterministic_protocol(psi, gamma)
+        assert all(is_complete(ks)[0] for ks in stages)
+        for b in run_stages(stages, psi):
+            assert fidelity_pure(b.state, gamma.astype(complex)) >= 1.0 - 1e-9
+        return
+    except ValueError as err:
+        with pytest.raises(type(err)):
+            deterministic_protocol(psi, gamma)
+        return
+    got = deterministic_protocol(psi, gamma)
+    assert len(got) == len(want)
+    assert all(same_stage(a, b) for a, b in zip(got, want))
 
 
 def test_optimal_protocol_worked_example():
