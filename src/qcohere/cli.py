@@ -24,6 +24,7 @@ from .conversion import (
 from .errors import IncoherenceError, QcohereError
 from .fileio import load_density, load_state, read_stages, save_ensemble, save_protocol
 from .measures import builtin, coherence_pure, convex_roof_upper
+from .simplex import ATOL
 from .states import check_density, pure_state, support_size, tensor_power
 
 
@@ -112,7 +113,7 @@ def cmd_roof(args) -> int:
     return 0
 
 
-def _demo_checks(tol: float):
+def _demo_checks():
     inv2 = 1.0 / np.sqrt(2.0)
     psi = pure_state([inv2, inv2, 0.0])
     phi = pure_state(np.full(3, 1.0 / np.sqrt(3.0)))
@@ -122,16 +123,16 @@ def _demo_checks(tol: float):
     expected = np.zeros(9)
     expected[[0, 1, 3, 4]] = 0.5
     dev = float(np.abs(t2 - expected).max())
-    checks.append(("two-copy tensor amplitudes", dev <= tol, f"max deviation {dev:.3e}"))
+    checks.append(("two-copy tensor amplitudes", dev <= ATOL, f"max deviation {dev:.3e}"))
 
     sizes = (support_size(psi), support_size(phi), support_size(t2))
     checks.append(("support sizes 2, 3, 4", sizes == (2, 3, 4), f"got {sizes}"))
 
     p1 = conversion_probability(psi, phi)
-    checks.append(("single-copy probability is zero", abs(p1) <= tol, f"P = {p1:.12f}"))
+    checks.append(("single-copy probability is zero", abs(p1) <= ATOL, f"P = {p1:.12f}"))
 
     p2 = conversion_probability(t2, phi)
-    checks.append(("two-copy probability is one", abs(p2 - 1.0) <= tol, f"P = {p2:.12f}"))
+    checks.append(("two-copy probability is one", abs(p2 - 1.0) <= ATOL, f"P = {p2:.12f}"))
 
     checks.append(("two copies beat one", p2 > p1, f"{p2:.12f} > {p1:.12f}"))
 
@@ -140,7 +141,7 @@ def _demo_checks(tol: float):
     small = support_shortcut(psi, phi, 2) and support_shortcut(psi, phi, 3)
     checks.append((
         "support shortcut zeroes multi-target conversion",
-        small and abs(m2) <= tol and abs(m3) <= tol,
+        small and abs(m2) <= ATOL and abs(m3) <= ATOL,
         f"P(n=2) = {m2:.12f}, P(n=3) = {m3:.12f}",
     ))
 
@@ -156,14 +157,14 @@ def _demo_checks(tol: float):
     split = max(float(np.abs(k @ np.sqrt(mix) - out).max()) for k, out in outs)
     checks.append((
         "diagonal pair splits a mixture incoherently",
-        complete and split <= tol,
+        complete and split <= ATOL,
         f"residual {residual:.3e}, split deviation {split:.3e}",
     ))
     return checks
 
 
 def cmd_paper_demo(args) -> int:
-    checks = _demo_checks(args.tolerance)
+    checks = _demo_checks()
     all_passed = all(ok for _, ok, _ in checks)
     if args.json:
         print(json.dumps({
@@ -227,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roof)
 
     p = sub.add_parser("paper-demo", help="worked-example checks")
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_paper_demo)
 

@@ -36,8 +36,9 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .simplex import ATOL, TINY, prob_vector, sorted_desc, ttransform_chain
+from .simplex import ATOL, TINY, _transfers, prob_vector, sorted_desc
 from .states import (
+    _copy_count,
     canonicalize,
     fidelity_pure,
     pure_state,
@@ -321,51 +322,33 @@ def _identity(d: int) -> KrausSet:
 def deterministic_protocol(psi, gamma) -> list:
     """Stages converting canonical psi into canonical gamma with certainty.
 
-    Requires psi's squared amplitudes to be majorized by gamma's;
-    ``ttransform_chain`` raises MajorizationError otherwise. Each stage is
-    a two-outcome incoherent step whose branches coincide, so every
-    measurement path ends in gamma; at most d-1 stages are needed, none
-    when psi already equals gamma.
-
-    Stage m undoes the chain's transform T_{m+1}: its targets are the two
-    masses that transform mixes when the chain is walked back from gamma,
-    and its source is psi with the earlier stages' targets in place. Both
-    walks touch only the two coordinates of each transform; all stages are
-    then built and checked in one stacked pass.
+    Requires psi's squared amplitudes to be majorized by gamma's
+    (MajorizationError otherwise). Each of at most d-1 stages is a
+    two-outcome incoherent step whose branches coincide, so every path ends
+    in gamma. Stage m undoes the chain's transform T_{m+1}: its targets are
+    the pair that transform mixes, as recorded by the chain's sweep, and its
+    source is psi with the earlier stages' targets in place. All stages are
+    built and checked in one stacked pass.
     """
     s = _require_canonical(psi)
     g = _require_canonical(gamma)
     if s.size != g.size:
         raise DimensionMismatchError(f"dimensions {s.size} and {g.size} differ")
-    x = prob_vector(s * s)
-    y = prob_vector(g * g)
-    chain = ttransform_chain(x, y)
-    k = len(chain)
-    # backward: T_k acts on y first, T_1 last; each stage's targets are
-    # the pair just before its transform mixes them
-    v = y.tolist()
-    ci2, cj2 = [0.0] * k, [0.0] * k
-    for m in range(k - 1, -1, -1):
-        tr = chain[m]
-        a, b = v[tr.i - 1], v[tr.j - 1]
-        ci2[m], cj2[m] = a, b
-        v[tr.i - 1] = tr.t * a + (1.0 - tr.t) * b
-        v[tr.j - 1] = (1.0 - tr.t) * a + tr.t * b
-    # forward: each stage's source pair, and its squared norm carried from
-    # psi's by the pair changes of the stages before it
+    steps = _transfers(prob_vector(s * s), prob_vector(g * g))
+    # each stage's source pair, and its squared norm carried from psi's by
+    # the pair changes of the stages before it
     cur = s.tolist()
     n2 = float((s * s).sum())
     norms, si2, sj2 = [], [], []
-    for m, tr in enumerate(chain):
-        a2, b2 = cur[tr.i - 1] ** 2, cur[tr.j - 1] ** 2
+    for i, j, _, ci2, cj2 in steps:
+        a2, b2 = cur[i] ** 2, cur[j] ** 2
         norms.append(n2)
         si2.append(a2)
         sj2.append(b2)
-        cur[tr.i - 1], cur[tr.j - 1] = math.sqrt(ci2[m]), math.sqrt(cj2[m])
-        n2 += (cur[tr.i - 1] ** 2 + cur[tr.j - 1] ** 2) - (a2 + b2)
-    return _pair_steps(
-        s.size, norms, si2, sj2, ci2, cj2, [tr.i - 1 for tr in chain], [tr.j - 1 for tr in chain]
-    )
+        cur[i], cur[j] = math.sqrt(ci2), math.sqrt(cj2)
+        n2 += (cur[i] ** 2 + cur[j] ** 2) - (a2 + b2)
+    i, j, _, ci2, cj2 = np.array(steps, dtype=float).reshape(-1, 5).T
+    return _pair_steps(s.size, norms, si2, sj2, ci2, cj2, i, j)
 
 
 @dataclass(frozen=True)
@@ -557,8 +540,7 @@ def multicopy_probability(psi, phi, n: int) -> float:
     amplitudes) and the single-copy rule applies; zero amplitudes would
     only pad it and leave the probability unchanged.
     """
-    if n < 1:
-        raise ParameterError(f"copy count must be >= 1, got {n}")
+    n = _copy_count(n)
     psi = pure_state(psi)
     phi = pure_state(phi)
     if n == 1:

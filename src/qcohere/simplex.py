@@ -1,5 +1,8 @@
 """Probability vectors, majorization, and T-transform chains.
 
+Every chain comes from one right-to-left sweep, ``_transfers``, which
+also records the pair of masses each transform mixes for the protocols.
+
 Index arguments that mirror the usual mathematical notation (tail start
 ``l``, transform coordinates ``i``/``j``) are 1-based throughout.
 """
@@ -66,6 +69,10 @@ def majorizes(y, x) -> bool:
     return bool(np.all(cx <= cy + ATOL))
 
 
+def _mix(t: float, a: float, b: float) -> float:
+    return t * a + (1.0 - t) * b
+
+
 @dataclass(frozen=True)
 class TTransform:
     """Doubly stochastic mix of two coordinates (1-based ``i`` < ``j``).
@@ -85,27 +92,26 @@ class TTransform:
             raise ParameterError(f"mix weight {self.t} outside [0, 1]")
 
     def apply(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=float).copy()
-        a, b = v[self.i - 1], v[self.j - 1]
-        v[self.i - 1] = self.t * a + (1.0 - self.t) * b
-        v[self.j - 1] = (1.0 - self.t) * a + self.t * b
-        return v
+        return apply_chain([self], v)
 
 
 def apply_chain(chain, v) -> np.ndarray:
     """Apply a transform chain to ``v``; the last list element acts first."""
     v = np.asarray(v, dtype=float).copy()
     for tr in reversed(list(chain)):
-        v = tr.apply(v)
+        a, b = v[tr.i - 1], v[tr.j - 1]
+        v[tr.i - 1], v[tr.j - 1] = _mix(tr.t, a, b), _mix(tr.t, b, a)
     return v
 
 
-def ttransform_chain(x, y) -> list:
-    """Chain of at most d-1 T-transforms carrying ``y`` to ``x``.
+def _transfers(x, y) -> list:
+    """Records (i, j, t, a, b) of the T-transforms carrying ``y`` to ``x``.
 
-    Both inputs must be sorted non-increasing with x majorized by y. The
-    returned list [T_1, ..., T_k] reproduces x as T_1(T_2(...T_k(y))),
-    i.e. via :func:`apply_chain`.
+    Going right to left, recipients (below x by more than ATOL) wait on a
+    stack, nearest on top; each donor (above x by more than ATOL) gives to
+    the top one until either reaches its target. A record holds the 0-based
+    pair, the weight t >= 1/2 and the pair (a, b) it mixes; records come in
+    chain order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -117,28 +123,40 @@ def ttransform_chain(x, y) -> list:
     if not majorizes(y, x):
         raise MajorizationError("x is not majorized by y")
 
-    out = []
-    v = y.copy()
-    for _ in range(x.size):
-        diff = v - x
-        donors = np.nonzero(diff > ATOL)[0]
-        if donors.size == 0:
-            break
-        recipients = np.nonzero(diff < -ATOL)[0]
-        # largest donor, then the nearest recipient to its right; this pair
-        # has no differing coordinate between them, which keeps x majorized
-        # by the running vector after the transfer
-        i = int(donors.max())
-        right = recipients[recipients > i]
-        if right.size == 0:
-            raise MajorizationError("majorization lost during chain construction")
-        j = int(right.min())
-        delta = min(v[i] - x[i], x[j] - v[j])
-        t = 1.0 - delta / (v[i] - v[j])
-        tr = TTransform(i + 1, j + 1, float(min(max(t, 0.0), 1.0)))
-        v = tr.apply(v)
-        out.append(tr)
-    else:
-        raise MajorizationError("chain did not converge in d steps")
-    out.reverse()
-    return out
+    xs, v = x.tolist(), y.tolist()
+    out, stack = [], []
+    for i in range(len(v) - 1, -1, -1):
+        while v[i] - xs[i] > ATOL:
+            if not stack:
+                raise MajorizationError("majorization lost during chain construction")
+            # the rightmost donor gives to its nearest recipient: no
+            # coordinate between them differs from x, which keeps x
+            # majorized by the running vector after the transfer
+            j = stack[-1]
+            a, b = v[i], v[j]
+            excess, room = a - xs[i], xs[j] - b
+            t = 1.0 - min(excess, room) / (a - b)
+            v[i], v[j] = _mix(t, a, b), _mix(t, b, a)
+            out.append((i, j, t, a, b))
+            # the side that limited the step is settled; testing it against
+            # ATOL alone would repeat the step forever where rounding
+            # exceeds ATOL (masses near 1e7). The other side is settled if
+            # it came within ATOL of its target.
+            if room <= excess or v[j] - xs[j] >= -ATOL:
+                stack.pop()
+            if excess <= room:
+                break
+        if v[i] - xs[i] < -ATOL:
+            stack.append(i)
+    return out[::-1]
+
+
+def ttransform_chain(x, y) -> list:
+    """Chain of at most d-1 T-transforms carrying ``y`` to ``x``.
+
+    Both inputs must be sorted non-increasing with x majorized by y. The
+    returned list [T_1, ..., T_k] reproduces x as T_1(T_2(...T_k(y))), via
+    :func:`apply_chain`. One sweep builds it in O(d) steps, the rightmost
+    donor always giving to its nearest recipient on the right.
+    """
+    return [TTransform(i + 1, j + 1, t) for i, j, t, _, _ in _transfers(x, y)]

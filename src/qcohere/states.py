@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +58,18 @@ def canonicalize(psi) -> Canonicalization:
     return Canonicalization(state=mod[perm], permutation=perm, phases=phases)
 
 
+def _copy_count(n) -> int:
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"copy count must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def tensor_power(psi, n: int) -> np.ndarray:
     """n-fold Kronecker power of ``psi`` (row-major, last factor fastest),
     by repeated squaring: O(log n) Kronecker products. An output longer
     than TENSOR_CAP raises ResourceLimitError before any product is formed."""
     psi = pure_state(psi)
-    if n < 1:
-        raise ParameterError(f"copy count must be >= 1, got {n}")
+    n = _copy_count(n)
     # size >= 2 and n >= bit_length(cap) give size**n > cap, so the integer
     # power is formed only for small n
     if psi.size > 1 and (n >= TENSOR_CAP.bit_length() or psi.size**n > TENSOR_CAP):

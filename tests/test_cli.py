@@ -290,10 +290,16 @@ def test_paper_demo_json(paths, capsys):
     assert "two-copy tensor amplitudes" in names
 
 
-def test_paper_demo_negative_control(paths, capsys):
-    code, out, _ = run(["paper-demo", "--tolerance", "-1"], capsys)
+def test_paper_demo_negative_control(paths, capsys, monkeypatch):
+    # a wrong single-copy probability must fail its check
+    monkeypatch.setattr(cli, "conversion_probability", lambda psi, phi: 0.5)
+    code, out, _ = run(["paper-demo"], capsys)
     assert code == 1
-    assert "[FAIL]" in out
+    assert "[FAIL] single-copy probability is zero" in out
+
+
+def test_paper_demo_has_no_tolerance_option(capsys):
+    assert run(["paper-demo", "--tolerance", "1e-9"], capsys)[0] == 2
 
 
 def test_usage_errors(paths, capsys):

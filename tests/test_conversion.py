@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import time
 import tracemalloc
 
@@ -643,6 +644,13 @@ def test_multicopy_guard_rails():
     # the shortcut
     with pytest.raises(ResourceLimitError):
         multicopy_probability(np.full(2**20, 2.0**-10), tgt, 20)
+
+
+@pytest.mark.parametrize("n", [2.5, 1.5, 2.0])
+def test_multicopy_rejects_non_integer_copy_counts(n):
+    # n=2.5 used to return 0.0, the n=3 answer; n=2 gives 1
+    with pytest.raises(ParameterError, match=f"got {re.escape(repr(n))}$"):
+        multicopy_probability(np.full(4, 0.5), np.full(2, 1.0 / np.sqrt(2.0)), n)
 
 
 def test_multicopy_support_shortcut_skips_tensor_power():

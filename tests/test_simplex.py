@@ -1,10 +1,15 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcohere import (
     DimensionMismatchError,
     MajorizationError,
     NormalizationError,
+    ParameterError,
     TTransform,
     apply_chain,
     majorizes,
@@ -13,6 +18,7 @@ from qcohere import (
     tail_sum,
     ttransform_chain,
 )
+from qcohere.simplex import ATOL, TINY
 from randgen import random_majorized_pair, random_prob_vector
 
 
@@ -133,3 +139,113 @@ def test_ttransform_validation():
         TTransform(1, 1, 0.5)
     with pytest.raises(ValueError):
         TTransform(1, 2, 1.5)
+
+
+def reference_chain(x, y):
+    """The chain as full-vector rounds: each round recomputes every
+    difference, takes the largest donor and the nearest recipient to its
+    right, and mixes a copy of the vector. Returns 1-based (i, j, t)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size:
+        raise DimensionMismatchError(f"lengths {x.size} and {y.size} differ")
+    for v in (x, y):
+        if np.any(np.diff(v) > TINY):
+            raise ParameterError("not sorted non-increasing")
+    if not majorizes(y, x):
+        raise MajorizationError("x is not majorized by y")
+    out = []
+    v = y.copy()
+    for _ in range(x.size):
+        diff = v - x
+        donors = np.nonzero(diff > ATOL)[0]
+        if donors.size == 0:
+            break
+        recipients = np.nonzero(diff < -ATOL)[0]
+        i = int(donors.max())
+        right = recipients[recipients > i]
+        if right.size == 0:
+            raise MajorizationError("majorization lost during chain construction")
+        j = int(right.min())
+        delta = min(v[i] - x[i], x[j] - v[j])
+        t = float(min(max(1.0 - delta / (v[i] - v[j]), 0.0), 1.0))
+        v = v.copy()
+        a, b = v[i], v[j]
+        v[i] = t * a + (1.0 - t) * b
+        v[j] = (1.0 - t) * a + t * b
+        out.append((i + 1, j + 1, t))
+    else:
+        raise MajorizationError("chain did not converge in d steps")
+    out.reverse()
+    return out
+
+
+def sorted_masses(draw, size):
+    """Sorted masses with ties, exact zeros and masses near the 1e-12 floor."""
+    floor = st.sampled_from([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11, 3e-10])
+    body = draw(st.lists(st.integers(0, 4), min_size=1, max_size=size).filter(any))
+    dust = draw(st.lists(floor, max_size=max(0, size - len(body))))
+    x = np.array(body + dust, dtype=float)
+    return np.sort(x / x.sum())[::-1]
+
+
+@st.composite
+def mass_pairs(draw):
+    """(x, y) of one length: x is y with transfers applied and sorted
+    again, so majorized by y, or one time in four drawn on its own and
+    zero-padded to a common length."""
+    y = sorted_masses(draw, 12)
+    d = y.size
+    if draw(st.integers(0, 3)) == 0:
+        x = sorted_masses(draw, 12)
+        pad = np.zeros(max(x.size, d))
+        x, y = (np.concatenate([v, pad[v.size:]]) for v in (x, y))
+        return x, y
+    x = y.copy()
+    coord = st.integers(0, d - 1)
+    weights = st.sampled_from([0.5, 0.75, 1.0 / 3.0, 0.999])
+    for i, j, t in draw(st.lists(st.tuples(coord, coord, weights), min_size=1)):
+        x[i], x[j] = t * x[i] + (1.0 - t) * x[j], (1.0 - t) * x[i] + t * x[j]
+    return np.sort(x)[::-1], y
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mass_pairs())
+def test_chain_matches_full_vector_reference(pair):
+    x, y = pair
+    try:
+        want = reference_chain(x, y)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            ttransform_chain(x, y)
+        assert type(info.value) is type(exc)
+        return
+    got = ttransform_chain(x, y)
+    assert len(got) == len(want)
+    for tr, (i, j, t) in zip(got, want):
+        assert (tr.i, tr.j) == (i, j)
+        assert np.float64(tr.t).tobytes() == np.float64(t).tobytes()
+
+
+def test_chain_ends_when_rounding_exceeds_atol():
+    # at masses near 1e7 a transfer's rounding exceeds ATOL, so the
+    # coordinate that limited it may still test as short of its target;
+    # the sweep counts it settled instead of transferring again
+    x = np.array([13658152.169517871, 12172637.183480311, 11492414.013153568, 7948740.65572466])
+    y = np.array([15998318.33356664, 13027288.36149152, 11666842.020838035, 4579495.305980216])
+    chain = ttransform_chain(x, y)
+    assert [(tr.i, tr.j) for tr in chain] == [(1, 4), (2, 4), (3, 4)]
+    assert np.abs(apply_chain(chain, y) - x).max() <= 1e-15 * np.abs(y).max()
+
+
+def test_chain_is_linear_in_the_dimension():
+    # one donor feeding d-1 recipients; full-vector rounds take O(d^2)
+    d = 20_000
+    x = np.full(d, 1.0 / d)
+    y = np.zeros(d)
+    y[0] = 1.0
+    start = time.perf_counter()
+    chain = ttransform_chain(x, y)
+    assert len(chain) == d - 1
+    assert np.abs(apply_chain(chain, y) - x).max() <= 1e-9
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -117,6 +118,14 @@ def test_tensor_power_large_copy_counts_are_fast():
     # one amplitude never reaches the cap: O(log n) products
     np.testing.assert_array_equal(tensor_power([1.0], 10**9), [1.0])
     assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("n", [2.5, 1.5, 2.0, np.float64(3.0), "2"])
+def test_tensor_power_rejects_non_integer_copy_counts(n):
+    # a float count used to be halved into the recursion: 2.5 gave 3 copies,
+    # and 1.5 raised naming 0.0
+    with pytest.raises(ParameterError, match=f"got {re.escape(repr(n))}$"):
+        tensor_power([INV2, INV2], n)
 
 
 def test_tensor_power_embedded_zero():
