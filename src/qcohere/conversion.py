@@ -49,6 +49,10 @@ from .states import (
 
 # slack when comparing tail ratios for the smallest minimizer
 RATIO_TIE = 1e-12
+# largest stage stack ``_pair_steps`` builds, in entries 2 k d of its (k, 2, d)
+# arrays: 2^25 entries are 768 MiB of rows and values (8 + 16 bytes each),
+# enough for the d - 1 stages of a chain at d = 4096
+STAGE_CAP = 1 << 25
 
 
 def _pad(psi: np.ndarray, d: int) -> np.ndarray:
@@ -220,6 +224,9 @@ def _pair_steps(d: int, n2, si2, sj2, ci2, cj2, i, j) -> list:
     k = si2.size
     if k == 0:
         return []
+    # refuse a stack over the cap before allocating it
+    if 2 * k * d > STAGE_CAP:
+        raise ResourceLimitError(f"{k} x 2 x {d} stage entries exceed the cap of {STAGE_CAP}")
     at = np.arange(k)
     # where() rather than min/max/clip: the same result as Python's min and
     # max on the scalars, signed zeros and NaN included

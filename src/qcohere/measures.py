@@ -9,7 +9,7 @@ families, and computes certified upper bounds on the roof extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,39 +25,55 @@ class CoherenceFunctional:
     """A named simplex functional.
 
     ``dimension`` is None for any-dimension families and a fixed d otherwise.
-    ``rows``, when given, evaluates many points at once: it maps an array of
-    simplex points along its last axis to their values over the leading
-    axes. ``gradient``, when given, maps unnormalized member amplitudes w
-    (last axis) to the gradient G of g(w) = p f(|w_i|^2 / p), p = sum_i
-    |w_i|^2, in the real sense: dg = Re sum_i conj(G_i) dw_i. The
-    convex-roof search descends along it, or along central differences of
-    ``values`` when it is None.
+    ``gradient``, when given, maps unnormalized member amplitudes w (last
+    axis) to the gradient G of g(w) = p f(|w_i|^2 / p), p = sum_i |w_i|^2,
+    in the real sense: dg = Re sum_i conj(G_i) dw_i. The convex-roof search
+    descends along it, or along central differences of ``values`` when it
+    is None.
 
-    The convex-roof search calls ``rows`` and ``gradient`` in place of
-    ``evaluate`` whenever they are given, so a copy that replaces
-    ``evaluate`` (``dataclasses.replace`` included) must replace them
-    together with it, or set them to None.
+    ``stacks``, derived on construction and by ``dataclasses.replace``, is
+    True when ``evaluate`` of a fixed stack of points equals one call per
+    point exactly, as for a formula reducing over the last axis.
     """
 
     name: str
     evaluate: Callable
     dimension: int | None = None
-    rows: Callable | None = None
     gradient: Callable | None = None
+    stacks: bool = field(init=False, default=False)
+
+    @np.errstate(all="ignore")
+    def __post_init__(self):
+        # the probe stack: a vertex, the uniform point, a point with one zero
+        # mass (for d > 1) and three distinct interior points, as (2, 3, d)
+        d = 3 if self.dimension is None else self.dimension
+        ramp = np.arange(1.0, d + 1.0)
+        drop = ramp - 1.0 if d > 1 else ramp
+        points = np.array([np.eye(d)[0], np.ones(d), drop, ramp, ramp[::-1] ** 2, np.sqrt(ramp)])
+        stack = (points / points.sum(axis=1, keepdims=True)).reshape(2, 3, d)
+        # ``stacks`` is still False here, so ``values`` scores point by point;
+        # a user's evaluate may fail in any way on input it was not written
+        # for, and any failure leaves it scored point by point
+        try:
+            stacks = np.array_equal(self.evaluate(stack), self.values(stack))
+        except Exception:
+            return
+        object.__setattr__(self, "stacks", stacks)
+
+    def _check_dimension(self, d: int):
+        if self.dimension is not None and self.dimension != d:
+            raise DimensionMismatchError(f"{self.name} expects dimension {self.dimension}, got {d}")
 
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        if self.dimension is not None and x.size != self.dimension:
-            raise DimensionMismatchError(
-                f"{self.name} expects dimension {self.dimension}, got {x.size}"
-            )
+        self._check_dimension(x.size)
         return float(self.evaluate(x))
 
     def values(self, x) -> np.ndarray:
-        """f at each point along the last axis of x; one ``evaluate`` call per
-        point when the functional has no row-wise form."""
-        if self.rows is not None:
-            return self.rows(x)
+        """f at each point along the last axis of x: one ``evaluate`` call
+        for the stack when ``stacks``, one per point otherwise."""
+        if self.stacks:
+            return self.evaluate(x)
         flat = x.reshape(-1, x.shape[-1])
         return np.array([float(self.evaluate(p)) for p in flat]).reshape(x.shape[:-1])
 
@@ -89,7 +105,7 @@ def _central_gradient(values, w):
 
 
 # The built-in formulas reduce over the last axis, so one definition serves a
-# single point (``evaluate``) and a stack of points (``rows``).
+# single point and a stack of points.
 
 
 def _shannon(x):
@@ -147,10 +163,6 @@ def _kyfan_gradient(w, l: int):
     return 2.0 * w * (rank < w.shape[-1] - l + 1)
 
 
-def _rowwise(name, fun, gradient=None) -> CoherenceFunctional:
-    return CoherenceFunctional(name, fun, rows=fun, gradient=gradient)
-
-
 def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> CoherenceFunctional:
     """Built-in functional families.
 
@@ -160,20 +172,21 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
     kyfan:   sum of the d-l+1 smallest entries, integer l >= 2
     """
     if name == "shannon":
-        return _rowwise("shannon", _shannon, _shannon_gradient)
+        return CoherenceFunctional("shannon", _shannon, gradient=_shannon_gradient)
     if name == "l1":
-        return _rowwise("l1", _l1, _l1_gradient)
+        return CoherenceFunctional("l1", _l1, gradient=_l1_gradient)
     if name == "alpha":
         if alpha is None or not 0.0 < alpha < 1.0:
             raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha}")
         a = float(alpha)
-        return _rowwise(f"alpha({a:g})", lambda x: _alpha_entropy(x, a),
-                        lambda w: _alpha_gradient(w, a))
+        return CoherenceFunctional(f"alpha({a:g})", lambda x: _alpha_entropy(x, a),
+                                   gradient=lambda w: _alpha_gradient(w, a))
     if name == "kyfan":
         if l is None or int(l) != l or l < 2:
             raise ParameterError(f"kyfan order must be an integer >= 2, got {l}")
         k = int(l)
-        return _rowwise(f"kyfan({k})", lambda x: _kyfan(x, k), lambda w: _kyfan_gradient(w, k))
+        return CoherenceFunctional(f"kyfan({k})", lambda x: _kyfan(x, k),
+                                   gradient=lambda w: _kyfan_gradient(w, k))
     raise ParameterError(f"unknown functional family {name!r}")
 
 
@@ -183,10 +196,7 @@ VALIDATION_TOL = 1e-7
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Sampled residuals for the three defining requirements.
-
-    ``passes`` is True when every residual is at most VALIDATION_TOL.
-    """
+    """Sampled residuals for the three defining requirements, NaN where f gave NaN."""
 
     vertex_residual: float
     permutation_residual: float
@@ -195,35 +205,39 @@ class ValidationReport:
 
     @property
     def passes(self) -> bool:
-        worst = max(self.vertex_residual, self.permutation_residual, self.concavity_violation)
-        return worst <= VALIDATION_TOL
+        """Every residual is at most VALIDATION_TOL; a NaN residual never is."""
+        residuals = (self.vertex_residual, self.permutation_residual, self.concavity_violation)
+        return all(r <= VALIDATION_TOL for r in residuals)
+
+
+def _worst(residuals) -> float:
+    # the largest residual and 0.0; np.max keeps a NaN, where Python's max
+    # would drop it, and adding 0.0 turns a -0.0 into 0.0
+    return float(np.max(residuals, initial=0.0)) + 0.0
 
 
 def validate_functional(
     f: CoherenceFunctional, d: int, samples: int = 1000, seed: int = 0
 ) -> ValidationReport:
     """Check f(vertices)=0, permutation invariance, and concavity by sampling."""
-    if f.dimension is not None and f.dimension != d:
-        raise DimensionMismatchError(f"{f.name} expects dimension {f.dimension}, got {d}")
+    f._check_dimension(d)
     rng = np.random.default_rng(seed)
-    vertex = 0.0
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        vertex = max(vertex, abs(f(e)))
-    perm_res = 0.0
-    conc = 0.0
-    for _ in range(samples):
-        x = rng.dirichlet(np.ones(d))
-        perm_res = max(perm_res, abs(f(x[rng.permutation(d)]) - f(x)))
-        y = rng.dirichlet(np.ones(d))
-        lam = float(rng.random())
-        gap = lam * f(x) + (1.0 - lam) * f(y) - f(lam * x + (1.0 - lam) * y)
-        conc = max(conc, gap)
+    x, moved, y = np.empty((3, samples, d))
+    lam = np.empty(samples)
+    # each sample draws x, a permutation of x, y and lambda, in that order
+    for s in range(samples):
+        x[s] = rng.dirichlet(np.ones(d))
+        moved[s] = x[s, rng.permutation(d)]
+        y[s] = rng.dirichlet(np.ones(d))
+        lam[s] = rng.random()
+    # one ``values`` call per kind of point
+    fx = f.values(x)
+    mix = f.values(lam[:, None] * x + (1.0 - lam[:, None]) * y)
+    gap = lam * fx + (1.0 - lam) * f.values(y) - mix
     return ValidationReport(
-        vertex_residual=float(vertex),
-        permutation_residual=float(perm_res),
-        concavity_violation=float(max(conc, 0.0)),
+        vertex_residual=_worst(np.abs(f.values(np.eye(d)))),
+        permutation_residual=_worst(np.abs(f.values(moved) - fx)),
+        concavity_violation=_worst(gap),
         samples=samples,
     )
 
@@ -274,17 +288,6 @@ class RoofResult:
     restarts: tuple = ()
 
 
-def _basis_ensemble(diag: np.ndarray, d: int):
-    members = []
-    for k in range(d):
-        p = float(diag[k].real)
-        if p > TINY:
-            e = np.zeros(d, dtype=complex)
-            e[k] = 1.0
-            members.append((p, e))
-    return members
-
-
 # size of the seeded perturbation that moves the first gradient restart off
 # the eigen-ensemble: exactly there the empty members have zero gradient, so
 # the descent could never leave the rank-r subspace
@@ -333,17 +336,18 @@ def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int 
     """
     rho = check_density(rho)
     d = rho.shape[0]
-    if f.dimension is not None and f.dimension != d:
-        raise DimensionMismatchError(f"{f.name} expects dimension {f.dimension}, got {d}")
+    f._check_dimension(d)
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
 
     diag = np.diag(rho)
     if float(np.abs(rho - np.diag(diag)).max()) <= ATOL:
         # diagonal state: the basis ensemble is exact and vertex values vanish
-        members = _basis_ensemble(diag, d)
-        value = sum(p * f(squared_amplitudes(vec)) for p, vec in members)
-        return RoofResult(value=float(value), ensemble=tuple(members))
+        kept = np.flatnonzero(diag.real > TINY)
+        weights = diag.real[kept]
+        basis = np.eye(d)[kept]
+        members = tuple(zip(weights.tolist(), basis.astype(complex)))
+        return RoofResult(value=float(sum(weights * f.values(basis))), ensemble=members)
 
     w, vecs = np.linalg.eigh(rho)
     order = np.argsort(-w)

@@ -771,3 +771,16 @@ def test_optimal_protocol_d512_stays_small():
     assert report.passes()
     assert abs(report.success_probability - conversion_probability(psi, phi)) <= 1e-9
     assert peak < 64 * 2**20
+
+
+def test_stage_stack_cap_raises_before_allocating():
+    # the d - 1 stages from uniform to a basis state at d = 20,000 would
+    # need about 19 GB of stored operators; d = 4096 still fits
+    d = 20_000
+    assert 2 * (4096 - 1) * 4096 <= conversion.STAGE_CAP < 2 * (d - 1) * d
+    basis = np.zeros(d)
+    basis[0] = 1.0
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="stage entries exceed the cap"):
+        deterministic_protocol(np.full(d, 1.0 / np.sqrt(d)), basis)
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qcohere import (
     CoherenceFunctional,
     DimensionMismatchError,
     ParameterError,
+    ValidationReport,
     apply_selective,
     builtin,
     canonicalize,
@@ -80,6 +83,53 @@ def test_validation_catches_convexity():
     report = validate_functional(f, 3, samples=300)
     assert not report.passes
     assert report.concavity_violation > 1e-3
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda x: float("nan"),
+    lambda x: float("nan") if x.min() > 0.0 else 0.0,
+], ids=["everywhere", "interior"])
+def test_validation_keeps_nan_residuals(evaluate):
+    # Python's max drops NaN, so such a functional used to pass with all
+    # residuals 0.0
+    report = validate_functional(CoherenceFunctional("nan", evaluate), 3, samples=50)
+    assert np.isnan(report.permutation_residual) and np.isnan(report.concavity_violation)
+    assert not report.passes
+    assert not ValidationReport(0.0, float("nan"), 0.0, 1).passes
+
+
+def test_stacks_probe_classifies_evaluate():
+    def numpy_entropy(x):
+        t = np.where(x > 0.0, x, 1.0)
+        return -(t * np.log(t)).sum(axis=-1)
+
+    def whole_array_branch(x):
+        # the probe stack holds a vertex, so its max is 1 as a whole
+        return 1.0 - x.max(axis=-1) if x.max() < 1.0 else np.zeros(x.shape[:-1])
+
+    stacked = ALL_BUILTINS + [
+        builtin("kyfan", l=5),  # l > d at the probe's d = 3
+        builtin("kyfan", l=9),
+        CoherenceFunctional("entropy", numpy_entropy),
+        CoherenceFunctional("linear", lambda x: 1.0 - (x * x).sum(axis=-1)),
+        CoherenceFunctional("entropy", numpy_entropy, dimension=1),
+        CoherenceFunctional("entropy", numpy_entropy, dimension=2),
+    ]
+    pointwise = [
+        extract_functional(lambda v: coherence_pure(builtin("shannon"), v), 4),
+        CoherenceFunctional("first", lambda x: float(x[0])),
+        CoherenceFunctional("squares", lambda x: 1.0 - (x**2).sum()),
+        CoherenceFunctional("columns", lambda x: x.sum(axis=0)),
+        CoherenceFunctional("branch", whole_array_branch),
+        CoherenceFunctional("nan", lambda x: np.full(x.shape[:-1], np.nan)),
+        CoherenceFunctional("raises", lambda x: 1 / 0),
+    ]
+    assert all(f.stacks for f in stacked)
+    assert not any(f.stacks for f in pointwise)
+    # a derived field: not a constructor parameter, recomputed by replace
+    with pytest.raises(TypeError):
+        CoherenceFunctional("x", numpy_entropy, stacks=True)
+    assert not dataclasses.replace(stacked[-1], evaluate=lambda x: float(x.sum())).stacks
 
 
 def test_phase_and_order_invariance():
