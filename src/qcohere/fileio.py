@@ -6,6 +6,18 @@ stored form, ``{"dim", "rows", "values"}`` plus ``"labels"`` when some
 operator has one: operator n sends column c to row rows[n][c] with amplitude
 values[n][c]. Dense ``"operators"`` files, written before this encoding or
 by hand, are still read, through ``kraus_set``.
+
+Every number is written as ``repr`` writes it, which is what ``json.dumps``
+writes for a finite float or an integer, and each file is the text
+``json.dumps`` gives for its payload. States, density matrices and
+ensembles go through ``json.dumps`` itself. The stages of a protocol hold
+few distinct numbers among many entries (a T-transform stage: two branch
+amplitudes off its pair of levels, two trig pairs on it), so Kraus sets are
+written by joining words instead: each distinct row, real part and
+imaginary part of a file, keyed by its bit pattern so that -0.0 keeps its
+sign, is formatted once. Non-finite values, which JSON cannot hold, are
+refused before the file is opened. On reading, the compact stages of a
+file are decoded together, in one pass over all their operators.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .channels import KrausSet, _from_stored, kraus_set
-from .errors import FileFormatError, NormalizationError
+from .errors import FileFormatError, NormalizationError, ParameterError
 from .simplex import TINY
 from .states import check_density, pure_state
 
@@ -55,12 +67,15 @@ def _load_json(path):
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _write(path, text) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def _dump_json(path, payload) -> None:
     # json.dumps without indentation runs the C encoder; json.dump, or any
     # indent, streams through the pure-Python one
-    text = json.dumps(payload) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(path, json.dumps(payload))
 
 
 def _expect(payload, key, path):
@@ -104,71 +119,130 @@ def load_density(path) -> np.ndarray:
     return _from_pairs(_expect(payload, "matrix", path), (dim, dim), path)
 
 
-def _channel_payload(k: KrausSet) -> dict:
-    payload = {"dim": int(k.dim), "rows": k.rows.tolist(), "values": _to_pairs(k.vals)}
-    if any(k.labels):
-        payload["labels"] = list(k.labels)
-    return payload
+def _words(a, before="", after="") -> np.ndarray:
+    """The JSON word of each entry of a float64 or int64 array, between
+    ``before`` and ``after``, as an object array. Each distinct entry,
+    keyed by its bit pattern, is formatted once."""
+    bits = a.view(np.uint64)
+    keys = np.sort(bits)
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    keys = keys[new]
+    words = [before + w + after for w in map(repr, keys.view(a.dtype).tolist())]
+    return np.array(words, dtype=object)[np.searchsorted(keys, bits)]
+
+
+def _nested(words) -> str:
+    """JSON text of a 2-D array of words, as a list of lists."""
+    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in words.tolist()]) + "]"
+
+
+def _kraus_texts(sets) -> list:
+    """The JSON text json.dumps gives for the stored form of each Kraus set,
+    {"dim", "rows", "values"} plus "labels" when some operator has one."""
+    if not sets:
+        return []
+    vals = np.concatenate([k.vals.ravel() for k in sets], dtype=complex)
+    if not np.isfinite(vals).all():
+        raise ParameterError("Kraus values must be finite to be written")
+    rows = _words(np.concatenate([k.rows.ravel() for k in sets], dtype=np.int64))
+    # a real part opens its [re, im] pair and the imaginary part closes it,
+    # so joining the words of an operator with ", " writes its pairs
+    pairs = np.empty(2 * vals.size, dtype=object)
+    pairs[0::2] = _words(vals.real, before="[")
+    pairs[1::2] = _words(vals.imag, after="]")
+    texts, start = [], 0
+    for k in sets:
+        n, d = k.rows.shape
+        stop = start + n * d
+        text = (f'{{"dim": {d}, "rows": {_nested(rows[start:stop].reshape(n, d))}, '
+                f'"values": {_nested(pairs[2 * start:2 * stop].reshape(n, 2 * d))}')
+        if any(k.labels):
+            text += ', "labels": ' + json.dumps(list(k.labels))
+        texts.append(text + "}")
+        start = stop
+    return texts
 
 
 def _rows(x, dim, path) -> np.ndarray:
-    """Integer array of shape (n >= 1, dim) with entries in [0, dim). JSON
+    """Integer array of shape (n, dim) with entries in [0, dim). JSON
     booleans and floats are refused, even where numpy would cast them."""
     try:
         kinds = set(map(type, chain.from_iterable(x)))
         rows = np.array(x, dtype=np.int64) if kinds <= {int} else None
     except (TypeError, ValueError, OverflowError):
         rows = None
-    if rows is None or rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] != dim:
+    if rows is None or rows.ndim != 2 or rows.shape[1] != dim:
         raise FileFormatError(f"{path}: rows must be {dim} integers per operator")
     if ((rows < 0) | (rows >= dim)).any():
         raise FileFormatError(f"{path}: rows must lie in [0, {dim})")
     return rows
 
 
-def _stage(payload, path, dim=None):
-    """One channel, or one stage of a protocol of dimension ``dim``, checked
-    and decoded. Returns the KrausSet constructor with its arguments bound;
-    called with the completeness tolerance ``atol`` it builds the set.
-    Compact {"rows", "values"} stages go straight to the stored form; dense
+def _stages(payloads, dim, path) -> list:
+    """The stages of dimension ``dim`` (a channel file is one stage), each
+    checked and decoded. Returns, per stage, the KrausSet constructor with
+    its arguments bound; called with the completeness tolerance ``atol`` it
+    builds the set. Compact {"rows", "values"} stages go straight to the
+    stored form, all of them decoded together and then sliced; dense
     "operators" go through kraus_set, which raises IncoherenceError on a
     coherent operator."""
-    own = _dim(payload, path)
-    if dim is not None and own != dim:
-        raise FileFormatError(f"{path}: a stage of dim {own} in a protocol of dim {dim}")
-    if "rows" in payload:
-        rows = _rows(payload["rows"], own, path)
-        args = (rows, _from_pairs(_expect(payload, "values", path), rows.shape, path))
-        build = _from_stored
-    else:
-        args = (_from_pairs(_expect(payload, "operators", path), (None, own, own), path),)
-        build = kraus_set
-    count = len(args[0])
-    labels = payload.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != count):
-        raise FileFormatError(f"{path}: expected a list of {count} labels, got {labels!r}")
-    return partial(build, *args, labels=labels)
+    stages, stored = [], []
+    for payload in payloads:
+        own = _dim(payload, path)
+        if own != dim:
+            raise FileFormatError(f"{path}: a stage of dim {own} in a protocol of dim {dim}")
+        if "rows" in payload:
+            own_rows, own_values = payload["rows"], _expect(payload, "values", path)
+            if not isinstance(own_rows, list) or not own_rows:
+                raise FileFormatError(f"{path}: rows must be {dim} integers per operator")
+            count = len(own_rows)
+            if not isinstance(own_values, list) or len(own_values) != count:
+                raise FileFormatError(f"{path}: expected [re, im] pairs for {count} operators")
+            stored.append((own_rows, own_values))
+            # no operators of its own: its arrays are sliced from the stack
+            ops = None
+        else:
+            ops = _from_pairs(_expect(payload, "operators", path), (None, dim, dim), path)
+            count = len(ops)
+        labels = payload.get("labels")
+        if labels is not None and (not isinstance(labels, list) or len(labels) != count):
+            raise FileFormatError(f"{path}: expected a list of {count} labels, got {labels!r}")
+        stages.append((ops, count, labels))
+    if stored:
+        rows = _rows(list(chain.from_iterable(r for r, _ in stored)), dim, path)
+        vals = _from_pairs(list(chain.from_iterable(v for _, v in stored)), rows.shape, path)
+    built, start = [], 0
+    for ops, count, labels in stages:
+        if ops is None:
+            built.append(partial(_from_stored, rows[start:start + count],
+                                 vals[start:start + count], labels=labels))
+            start += count
+        else:
+            built.append(partial(kraus_set, ops, labels=labels))
+    return built
 
 
 def save_channel(path, k: KrausSet) -> None:
-    _dump_json(path, _channel_payload(k))
+    _write(path, _kraus_texts([k])[0])
 
 
 def load_channel(path) -> KrausSet:
     """Channel file as a KrausSet, complete within RENORM_TOL."""
-    return _stage(_load_json(path), path)(atol=RENORM_TOL)
+    payload = _load_json(path)
+    return _stages([payload], _dim(payload, path), path)[0](atol=RENORM_TOL)
 
 
 def save_protocol(path, protocol, report=None) -> None:
     """Protocol plus an optional verification block."""
-    payload = {
+    head = json.dumps({
         "dim": int(protocol.stages[0].dim) if protocol.stages else 0,
         "success_label": protocol.success_label,
         "probability": float(protocol.probability),
-        "stages": [_channel_payload(stage) for stage in protocol.stages],
-    }
+    })
+    text = head[:-1] + ', "stages": [' + ", ".join(_kraus_texts(protocol.stages)) + "]"
     if report is not None:
-        payload["verification"] = {
+        text += ', "verification": ' + json.dumps({
             "stage_completeness_residuals": list(report.stage_completeness),
             # kraus_set admits incoherent operators only; kept for old readers
             "incoherent": True,
@@ -176,8 +250,8 @@ def save_protocol(path, protocol, report=None) -> None:
             "min_success_fidelity": float(report.min_success_fidelity),
             "branch_count": int(report.branch_count),
             "success_count": int(report.success_count),
-        }
-    _dump_json(path, payload)
+        })
+    _write(path, text + "}")
 
 
 def _protocol(payload, path):
@@ -187,7 +261,7 @@ def _protocol(payload, path):
     if not isinstance(stages, list):
         raise FileFormatError(f"{path}: stages must be a list")
     meta = {k: v for k, v in payload.items() if k != "stages"}
-    return [_stage(p, path, dim) for p in stages], meta
+    return _stages(stages, dim, path), meta
 
 
 def load_protocol(path):
@@ -205,7 +279,7 @@ def read_stages(path):
     payload = _load_json(path)
     if isinstance(payload, dict) and "stages" in payload:
         return _protocol(payload, path)
-    return [_stage(payload, path)], None
+    return _stages([payload], _dim(payload, path), path), None
 
 
 def save_ensemble(path, result) -> None:

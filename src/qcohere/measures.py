@@ -221,6 +221,8 @@ def validate_functional(
 ) -> ValidationReport:
     """Check f(vertices)=0, permutation invariance, and concavity by sampling."""
     f._check_dimension(d)
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ParameterError(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     x, moved, y = np.empty((3, samples, d))
     lam = np.empty(samples)

@@ -9,7 +9,11 @@ from qcohere import (
     CompletenessError,
     DensityMatrixError,
     FileFormatError,
+    KrausSet,
     NormalizationError,
+    ParameterError,
+    Protocol,
+    ProtocolReport,
     apply_selective,
     builtin,
     compose,
@@ -30,6 +34,7 @@ from qcohere import (
     verify_protocol,
 )
 from qcohere.cli import main
+from qcohere.fileio import read_stages
 from randgen import _merge_pair, random_incoherent_kraus, random_pure_state
 
 
@@ -310,6 +315,191 @@ def test_written_files_keep_the_per_entry_encoding(tmp_path):
     # each operator column
     expect(path, {"dim": 3, "rows": [[0, 1, 2], [0, 1, 2]], "values": pairs(ks.vals),
                   "labels": ["", "b"]})
+
+
+# the writer's reference: the payload each file held before Kraus sets were
+# written word by word, through json.dumps
+def _reference_channel(ks):
+    payload = {"dim": int(ks.dim), "rows": ks.rows.tolist(),
+               "values": np.stack((ks.vals.real, ks.vals.imag), -1).tolist()}
+    if any(ks.labels):
+        payload["labels"] = list(ks.labels)
+    return payload
+
+
+def _reference_protocol(protocol, report=None):
+    payload = {
+        "dim": int(protocol.stages[0].dim) if protocol.stages else 0,
+        "success_label": protocol.success_label,
+        "probability": float(protocol.probability),
+        "stages": [_reference_channel(stage) for stage in protocol.stages],
+    }
+    if report is not None:
+        payload["verification"] = {
+            "stage_completeness_residuals": list(report.stage_completeness),
+            "incoherent": True,
+            "composed_success_probability": float(report.success_probability),
+            "min_success_fidelity": float(report.min_success_fidelity),
+            "branch_count": int(report.branch_count),
+            "success_count": int(report.success_count),
+        }
+    return json.dumps(payload) + "\n"
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+               1e-300, -1e-300, 1e300, -1.7976931348623157e308, 1.0, -0.5, 0.1)
+LABELS = ("", "a", "success", 'say "hi"', "tab\t back\\slash", "\u00e9t\u00e9 \u2603", "fail.2")
+
+
+@st.composite
+def stored_sets(draw, d):
+    """Kraus sets built directly from stored arrays, complete or not: rows
+    anywhere in [0, d), values all one number, all distinct, or drawn from
+    edge cases (signed zeros, subnormals, magnitudes near 1e-300 and 1e300)
+    and arbitrary finite floats."""
+    n = draw(st.integers(1, 4))
+    rows = np.array(draw(st.lists(st.lists(st.integers(0, d - 1), min_size=d, max_size=d),
+                                  min_size=n, max_size=n)), dtype=np.int64)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(["repeated", "distinct", "edge"]))
+    if kind == "repeated":
+        parts = draw(st.lists(st.sampled_from(EDGE_FLOATS) | finite, min_size=2, max_size=2)) * (n * d)
+    elif kind == "distinct":
+        parts = draw(st.lists(finite, min_size=2 * n * d, max_size=2 * n * d, unique=True))
+    else:
+        parts = draw(st.lists(st.sampled_from(EDGE_FLOATS) | finite, min_size=2 * n * d,
+                              max_size=2 * n * d))
+    vals = np.array(parts, dtype=float).view(complex).reshape(n, d)
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=n, max_size=n))
+    return KrausSet(rows=rows, vals=vals, labels=tuple(labels))
+
+
+def _decoded(path):
+    """The (rows, values) read_stages decodes for each stage, before any
+    KrausSet is built from them."""
+    stages, _ = read_stages(path)
+    return [stage.args for stage in stages]
+
+
+def _same_stored(args, ks):
+    rows, vals = args
+    return (rows.dtype == ks.rows.dtype and rows.tobytes() == ks.rows.tobytes()
+            and vals.dtype == ks.vals.dtype and vals.tobytes() == ks.vals.tobytes())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(stored_sets))
+def test_channel_writer_matches_json_dumps(tmp_path_factory, ks):
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    save_channel(path, ks)
+    assert path.read_text(encoding="utf-8") == json.dumps(_reference_channel(ks)) + "\n"
+    assert _same_stored(*_decoded(path), ks)
+
+
+@st.composite
+def stored_protocols(draw):
+    d = draw(st.integers(1, 4))
+    stages = tuple(draw(st.lists(stored_sets(d), max_size=4)))
+    label = draw(st.sampled_from(LABELS))
+    probability = draw(st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1.0))
+    report = None
+    if draw(st.booleans()):
+        residual = st.sampled_from(EDGE_FLOATS) | st.floats(0.0, 1e-6)
+        report = ProtocolReport(
+            stage_completeness=tuple(draw(st.lists(residual, min_size=len(stages),
+                                                   max_size=len(stages)))),
+            success_probability=draw(st.floats(0.0, 1.0)),
+            declared_probability=probability,
+            min_success_fidelity=draw(st.floats(0.0, 1.0)),
+            branch_count=draw(st.integers(0, 4)),
+            success_count=draw(st.integers(0, 4)),
+        )
+    return Protocol(stages=stages, success_label=label, probability=probability), report
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stored_protocols())
+def test_protocol_writer_matches_json_dumps(tmp_path_factory, drawn):
+    protocol, report = drawn
+    path = tmp_path_factory.getbasetemp() / "writer.json"
+    save_protocol(path, protocol, report)
+    assert path.read_text(encoding="utf-8") == _reference_protocol(protocol, report)
+    decoded = _decoded(path)
+    assert len(decoded) == len(protocol.stages)
+    assert all(_same_stored(args, ks) for args, ks in zip(decoded, protocol.stages))
+
+
+def test_protocol_writer_matches_json_dumps_on_built_protocols(tmp_path):
+    # optimal protocols repeat few numbers across many entries; the last
+    # stages carry labels
+    path = tmp_path / "protocol.json"
+    rng = np.random.default_rng(23)
+    for d in (2, 5, 16):
+        psi, phi = random_pure_state(rng, d), random_pure_state(rng, d)
+        protocol = optimal_protocol(psi, phi)
+        for report in (None, verify_protocol(protocol, psi, phi)):
+            save_protocol(path, protocol, report)
+            assert path.read_text(encoding="utf-8") == _reference_protocol(protocol, report)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_kraus_values_are_refused_before_writing(tmp_path, bad):
+    ks = KrausSet(rows=np.array([[0, 1]]), vals=np.array([[1.0, complex(0.0, bad)]]),
+                  labels=("",))
+    path = tmp_path / "channel.json"
+    with pytest.raises(ParameterError):
+        save_channel(path, ks)
+    with pytest.raises(ParameterError):
+        save_protocol(path, Protocol(stages=(ks,), success_label="success", probability=1.0))
+    assert not path.exists()
+
+
+IDENTITY = {"dim": 2, "rows": [[0, 1]], "values": [ONE]}
+# each protocol breaks one stage of a protocol of qubit identities; the
+# stages are decoded together, so each fault must still be found per stage
+MALFORMED_PROTOCOLS = {
+    # the row and values counts balance over the file, not per stage
+    "unbalanced stages": [{"dim": 2, "rows": [[0, 1], [0, 1]], "values": [ONE]},
+                          {"dim": 2, "rows": [[0, 1]], "values": [ONE, ONE]}],
+    "stage of another dim": [IDENTITY, {"dim": 3, "rows": [[0, 1, 2]], "values": [ONE + [[1.0, 0.0]]]}],
+    "float row in the last stage": [IDENTITY, IDENTITY, dict(IDENTITY, rows=[[0, 1.0]])],
+    "bool row in the last stage": [IDENTITY, IDENTITY, dict(IDENTITY, rows=[[0, True]])],
+    "row at dim in the last stage": [IDENTITY, IDENTITY, dict(IDENTITY, rows=[[0, 2]])],
+    "empty middle stage": [IDENTITY, dict(IDENTITY, rows=[], values=[]), IDENTITY],
+    "non-finite last value": [IDENTITY, dict(IDENTITY, values=[[[1.0, 0.0], [1.0, float("nan")]]])],
+    "wrong label count in one stage": [IDENTITY, dict(IDENTITY, labels=["a", "b"]), IDENTITY],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PROTOCOLS))
+def test_malformed_protocol_stages_raise_file_format_error(tmp_path, capsys, name):
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps({"dim": 2, "success_label": "success", "probability": 1.0,
+                                "stages": MALFORMED_PROTOCOLS[name]}))
+    with pytest.raises(FileFormatError):
+        load_protocol(path)
+    assert main(["verify-channel", "--channel", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "[ok]" not in captured.out
+
+
+def test_mixed_compact_and_dense_stages_load_as_alone(tmp_path):
+    rng = np.random.default_rng(31)
+    psi, phi = random_pure_state(rng, 6), random_pure_state(rng, 6)
+    protocol = optimal_protocol(psi, phi)
+    assert len(protocol.stages) == 5
+    path = tmp_path / "stage.json"
+    payloads, alone = [], []
+    for n, stage in enumerate(protocol.stages):
+        payload = _dense_payload(stage) if n % 2 else _reference_channel(stage)
+        path.write_text(json.dumps(payload))
+        payloads.append(payload)
+        alone.append(load_channel(path))
+    path.write_text(json.dumps({"dim": 6, "success_label": protocol.success_label,
+                                "probability": protocol.probability, "stages": payloads}))
+    stages, _ = load_protocol(path)
+    assert len(stages) == len(alone)
+    assert all(_same(a, b) and _same(a, c) for a, b, c in zip(stages, alone, protocol.stages))
 
 
 def test_density_round_trip_bit_exact(tmp_path):

@@ -71,6 +71,14 @@ def test_builtins_validate(f, d):
     assert report.vertex_residual <= 1e-12
 
 
+@pytest.mark.parametrize("samples", [0, -1, 2.5, 10.0, True, "10", None])
+def test_validation_sample_count_must_be_a_positive_integer(samples):
+    # 0 used to pass on no samples, -1 to raise numpy's ValueError
+    with pytest.raises(ParameterError):
+        validate_functional(builtin("shannon"), 3, samples=samples)
+    assert validate_functional(builtin("shannon"), 3, samples=np.int64(1)).samples == 1
+
+
 def test_validation_catches_asymmetry():
     f = CoherenceFunctional("first-coordinate", lambda x: float(x[0]))
     report = validate_functional(f, 3, samples=300)
