@@ -1,10 +1,11 @@
 """Optimal pure-state conversion under incoherent operations.
 
-The maximal success probability for psi -> phi is the minimum over tail
-starts l of the ratio of squared-amplitude tail sums, taken in canonical
-frames. The optimal protocol realizing it is a chain of two-outcome
-incoherent steps reaching an intermediate state gamma, followed by a
-single two-operator filter built from the ladder of minimizing tails.
+The maximal success probability P for psi -> phi is the ladder's first
+rung: the least ratio of tail sums of the squared sorted moduli, the one
+representation of sorted masses that every stage reads. The optimal
+protocol realizing it is a chain of two-outcome incoherent steps reaching
+an intermediate state gamma, then a two-operator filter built from the
+ladder of minimizing tails.
 The steps are built together: one array kernel computes every step's
 branch weights, trig pairs and stored operators as a single stack and
 checks them all in one pass; ``two_level_step`` is its one-step call.
@@ -36,13 +37,12 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .simplex import ATOL, TINY, _transfers, prob_vector, sorted_desc
+from .simplex import ATOL, TINY, _transfers
 from .states import (
-    _copy_count,
+    _count,
     canonicalize,
     fidelity_pure,
     pure_state,
-    squared_amplitudes,
     support_size,
     tensor_power,
 )
@@ -69,12 +69,12 @@ def _common_pair(psi, phi):
     psi = pure_state(psi)
     phi = pure_state(phi)
     d = max(psi.size, phi.size)
-    return _pad(psi, d), _pad(phi, d), d
+    return _pad(psi, d), _pad(phi, d)
 
 
 def canonical_pair(psi, phi) -> tuple:
     """Canonical frames of psi and phi, zero-padded to the larger dimension."""
-    psi, phi, _ = _common_pair(psi, phi)
+    psi, phi = _common_pair(psi, phi)
     return canonicalize(psi), canonicalize(phi)
 
 
@@ -120,16 +120,20 @@ def _min_block_ratio(sa, sb, hi: int):
     return l + 1, float(ratio[l])
 
 
+def _first_rung(s: np.ndarray, t: np.ndarray) -> float:
+    """P for canonical s -> t: the ladder's first ratio, clipped to [0, 1]."""
+    _, ratio = _min_block_ratio(_suffix_sums(s * s), _suffix_sums(t * t), s.size)
+    return float(min(max(ratio, 0.0), 1.0))
+
+
 def conversion_probability(psi, phi) -> float:
     """Maximal success probability of converting psi into phi.
 
-    States of unequal dimension are zero-padded to the larger one.
+    States of unequal dimension are zero-padded to the larger one. P is the
+    ladder's first rung, on the squared sorted moduli that every stage reads.
     """
-    psi, phi, d = _common_pair(psi, phi)
-    a = sorted_desc(squared_amplitudes(psi))
-    b = sorted_desc(squared_amplitudes(phi))
-    _, ratio = _min_block_ratio(_suffix_sums(a), _suffix_sums(b), d)
-    return float(min(max(ratio, 0.0), 1.0))
+    psi, phi = _common_pair(psi, phi)
+    return _first_rung(*(np.sort(np.abs(x))[::-1] for x in (psi, phi)))
 
 
 @dataclass(frozen=True)
@@ -339,9 +343,7 @@ def deterministic_protocol(psi, gamma) -> list:
     """
     s = _require_canonical(psi)
     g = _require_canonical(gamma)
-    if s.size != g.size:
-        raise DimensionMismatchError(f"dimensions {s.size} and {g.size} differ")
-    steps = _transfers(prob_vector(s * s), prob_vector(g * g))
+    steps = _transfers(s * s, g * g)
     # each stage's source pair, and its squared norm carried from psi's by
     # the pair changes of the stages before it
     cur = s.tolist()
@@ -382,8 +384,7 @@ def optimal_protocol(psi, phi) -> Protocol:
     """
     cs, ct = canonical_pair(psi, phi)
     d = cs.state.size
-    p = conversion_probability(psi, phi)
-    if p <= 0.0:
+    if _first_rung(cs.state, ct.state) <= 0.0:
         return Protocol(stages=(), success_label="success", probability=0.0)
     ladder = build_ladder(cs.state, ct.state)
     det = deterministic_protocol(cs.state, ladder.gamma)
@@ -547,7 +548,7 @@ def multicopy_probability(psi, phi, n: int) -> float:
     amplitudes) and the single-copy rule applies; zero amplitudes would
     only pad it and leave the probability unchanged.
     """
-    n = _copy_count(n)
+    n = _count(n)
     psi = pure_state(psi)
     phi = pure_state(phi)
     if n == 1:

@@ -46,14 +46,29 @@ def _to_pairs(a) -> list:
 
 def _from_pairs(x, shape, path) -> np.ndarray:
     """Complex array of the given shape from nested [re, im] pairs; a
-    leading None in ``shape`` admits any count. Signed zeros survive."""
+    leading None in ``shape`` admits any count. Signed zeros survive. Only
+    JSON ints and floats are numbers: strings and booleans are refused,
+    even where numpy would cast them."""
+    level, got = [x], []
+    for n in (*shape, 2):
+        # one length, the wanted one, at every level; a string or an object
+        # in place of a list passes here, but yields strings as numbers
+        try:
+            sizes = set(map(len, level))
+        except TypeError:
+            sizes = set()
+        if len(sizes) != 1 or n not in (None, *sizes):
+            raise FileFormatError(f"{path}: expected [re, im] pairs of shape {shape}")
+        got.append(sizes.pop())
+        level = list(chain.from_iterable(level))
+    kinds = set(map(type, level)) - {int, float}
+    if kinds:
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise FileFormatError(f"{path}: [re, im] pairs must hold JSON numbers, got {names}")
     try:
-        a = np.array(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: expected numeric [re, im] pairs ({exc})") from exc
-    want = (*shape, 2)
-    if a.ndim != len(want) or any(n not in (None, m) for n, m in zip(want, a.shape)):
-        raise FileFormatError(f"{path}: expected [re, im] pairs of shape {shape}, got {a.shape}")
+        a = np.array(level, dtype=float).reshape(got)
+    except OverflowError as exc:
+        raise FileFormatError(f"{path}: number out of range ({exc})") from exc
     if not np.isfinite(a).all():
         raise FileFormatError(f"{path}: missing or non-finite number")
     return a.view(complex)[..., 0]

@@ -17,7 +17,7 @@ import numpy as np
 from . import _roofopt
 from .errors import DimensionMismatchError, ParameterError
 from .simplex import ATOL, TINY
-from .states import check_density, squared_amplitudes
+from .states import _count, check_density, squared_amplitudes
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,7 @@ def validate_functional(
 ) -> ValidationReport:
     """Check f(vertices)=0, permutation invariance, and concavity by sampling."""
     f._check_dimension(d)
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ParameterError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = _count(samples)
     rng = np.random.default_rng(seed)
     x, moved, y = np.empty((3, samples, d))
     lam = np.empty(samples)
@@ -339,8 +338,7 @@ def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int 
     rho = check_density(rho)
     d = rho.shape[0]
     f._check_dimension(d)
-    if restarts < 1:
-        raise ParameterError(f"restarts must be >= 1, got {restarts}")
+    restarts = _count(restarts)
 
     diag = np.diag(rho)
     if float(np.abs(rho - np.diag(diag)).max()) <= ATOL:

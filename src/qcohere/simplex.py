@@ -42,9 +42,8 @@ def prob_vector(entries) -> np.ndarray:
 
 
 def sorted_desc(x) -> np.ndarray:
-    """Non-increasing rearrangement. Stable: tied entries keep their order."""
-    x = np.asarray(x, dtype=float)
-    return x[np.argsort(-x, kind="stable")]
+    """Non-increasing rearrangement of the entries of ``x``."""
+    return np.sort(np.asarray(x, dtype=float))[::-1]
 
 
 def tail_sum(x, l: int) -> float:

@@ -58,9 +58,10 @@ def canonicalize(psi) -> Canonicalization:
     return Canonicalization(state=mod[perm], permutation=perm, phases=phases)
 
 
-def _copy_count(n) -> int:
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise ParameterError(f"copy count must be an integer >= 1, got {n!r}")
+def _count(n) -> int:
+    """A count of copies, samples or restarts: an integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"count must be an integer >= 1, got {n!r}")
     return int(n)
 
 
@@ -69,7 +70,7 @@ def tensor_power(psi, n: int) -> np.ndarray:
     by repeated squaring: O(log n) Kronecker products. An output longer
     than TENSOR_CAP raises ResourceLimitError before any product is formed."""
     psi = pure_state(psi)
-    n = _copy_count(n)
+    n = _count(n)
     # size >= 2 and n >= bit_length(cap) give size**n > cap, so the integer
     # power is formed only for small n
     if psi.size > 1 and (n >= TENSOR_CAP.bit_length() or psi.size**n > TENSOR_CAP):

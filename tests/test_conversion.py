@@ -646,7 +646,7 @@ def test_multicopy_guard_rails():
         multicopy_probability(np.full(2**20, 2.0**-10), tgt, 20)
 
 
-@pytest.mark.parametrize("n", [2.5, 1.5, 2.0])
+@pytest.mark.parametrize("n", [2.5, 1.5, 2.0, True])
 def test_multicopy_rejects_non_integer_copy_counts(n):
     # n=2.5 used to return 0.0, the n=3 answer; n=2 gives 1
     with pytest.raises(ParameterError, match=f"got {re.escape(repr(n))}$"):
@@ -685,6 +685,44 @@ def test_multicopy_matches_explicit_tensor_power(psi, phi, n):
         assert explicit == 0.0
     else:
         assert p == explicit
+
+
+def phased_states(max_dim):
+    """Pure states with tied and zero weights, masses near 1e-12 and
+    arbitrary phases, so that re^2 + im^2 and |amplitude|^2 round apart."""
+    weight = st.one_of(st.integers(0, 4), st.sampled_from([1e-11, 2e-11, 5e-11]))
+    weights = st.lists(weight, min_size=1, max_size=max_dim).filter(lambda w: sum(w) >= 1)
+    phases = st.lists(st.floats(0.0, 2 * np.pi), min_size=max_dim, max_size=max_dim)
+    return st.tuples(weights, phases).map(
+        lambda wp: np.sqrt(np.array(wp[0]) / sum(wp[0])) * np.exp(1j * np.array(wp[1][: len(wp[0])]))
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(phased_states(8), st.one_of(
+    phased_states(8),
+    st.tuples(phased_states(3), st.sampled_from([2, 3])).map(lambda t: tensor_power(*t)),
+))
+def test_protocol_declares_the_conversion_probability(psi, phi):
+    p = conversion_probability(psi, phi)
+    protocol = optimal_protocol(psi, phi)
+    if protocol.stages:
+        assert protocol.probability == p
+    else:
+        assert p == 0.0
+
+
+def test_optimal_protocol_computes_the_probability_once(monkeypatch):
+    calls = []
+
+    def counted(psi, phi):
+        calls.append(1)
+        return conversion_probability(psi, phi)
+
+    monkeypatch.setattr(conversion, "conversion_probability", counted)
+    for psi, phi in ((PSI, PHI), (PHI, PSI), ([1.0, 0.0], PHI)):
+        optimal_protocol(psi, phi)
+    assert not calls
 
 
 def test_multicopy_support_matches_probability_floor():

@@ -91,6 +91,12 @@ MALFORMED_STATES = {
     "null entry": {"dim": 2, "amplitudes": [[1.0, None], [0, 0]]},
     "string entry": {"dim": 2, "amplitudes": [["a", 0], [0, 0]]},
     "nested entry": {"dim": 2, "amplitudes": [[1.0, [0]], [0, 0]]},
+    # numpy would cast these three to a unit state
+    "numeric string entry": {"dim": 2, "amplitudes": [["0.6", 0], [0.8, 0]]},
+    "boolean entry": {"dim": 2, "amplitudes": [[0.6, False], [0.8, 0]]},
+    "boolean amplitude": {"dim": 1, "amplitudes": [[True, 0]]},
+    # too large for a float: numpy raises OverflowError
+    "huge integer entry": {"dim": 2, "amplitudes": [[10**400, 0], [0, 0]]},
     "ragged pairs": {"dim": 2, "amplitudes": [[1.0, 0.0], [0.0]]},
     "string dim": {"dim": "two", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
     "fractional dim": {"dim": 2.5, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
@@ -112,7 +118,8 @@ def test_malformed_numbers_raise_file_format_error(tmp_path, capsys, name):
 def test_malformed_operators_raise_file_format_error(tmp_path):
     path = tmp_path / "channel.json"
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-    for ops in ([], [[[1.0, 0.0]]], [eye, [[[1.0, None], [0.0, 0.0]], eye[1]]]):
+    for ops in ([], [[[1.0, 0.0]]], [eye, [[[1.0, None], [0.0, 0.0]], eye[1]]],
+                [[[[True, 0.0], [0.0, 0.0]], eye[1]]], [[eye[0], [[0.0, 0.0], ["1.0", 0.0]]]]):
         path.write_text(json.dumps({"dim": 2, "operators": ops}))
         with pytest.raises(FileFormatError):
             load_channel(path)
@@ -139,6 +146,8 @@ MALFORMED_COMPACT = {
     "shape mismatch": {"dim": 2, "rows": [[0, 1], [0, 1]], "values": [ONE]},
     "missing values": {"dim": 2, "rows": [[0, 1]]},
     "non-finite value": {"dim": 2, "rows": [[0, 1]], "values": [[[1.0, 0.0], [float("inf"), 0.0]]]},
+    # numpy would cast these to the identity
+    "string and bool values": {"dim": 2, "rows": [[0, 1]], "values": [[["1.0", False], [True, 0]]]},
     "wrong label count": {"dim": 2, "rows": [[0, 1]], "values": [ONE], "labels": ["a", "b"]},
 }
 
@@ -467,6 +476,7 @@ MALFORMED_PROTOCOLS = {
     "row at dim in the last stage": [IDENTITY, IDENTITY, dict(IDENTITY, rows=[[0, 2]])],
     "empty middle stage": [IDENTITY, dict(IDENTITY, rows=[], values=[]), IDENTITY],
     "non-finite last value": [IDENTITY, dict(IDENTITY, values=[[[1.0, 0.0], [1.0, float("nan")]]])],
+    "bool last value": [IDENTITY, dict(IDENTITY, values=[[[1.0, 0.0], [True, 0.0]]])],
     "wrong label count in one stage": [IDENTITY, dict(IDENTITY, labels=["a", "b"]), IDENTITY],
 }
 
@@ -513,6 +523,18 @@ def test_density_round_trip_bit_exact(tmp_path):
     path.write_text(json.dumps({"dim": 2, "matrix": [[[1.0, 0.0]]]}))
     with pytest.raises(FileFormatError):
         load_density(path)
+
+
+def test_density_rejects_json_booleans_and_strings(tmp_path, capsys):
+    # numpy would cast both files to the 1 x 1 density [[1]]
+    path = tmp_path / "rho.json"
+    for matrix in ([[[True, False]]], [[["1", 0]]]):
+        path.write_text(json.dumps({"dim": 1, "matrix": matrix}))
+        with pytest.raises(FileFormatError, match="JSON numbers"):
+            load_density(path)
+        assert main(["roof", "--density", str(path), "--functional", "shannon"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_density_save_rejects_what_load_rejects(tmp_path):

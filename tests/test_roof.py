@@ -164,6 +164,16 @@ def test_restart_reports():
         convex_roof_upper(builtin("shannon"), rho, restarts=0)
 
 
+@pytest.mark.parametrize("restarts", [0, -1, 2.5, 2.0, True, "2", None])
+def test_restart_count_must_be_a_positive_integer(restarts):
+    # a diagonal input needs no search, but its count is still checked: 2.5,
+    # 2.0 and True used to pass here, "2" and None to raise TypeError
+    rho = np.diag([0.5, 0.5])
+    with pytest.raises(ParameterError):
+        convex_roof_upper(builtin("shannon"), rho, restarts=restarts)
+    assert convex_roof_upper(builtin("shannon"), rho, restarts=np.int64(1)).value == 0.0
+
+
 def random_density(rng, d, rank):
     """The recipe of the benchmark's roof corpus."""
     w = rng.dirichlet(np.ones(rank))

@@ -12,6 +12,8 @@ from qcohere import (
     ParameterError,
     ResourceLimitError,
     TTransform,
+    apply_channel,
+    apply_selective,
     build_ladder,
     builtin,
     canonicalize,
@@ -20,6 +22,7 @@ from qcohere import (
     compose,
     conversion_probability,
     convex_roof_upper,
+    deterministic_protocol,
     filter_operator,
     kraus_set,
     optimal_protocol,
@@ -123,7 +126,7 @@ def test_tensor_power_large_copy_counts_are_fast():
     assert time.perf_counter() - start < 0.01
 
 
-@pytest.mark.parametrize("n", [2.5, 1.5, 2.0, np.float64(3.0), "2"])
+@pytest.mark.parametrize("n", [2.5, 1.5, 2.0, np.float64(3.0), "2", True])
 def test_tensor_power_rejects_non_integer_copy_counts(n):
     # a float count used to be halved into the recursion: 2.5 gave 3 copies,
     # and 1.5 raised naming 0.0
@@ -225,10 +228,28 @@ def test_nan_entries_rejected(call, error):
         (lambda: verify_protocol(optimal_protocol([0.8, 0.6, 0.0], [1.0, 0.0, 0.0]),
                                  np.full(5, 5**-0.5), [1.0, 0.0, 0.0]),
          DimensionMismatchError),
+        (lambda: kraus_set([np.ones((2, 3))]), DimensionMismatchError),
+        (lambda: kraus_set([np.eye(2), np.eye(3)]), DimensionMismatchError),
+        (lambda: apply_selective(kraus_set([np.eye(2)]), [1.0, 0.0, 0.0]), DimensionMismatchError),
+        (lambda: apply_channel(kraus_set([np.eye(2)]), np.diag([1.0, 0.0, 0.0])),
+         DimensionMismatchError),
+        (lambda: compose([kraus_set([np.eye(2)]), kraus_set([np.eye(3)])]), DimensionMismatchError),
+        (lambda: build_ladder([1.0, 0.0], [1.0, 0.0, 0.0]), DimensionMismatchError),
+        (lambda: filter_operator(build_ladder([0.8, 0.6], [1.0, 0.0]), [1.0, 0.0, 0.0]),
+         DimensionMismatchError),
+        # deterministic_protocol leaves the dimension check to the chain sweep
+        (lambda: deterministic_protocol([1.0, 0.0], [1.0, 0.0, 0.0]), DimensionMismatchError),
+        (lambda: prob_vector([[0.5, 0.5]]), NormalizationError),
+        (lambda: ttransform_chain([1.0], [0.5, 0.5]), DimensionMismatchError),
+        (lambda: check_density(np.full((2, 3), 0.5)), DensityMatrixError),
     ],
     ids=["labels", "no_operators", "no_stages", "complex_amplitudes",
          "negative_amplitudes", "unsorted_state", "inconsistent_filter",
-         "equal_coordinates", "mix_weight", "unsorted_chain", "oversized_state"],
+         "equal_coordinates", "mix_weight", "unsorted_chain", "oversized_state",
+         "non_square_operator", "unequal_operators", "selective_dimension",
+         "channel_dimension", "compose_dimensions", "ladder_dimensions",
+         "filter_dimension", "deterministic_dimensions", "two_dimensional_vector",
+         "chain_lengths", "non_square_density"],
 )
 def test_validation_errors_are_qcohere_errors(call, error):
     # errors.py: every validation error is a QcohereError
