@@ -13,7 +13,6 @@ checks them all in one pass; ``two_level_step`` is its one-step call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleStepError,
     NoLadderError,
-    NormalizationError,
     ParameterError,
     ResourceLimitError,
 )
@@ -47,7 +45,7 @@ from .states import (
     tensor_power,
 )
 
-# slack when comparing tail ratios for the smallest minimizer
+# relative slack when comparing tail ratios for the smallest minimizer
 RATIO_TIE = 1e-12
 # largest stage stack ``_pair_steps`` builds, in entries 2 k d of its (k, 2, d)
 # arrays: 2^25 entries are 768 MiB of rows and values (8 + 16 bytes each),
@@ -99,29 +97,41 @@ def _suffix_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a[::-1])[::-1]
 
 
+def _floored(t: np.ndarray) -> np.ndarray:
+    """Canonical t with every coordinate whose suffix mass is at or below
+    TINY set to zero, renormalized; t itself when there is none. The one
+    floor rule: P, the ladder and the filter all read this target."""
+    dust = _suffix_sums(t * t) <= TINY
+    if not t[dust].any():
+        return t
+    t = np.where(dust, 0.0, t)
+    return t / np.sqrt((t * t).sum())
+
+
 def _min_block_ratio(sa, sb, hi: int):
     """Minimizing (l, ratio) of block sums over 1-based l in [1, hi].
 
-    Blocks run from l to hi inclusive; ``sa`` and ``sb`` are suffix sums.
-    Blocks with target mass at or below 1e-12 are skipped (vacuous
-    constraints); the first block with target mass but source mass at or
-    below 1e-12 forces ratio 0. Among minima within 1e-12 of each other the
-    smallest l wins. The l = 1 block holds the target's largest mass, so
-    some block always has target mass.
+    Blocks run from l to hi inclusive; ``sa`` and ``sb`` are suffix sums of
+    the source and the floored target. Blocks without target mass are
+    skipped. Only on the first rung (hi = d) does the floor decide P = 0:
+    there a block with target mass but source mass at or below 1e-12 forces
+    ratio 0. Among ratios within a relative 1e-12 of the minimum the
+    smallest l wins. Block l = 1 always has target mass.
     """
     block_a = sa[:hi] - (sa[hi] if hi < sa.size else 0.0)
     block_b = sb[:hi] - (sb[hi] if hi < sb.size else 0.0)
-    live = block_b > TINY
-    empty = live & (block_a <= TINY)
+    live = block_b > 0.0
+    empty = live & (block_a <= TINY) & (hi == sa.size)
     if empty.any():
         return int(empty.argmax()) + 1, 0.0
     ratio = np.divide(block_a, block_b, out=np.full(hi, np.inf), where=live)
-    l = int((ratio <= ratio.min() + RATIO_TIE).argmax())
+    l = int((ratio <= ratio.min() * (1.0 + RATIO_TIE)).argmax())
     return l + 1, float(ratio[l])
 
 
 def _first_rung(s: np.ndarray, t: np.ndarray) -> float:
     """P for canonical s -> t: the ladder's first ratio, clipped to [0, 1]."""
+    t = _floored(t)
     _, ratio = _min_block_ratio(_suffix_sums(s * s), _suffix_sums(t * t), s.size)
     return float(min(max(ratio, 0.0), 1.0))
 
@@ -130,7 +140,8 @@ def conversion_probability(psi, phi) -> float:
     """Maximal success probability of converting psi into phi.
 
     States of unequal dimension are zero-padded to the larger one. P is the
-    ladder's first rung, on the squared sorted moduli that every stage reads.
+    ladder's first rung, on the squared sorted moduli that every stage reads;
+    target masses whose suffix sum is at or below 1e-12 count as zero.
     """
     psi, phi = _common_pair(psi, phi)
     return _first_rung(*(np.sort(np.abs(x))[::-1] for x in (psi, phi)))
@@ -169,7 +180,7 @@ def _coordinate_ratios(breakpoints, ratios, d: int) -> np.ndarray:
 def build_ladder(psi, phi) -> ConversionLadder:
     """Ladder for canonical psi -> canonical phi with positive probability."""
     s = _require_canonical(psi)
-    t = _require_canonical(phi)
+    t = _floored(_require_canonical(phi))
     if s.size != t.size:
         raise DimensionMismatchError(f"dimensions {s.size} and {t.size} differ")
     d = s.size
@@ -192,7 +203,7 @@ def build_ladder(psi, phi) -> ConversionLadder:
 def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     """Two-operator filter collapsing gamma onto phi with the ladder's
     success probability. Both operators are diagonal, hence incoherent."""
-    t = _require_canonical(phi)
+    t = _floored(_require_canonical(phi))
     d = ladder.dim
     if t.size != d:
         raise DimensionMismatchError(f"phi has dimension {t.size}, ladder {d}")
@@ -207,59 +218,46 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     return _from_stored(rows, np.array(ops, dtype=complex), labels=["success", "fail"][: len(ops)])
 
 
-def _pair_steps(d: int, n2, si2, sj2, ci2, cj2, i, j) -> list:
+def _pair_steps(d: int, u, a, b, i, j) -> list:
     """Two-outcome incoherent steps for k coordinate pairs, built as one stack.
 
-    Stage m acts on a real nonnegative source of squared norm ``n2[m]``
-    whose squared amplitudes at 0-based coordinates ``i[m]``, ``j[m]`` are
-    ``si2[m]``, ``sj2[m]``; it leaves ``ci2[m]``, ``cj2[m]`` there. With
-    branch weight p1 = (si2 - cj2) / (ci2 - cj2), operator 1 is diagonal
-    with sqrt(p1) off the pair, operator 2 swaps i and j with sqrt(1 - p1)
-    off the pair, and the pair columns hold trig pairs (cos, sin), which
-    keep each column exactly normalized even for tiny sources. Equal
-    targets give the identity. An operator is dropped only when its branch
-    weight is at or below TINY and none of its columns holds mass above
-    ATOL. All stages share one (k, 2, d) array of rows and one of values;
-    each returned KrausSet views its stage's kept operators. The first
-    stage failing a check raises, naming itself as "stage m of k".
+    Stage m undoes the chain transfer that moved the share ``u[m]`` of
+    ``a[m] - b[m]``: at 0-based coordinates ``i[m]``, ``j[m]`` its source
+    holds the squared amplitudes (1 - u) a + u b and u a + (1 - u) b, and it
+    leaves a and b there. Branch 1 weighs p1 = 1 - u: operator 1 is
+    diagonal with sqrt(p1) off the pair. Branch 2 weighs p2 = u: operator 2
+    swaps i and j with sqrt(p2) off the pair. The pair columns hold trig
+    pairs (cos, sin), which keep each column exactly normalized even for
+    tiny sources. An operator is dropped only when its branch weight is at
+    or below TINY and none of its columns holds mass above ATOL. All stages
+    share one (k, 2, d) array of rows and one of values; each returned
+    KrausSet views its stage's kept operators. The first stage whose
+    completeness residual exceeds ATOL raises, naming itself as "stage m of k".
     """
-    n2, si2, sj2, ci2, cj2 = (np.asarray(v, dtype=float) for v in (n2, si2, sj2, ci2, cj2))
+    u, a, b = (np.asarray(v, dtype=float) for v in (u, a, b))
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    k = si2.size
+    k = u.size
     if k == 0:
         return []
     # refuse a stack over the cap before allocating it
     if 2 * k * d > STAGE_CAP:
         raise ResourceLimitError(f"{k} x 2 x {d} stage entries exceed the cap of {STAGE_CAP}")
     at = np.arange(k)
-    # where() rather than min/max/clip: the same result as Python's min and
-    # max on the scalars, signed zeros and NaN included
-    with np.errstate(invalid="ignore", divide="ignore"):
-        neg = np.where(cj2 < ci2, cj2, ci2) < -TINY
-        asked = ci2, cj2
-        ci2 = np.where(0.0 > ci2, 0.0, ci2)
-        cj2 = np.where(0.0 > cj2, 0.0, cj2)
-        gap = np.abs((si2 + sj2) - (ci2 + cj2))
-        equal = np.abs(ci2 - cj2) <= TINY
-        weight = (si2 - cj2) / np.where(equal, 1.0, ci2 - cj2)
-        off = ~equal & ((weight < -ATOL) | (weight > 1.0 + ATOL))
-        p1 = np.where(equal, 1.0, np.where(0.0 > weight, 0.0, weight))
-        p1 = np.where(1.0 < p1, 1.0, p1)
-        p2 = 1.0 - p1
-        t1, t2 = np.sqrt(p1), np.sqrt(p2)
-        ci, cj = np.sqrt(ci2), np.sqrt(cj2)
-        # columns (i, j) of both operators; equal targets keep the identity
-        th = np.where(equal, 0.0, np.arctan2(t2 * [cj, ci], t1 * [ci, cj]))
-        cos, sin = np.cos(th), np.sin(th)
-        # column masses of each operator: off the pair, then i and j
-        mass1 = np.array([t1 * t1, *(cos * cos)])
-        mass2 = np.array([t2 * t2, *(sin * sin)])
-        keep1 = (p1 > TINY) | (mass1[1:] > ATOL).any(axis=0)
-        keep2 = (p2 > TINY) | (mass2[1:] > ATOL).any(axis=0)
-        mass = np.where(keep1, mass1, 0.0) + np.where(keep2, mass2, 0.0)
-        if d == 2:  # no column off the pair
-            mass = mass[1:]
-        residual = np.abs(mass - 1.0).max(axis=0)
+    p1 = 1.0 - u
+    t1, t2 = np.sqrt(p1), np.sqrt(u)
+    ci, cj = np.sqrt(a), np.sqrt(b)
+    # columns (i, j) of both operators
+    th = np.arctan2(t2 * [cj, ci], t1 * [ci, cj])
+    cos, sin = np.cos(th), np.sin(th)
+    # column masses of each operator: off the pair, then i and j
+    mass1 = np.array([t1 * t1, *(cos * cos)])
+    mass2 = np.array([t2 * t2, *(sin * sin)])
+    keep1 = (p1 > TINY) | (mass1[1:] > ATOL).any(axis=0)
+    keep2 = (u > TINY) | (mass2[1:] > ATOL).any(axis=0)
+    mass = np.where(keep1, mass1, 0.0) + np.where(keep2, mass2, 0.0)
+    if d == 2:  # no column off the pair
+        mass = mass[1:]
+    residual = np.abs(mass - 1.0).max(axis=0)
 
     rows = np.empty((k, 2, d), dtype=np.intp)
     rows[:] = np.arange(d)
@@ -283,26 +281,12 @@ def _pair_steps(d: int, n2, si2, sj2, ci2, cj2, i, j) -> list:
     # the full Gram matrix measures completeness
     for m in np.flatnonzero(keep2 & (rows[at, 1, i] == rows[at, 1, j])):
         residual[m] = is_complete(stages[m])[1]
-
-    checks = (
-        (~(np.abs(n2 - 1.0) <= ATOL), NormalizationError,
-         lambda m: f"squared norm {float(n2[m])!r}, expected 1 within {ATOL:.0e}"),
-        (neg, InfeasibleStepError,
-         lambda m: f"negative target pair ({float(asked[0][m])}, {float(asked[1][m])})"),
-        (gap > ATOL, InfeasibleStepError,
-         lambda m: f"pair mass {float(si2[m] + sj2[m])!r} differs from target mass "
-                   f"{float(ci2[m] + cj2[m])!r}"),
-        (equal & (np.abs(si2 - ci2) > ATOL), InfeasibleStepError,
-         lambda m: "equal targets require an equal source pair"),
-        (off, InfeasibleStepError, lambda m: f"branch weight {float(weight[m])!r} outside [0, 1]"),
-        (~(residual <= ATOL), CompletenessError,
-         lambda m: f"sum K^dag K deviates from identity by {residual[m]:.3e}"),
-    )
-    failed = np.array([c[0] for c in checks])
+    failed = ~(residual <= ATOL)
     if failed.any():
-        m = int(failed.any(axis=0).argmax())
-        _, err, message = next(c for c in checks if c[0][m])
-        raise err(f"stage {m + 1} of {k}: {message(m)}")
+        m = int(failed.argmax())
+        raise CompletenessError(
+            f"stage {m + 1} of {k}: sum K^dag K deviates from identity by {residual[m]:.3e}"
+        )
     return stages
 
 
@@ -313,17 +297,29 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     squared amplitudes wanted at 1-based coordinates ``i`` and ``j``. Both
     outcomes produce the same post-state (source with the pair replaced).
     The pair masses must agree and the implied branch weight must lie in
-    [0, 1]; otherwise the step is infeasible. This is the one-stage call of
-    the stacked builder behind ``deterministic_protocol``.
+    [0, 1]; otherwise the step is infeasible. Equal targets give the
+    identity. This is the one-stage call of the stacked builder behind
+    ``deterministic_protocol``, with the masses turned into the share u.
     """
     s = _require_nonneg_real(source)
     d = s.size
     if not (1 <= i <= d and 1 <= j <= d) or i == j:
         raise ParameterError(f"bad coordinate pair ({i}, {j}) for dimension {d}")
-    return _pair_steps(
-        d, [float((s * s).sum())], [float(s[i - 1] ** 2)], [float(s[j - 1] ** 2)],
-        [float(target_pair[0])], [float(target_pair[1])], [i - 1], [j - 1],
-    )[0]
+    si2, sj2 = float(s[i - 1] ** 2), float(s[j - 1] ** 2)
+    ci2, cj2 = float(target_pair[0]), float(target_pair[1])
+    if min(ci2, cj2) < -TINY:
+        raise InfeasibleStepError(f"negative target pair ({ci2}, {cj2})")
+    ci2, cj2 = max(ci2, 0.0), max(cj2, 0.0)
+    if abs((si2 + sj2) - (ci2 + cj2)) > ATOL:
+        raise InfeasibleStepError(f"pair mass {si2 + sj2!r} differs from target mass {ci2 + cj2!r}")
+    if abs(ci2 - cj2) <= TINY:
+        if abs(si2 - ci2) > ATOL:
+            raise InfeasibleStepError("equal targets require an equal source pair")
+        return _identity(d)
+    u = (ci2 - si2) / (ci2 - cj2)
+    if not -ATOL <= u <= 1.0 + ATOL:
+        raise InfeasibleStepError(f"branch weight {1.0 - u!r} outside [0, 1]")
+    return _pair_steps(d, [min(max(u, 0.0), 1.0)], [ci2], [cj2], [i - 1], [j - 1])[0]
 
 
 def _identity(d: int) -> KrausSet:
@@ -336,28 +332,17 @@ def deterministic_protocol(psi, gamma) -> list:
     Requires psi's squared amplitudes to be majorized by gamma's
     (MajorizationError otherwise). Each of at most d-1 stages is a
     two-outcome incoherent step whose branches coincide, so every path ends
-    in gamma. Stage m undoes the chain's transform T_{m+1}: its targets are
-    the pair that transform mixes, as recorded by the chain's sweep, and its
-    source is psi with the earlier stages' targets in place. All stages are
-    built and checked in one stacked pass.
+    in gamma. Stage m undoes the chain's transform T_{m+1}, built from the
+    sweep's record of it alone, and all are built in one stacked pass.
     """
-    s = _require_canonical(psi)
-    g = _require_canonical(gamma)
-    steps = _transfers(s * s, g * g)
-    # each stage's source pair, and its squared norm carried from psi's by
-    # the pair changes of the stages before it
-    cur = s.tolist()
-    n2 = float((s * s).sum())
-    norms, si2, sj2 = [], [], []
-    for i, j, _, ci2, cj2 in steps:
-        a2, b2 = cur[i] ** 2, cur[j] ** 2
-        norms.append(n2)
-        si2.append(a2)
-        sj2.append(b2)
-        cur[i], cur[j] = math.sqrt(ci2), math.sqrt(cj2)
-        n2 += (cur[i] ** 2 + cur[j] ** 2) - (a2 + b2)
-    i, j, _, ci2, cj2 = np.array(steps, dtype=float).reshape(-1, 5).T
-    return _pair_steps(s.size, norms, si2, sj2, ci2, cj2, i, j)
+    return _block_stages(_require_canonical(psi), _require_canonical(gamma), (0,))
+
+
+def _block_stages(s: np.ndarray, g: np.ndarray, starts) -> list:
+    """Stages carrying canonical s to canonical g, one chain sweep per block
+    of coordinates from each 0-based start in ``starts`` to the next."""
+    i, j, u, a, b = np.array(_transfers(s * s, g * g, starts), dtype=float).reshape(-1, 5).T
+    return _pair_steps(s.size, u, a, b, i, j)
 
 
 @dataclass(frozen=True)
@@ -387,7 +372,8 @@ def optimal_protocol(psi, phi) -> Protocol:
     if _first_rung(cs.state, ct.state) <= 0.0:
         return Protocol(stages=(), success_label="success", probability=0.0)
     ladder = build_ladder(cs.state, ct.state)
-    det = deterministic_protocol(cs.state, ladder.gamma)
+    # no transfer crosses a breakpoint, where the tails of psi and gamma agree
+    det = _block_stages(cs.state, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
     if not det:
         det = [_identity(d)]
     filt = filter_operator(ladder, ct.state)

@@ -103,14 +103,18 @@ def apply_chain(chain, v) -> np.ndarray:
     return v
 
 
-def _transfers(x, y) -> list:
-    """Records (i, j, t, a, b) of the T-transforms carrying ``y`` to ``x``.
+def _transfers(x, y, starts=(0,)) -> list:
+    """Records (i, j, u, a, b) of the T-transforms carrying ``y`` to ``x``.
 
-    Going right to left, recipients (below x by more than ATOL) wait on a
-    stack, nearest on top; each donor (above x by more than ATOL) gives to
-    the top one until either reaches its target. A record holds the 0-based
-    pair, the weight t >= 1/2 and the pair (a, b) it mixes; records come in
-    chain order.
+    Each block [starts[k], starts[k+1]) of coordinates, the whole vector by
+    default, is swept on its own. Going right to left, recipients (below x)
+    wait on a stack, nearest on top; each donor (above x) moves the least of
+    its excess and the top one's room, and the side that limited the move
+    lands on its target exactly. The leftmost donor of a block owes every
+    waiting recipient exactly its room and pays just that: its own excess is
+    a difference of large masses. Only a donor left without a recipient may
+    keep an excess, up to ATOL. A record holds the 0-based pair, the share u
+    of a - b moved and the pair (a, b) it mixes; records come in chain order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -122,31 +126,31 @@ def _transfers(x, y) -> list:
     if not majorizes(y, x):
         raise MajorizationError("x is not majorized by y")
 
-    xs, v = x.tolist(), y.tolist()
-    out, stack = [], []
-    for i in range(len(v) - 1, -1, -1):
-        while v[i] - xs[i] > ATOL:
-            if not stack:
-                raise MajorizationError("majorization lost during chain construction")
+    xs, v, above = x.tolist(), y.tolist(), y > x
+    out = []
+    for lo, hi in zip(starts, [*starts[1:], x.size]):
+        # the block's leftmost donor; lo when it has none, as lo then never gives
+        first = lo + int(above[lo:hi].argmax())
+        stack = []
+        for i in range(hi - 1, lo - 1, -1):
             # the rightmost donor gives to its nearest recipient: no
             # coordinate between them differs from x, which keeps x
             # majorized by the running vector after the transfer
-            j = stack[-1]
-            a, b = v[i], v[j]
-            excess, room = a - xs[i], xs[j] - b
-            t = 1.0 - min(excess, room) / (a - b)
-            v[i], v[j] = _mix(t, a, b), _mix(t, b, a)
-            out.append((i, j, t, a, b))
-            # the side that limited the step is settled; testing it against
-            # ATOL alone would repeat the step forever where rounding
-            # exceeds ATOL (masses near 1e7). The other side is settled if
-            # it came within ATOL of its target.
-            if room <= excess or v[j] - xs[j] >= -ATOL:
-                stack.pop()
-            if excess <= room:
-                break
-        if v[i] - xs[i] < -ATOL:
-            stack.append(i)
+            while v[i] > xs[i] and stack:
+                j = stack[-1]
+                a, b = v[i], v[j]
+                excess, room = a - xs[i], xs[j] - b
+                moved = room if i == first else min(excess, room)
+                out.append((i, j, moved / (a - b), a, b))
+                v[i] = xs[i] if moved == excess else a - moved
+                if moved == room:
+                    stack.pop()  # j is settled and never read again
+                else:
+                    v[j] = b + moved
+            if v[i] - xs[i] > ATOL:
+                raise MajorizationError("majorization lost during chain construction")
+            if v[i] < xs[i]:
+                stack.append(i)
     return out[::-1]
 
 
@@ -158,4 +162,4 @@ def ttransform_chain(x, y) -> list:
     :func:`apply_chain`. One sweep builds it in O(d) steps, the rightmost
     donor always giving to its nearest recipient on the right.
     """
-    return [TTransform(i + 1, j + 1, t) for i, j, t, _, _ in _transfers(x, y)]
+    return [TTransform(i + 1, j + 1, 1.0 - u) for i, j, u, _, _ in _transfers(x, y)]

@@ -39,8 +39,8 @@ from qcohere import (
     two_level_step,
     verify_protocol,
 )
-from qcohere import channels, conversion
-from qcohere.simplex import ATOL, TINY, prob_vector, ttransform_chain
+from qcohere import channels, conversion, simplex
+from qcohere.simplex import TINY
 from qcohere.channels import COMPOSE_CAP
 from randgen import random_majorized_pair, random_pure_state
 
@@ -256,29 +256,36 @@ def test_two_level_step_keeps_operator_with_column_mass():
     assert fidelity_pure(branches[0].state, np.sqrt(target).astype(complex)) == 1.0
 
 
+def test_two_level_step_names_what_is_infeasible():
+    s = np.sqrt([0.5, 0.5, 0.0])
+    with pytest.raises(InfeasibleStepError, match="^pair mass"):
+        two_level_step(s, (0.8, 0.3), 1, 2)
+    with pytest.raises(NormalizationError, match="^squared norm"):
+        two_level_step(np.sqrt([0.25, 0.25, 0.0]), (0.25, 0.25), 1, 2)
+    with pytest.raises(InfeasibleStepError, match="^negative target"):
+        two_level_step(s, (1.0 + 1e-11, -1e-11), 1, 2)
+    with pytest.raises(InfeasibleStepError, match="^equal targets"):
+        two_level_step(np.sqrt([0.7, 0.3, 0.0]), (0.5, 0.5), 1, 2)
+    with pytest.raises(InfeasibleStepError, match="^branch weight"):
+        two_level_step(np.sqrt([0.1, 0.9, 0.0]), (0.7, 0.3), 1, 2)
+    with pytest.raises(InfeasibleStepError, match="^branch weight"):
+        two_level_step(s, (np.nan, 0.5), 1, 2)
+
+
 def test_stacked_steps_name_the_failing_stage():
-    ok = (1.0, 0.5, 0.5, 0.7, 0.3)  # n2, si2, sj2, ci2, cj2 of a feasible step
+    ok = (0.5, 0.7, 0.3)  # u, a, b of a feasible step
 
     def steps(*stages):
         cols = list(zip(*stages))
         return conversion._pair_steps(3, *cols, [0] * len(stages), [1] * len(stages))
 
     assert len(steps(ok, ok)) == 2
-    # the first failing stage raises, whatever fails after it
-    with pytest.raises(InfeasibleStepError, match="^stage 2 of 3: pair mass"):
-        steps(ok, (1.0, 0.5, 0.5, 0.8, 0.3), (0.5, *ok[1:]))
-    with pytest.raises(NormalizationError, match="^stage 3 of 3: squared norm"):
-        steps(ok, ok, (0.5, *ok[1:]))
-    with pytest.raises(InfeasibleStepError, match="^stage 1 of 2: negative target"):
-        steps((1.0, 0.5, 0.5, 1.0 + 1e-11, -1e-11), ok)
-    with pytest.raises(InfeasibleStepError, match="^stage 2 of 2: equal targets"):
-        steps(ok, (1.0, 0.7, 0.3, 0.5, 0.5))
-    with pytest.raises(InfeasibleStepError, match="^stage 1 of 2: branch weight"):
-        steps((1.0, 0.1, 0.9, 0.7, 0.3), ok)
-    with pytest.raises(CompletenessError, match="^stage 2 of 2: sum K"):
-        steps(ok, (1.0, np.nan, 0.5, 0.7, 0.3))
+    # a chain record cannot make a stage infeasible; only completeness is
+    # checked, and the first failing stage raises, whatever fails after it
+    with pytest.raises(CompletenessError, match="^stage 2 of 3: sum K"):
+        steps(ok, (np.nan, 0.7, 0.3), (0.5, np.nan, 0.3))
     # a stage with a zero pair column is checked through is_complete
-    stage = steps((1.0, 0.5, 0.5, 1.0, 0.0))[0]
+    stage = steps((0.5, 1.0, 0.0))[0]
     assert stage.rows[1].tolist() == [0, 0, 2]
     assert is_complete(stage)[0]
 
@@ -346,69 +353,38 @@ def test_deterministic_protocol_random_pairs():
             assert fidelity_pure(b.state, gamma.astype(complex)) >= 1.0 - 1e-9
 
 
-def reference_two_level_step(source, target_pair, i, j):
-    """One stage built on its own, as before the stacked builder; it drops
-    an operator on branch weight alone."""
-    s = conversion._require_nonneg_real(source)
-    d = s.size
-    if not (1 <= i <= d and 1 <= j <= d) or i == j:
-        raise ParameterError(f"bad coordinate pair ({i}, {j}) for dimension {d}")
-    ci2, cj2 = float(target_pair[0]), float(target_pair[1])
-    if min(ci2, cj2) < -TINY:
-        raise InfeasibleStepError(f"negative target pair ({ci2}, {cj2})")
-    ci2, cj2 = max(ci2, 0.0), max(cj2, 0.0)
-    si2, sj2 = float(s[i - 1] ** 2), float(s[j - 1] ** 2)
-    if abs((si2 + sj2) - (ci2 + cj2)) > ATOL:
-        raise InfeasibleStepError("pair mass differs from target mass")
-    if abs(ci2 - cj2) <= TINY:
-        if abs(si2 - ci2) > ATOL:
-            raise InfeasibleStepError("equal targets require an equal source pair")
-        return conversion._identity(d)
-    p1 = (si2 - cj2) / (ci2 - cj2)
-    if p1 < -ATOL or p1 > 1.0 + ATOL:
-        raise InfeasibleStepError(f"branch weight {p1!r} outside [0, 1]")
-    p1 = min(max(p1, 0.0), 1.0)
-    p2 = 1.0 - p1
+def reference_step(d, u, a, b, i, j):
+    """One stage built on its own from a chain record (i, j, u, a, b), as
+    before the stacked builder; it drops an operator on branch weight alone."""
+    p1, p2 = 1.0 - u, u
     t1, t2 = np.sqrt(p1), np.sqrt(p2)
-    ci, cj = np.sqrt(ci2), np.sqrt(cj2)
-    a = np.full(d, t1)
-    b = np.full(d, t2)
+    ci, cj = np.sqrt(a), np.sqrt(b)
+    ops = np.array([np.full(d, t1), np.full(d, t2)], dtype=complex)
     th_i = np.arctan2(t2 * cj, t1 * ci)
     th_j = np.arctan2(t2 * ci, t1 * cj)
-    a[i - 1], b[i - 1] = np.cos(th_i), np.sin(th_i)
-    a[j - 1], b[j - 1] = np.cos(th_j), np.sin(th_j)
+    ops[:, i] = np.cos(th_i), np.sin(th_i)
+    ops[:, j] = np.cos(th_j), np.sin(th_j)
     rows = np.array([np.arange(d)] * 2)
-    rows[1, i - 1], rows[1, j - 1] = j - 1, i - 1
+    rows[1, i], rows[1, j] = j, i
     keep = [p1 > TINY, p2 > TINY]
-    return channels._from_stored(rows[keep], np.array([a, b], dtype=complex)[keep])
+    return channels._from_stored(rows[keep], ops[keep])
 
 
 def reference_deterministic_protocol(psi, gamma):
-    """Stage by stage: the chain walked back from gamma as full vectors,
-    then one reference step per transform."""
+    """Stage by stage: one reference step per record of the chain sweep,
+    whose own reference is in test_simplex.py."""
     s = conversion._require_canonical(psi)
     g = conversion._require_canonical(gamma)
-    chain = ttransform_chain(prob_vector(s * s), prob_vector(g * g))
-    useq = [prob_vector(g * g)]
-    for tr in reversed(chain):
-        useq.append(tr.apply(useq[-1]))
-    useq.reverse()
-    stages = []
-    current = s.copy()
-    for m, tr in enumerate(chain):
-        target = useq[m + 1]
-        pair = (float(target[tr.i - 1]), float(target[tr.j - 1]))
-        stages.append(reference_two_level_step(current, pair, tr.i, tr.j))
-        current[tr.i - 1] = np.sqrt(pair[0])
-        current[tr.j - 1] = np.sqrt(pair[1])
-    return stages
+    return [
+        reference_step(s.size, u, a, b, i, j) for i, j, u, a, b in simplex._transfers(s * s, g * g)
+    ]
 
 
 def canonical_masses(max_dim):
     """Sorted mass vectors with ties, exact zeros and masses near the 1e-12 floor."""
-    floor = st.sampled_from([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11])
+    floor = st.sampled_from([0.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11, 3e-11, 1e-10])
     body = st.lists(st.integers(0, 4), min_size=1, max_size=max_dim).filter(any)
-    return st.tuples(body, st.lists(floor, max_size=3)).map(
+    return st.tuples(body, st.lists(floor, max_size=5)).map(
         lambda bt: np.sort(np.array(bt[0] + bt[1], dtype=float) / (sum(bt[0]) + sum(bt[1])))[::-1]
     )
 
@@ -793,6 +769,92 @@ def test_protocol_stages_read_back_bit_exact(psi, phi):
         back = kraus_set(ops, labels=stage.labels)
         assert back.labels == stage.labels
         assert all(a.tobytes() == b.tobytes() for a, b in zip(back.operators, ops))
+
+
+def amplitudes(masses):
+    """Square roots of the masses, renormalized."""
+    m = np.array(masses, dtype=float)
+    return np.sqrt(m / m.sum())
+
+
+def passing_protocol(psi, phi):
+    protocol = optimal_protocol(psi, phi)
+    report = verify_protocol(protocol, psi, phi)
+    assert report.passes(), report
+    assert protocol.probability == conversion_probability(psi, phi)
+    return protocol, report
+
+
+def test_later_rungs_divide_blocks_below_the_floor():
+    # P = 5.0e-11 at l = 5; the second rung's block [4, 4] holds 0.95e-12 of
+    # source mass, below the floor, which used to raise NoLadderError. The
+    # third masses complete the sum to 1: renormalizing would lift the
+    # source's last four masses, 1e-12 in all, above the floor and make P 0
+    tail_psi = [0.95e-12] + [2.5e-13] * 20
+    tail_phi = [0.00625] * 17 + [2.5e-13] * 4
+    psi = np.sqrt([0.5, 0.3, 1.0 - 0.8 - sum(tail_psi), *tail_psi])
+    phi = np.sqrt([0.4, 0.3, 1.0 - 0.7 - sum(tail_phi), *tail_phi])
+    protocol, _ = passing_protocol(psi, phi)
+    assert abs(protocol.probability - 5e-11) <= 1e-21
+
+
+def test_near_floor_chain_keeps_majorization():
+    # at P = 9.8e-9 the ATOL sweep left dust it could not place and raised
+    # "majorization lost during chain construction"
+    psi = amplitudes([0.98920, 0.010804, 1.26e-9, 1.05e-9, 5.1e-10, 1.6e-10, 2.7e-12, 7.8e-13])
+    phi = amplitudes([0.35652, 0.33945, 0.23910, 0.064933, 1.6e-12, 1.3e-12, 3.4e-13, 6.5e-14])
+    protocol, _ = passing_protocol(psi, phi)
+    assert 9.8e-9 < protocol.probability < 9.9e-9
+
+
+def test_ratio_tie_is_relative():
+    # an absolute tie of 1e-12 took l = 6 over the smaller ratio at l = 7
+    # (4.5418e-11 against 4.5018e-11), and gamma then failed to majorize psi
+    # inside that block: success fidelity 1 - 1.3e-6
+    psi = amplitudes([0.385, 0.232, 0.201, 0.124, 0.057, 1.98e-12, 1.66e-12])
+    phi = amplitudes([0.505, 0.175, 0.0851, 0.083, 0.0714, 0.0433, 0.0369])
+    a, b = psi**2, phi**2
+    tails = [a[l:].sum() / b[l:].sum() for l in range(7)]
+    assert int(np.argmin(tails)) == 6
+    protocol, _ = passing_protocol(psi, phi)
+    assert abs(protocol.probability - min(tails)) <= 1e-12 * min(tails)
+
+
+def test_dust_transfer_leaves_one_success_branch():
+    # the leftmost donor pays the dust its exact room: its own excess,
+    # 0.1 - (0.1 - 1.1e-12), is off by about 1e-5 relative, enough to keep
+    # the two outcomes of the step apart
+    psi = amplitudes([0.45, 0.25, 0.2, 0.1 - 1.1e-12, 1.1e-12])
+    phi = amplitudes([0.45, 0.25, 0.2, 0.1, 0.0])
+    _, report = passing_protocol(psi, phi)
+    assert report.success_count == 1
+    assert report.min_success_fidelity >= 1.0 - 1e-14
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(canonical_masses(10), canonical_masses(10), st.integers(0, 2**32 - 1))
+def test_near_floor_protocols_pass_their_verifier(x, y, seed):
+    # masses near the 1e-12 floor, ties, zeros and unequal dimensions, in
+    # random order and with random phases
+    rng = np.random.default_rng(seed)
+    psi, phi = (
+        rng.permutation(np.sqrt(m)) * np.exp(2j * np.pi * rng.random(m.size)) for m in (x, y)
+    )
+    if conversion_probability(psi, phi) > 0.0:
+        passing_protocol(psi, phi)
+
+
+def test_no_transfer_crosses_a_ladder_block():
+    # the tails of psi and gamma agree at every breakpoint, so each block is
+    # swept on its own; one sweep over the whole vector turns the rounding
+    # left at block ends into extra stages of about 1e-17 across blocks
+    rng = np.random.default_rng(32)
+    for _ in range(8):
+        psi, phi = (np.sort(np.sqrt(rng.dirichlet(np.ones(32))))[::-1] for _ in range(2))
+        block = np.searchsorted(-np.array(build_ladder(psi, phi).breakpoints), -np.arange(1, 33))
+        for stage in optimal_protocol(psi, phi).stages[1:-1]:
+            pair = np.flatnonzero(stage.rows[-1] != np.arange(32))
+            assert pair.size == 2 and block[pair[0]] == block[pair[1]]
 
 
 def test_optimal_protocol_d512_stays_small():

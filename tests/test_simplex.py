@@ -143,8 +143,12 @@ def test_ttransform_validation():
 
 def reference_chain(x, y):
     """The chain as full-vector rounds: each round recomputes every
-    difference, takes the largest donor and the nearest recipient to its
-    right, and mixes a copy of the vector. Returns 1-based (i, j, t)."""
+    difference, takes the rightmost donor with a recipient to its right and
+    the nearest such recipient, and moves the least of the donor's excess
+    and the recipient's room, the room alone for the leftmost donor of y.
+    The side that limited the move lands on its target exactly; a donor
+    with no recipient to its right may keep up to ATOL. Returns 1-based
+    (i, j, t) with t = 1 - u, u the share of the pair's difference moved."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size:
@@ -156,26 +160,23 @@ def reference_chain(x, y):
         raise MajorizationError("x is not majorized by y")
     out = []
     v = y.copy()
-    for _ in range(x.size):
-        diff = v - x
-        donors = np.nonzero(diff > ATOL)[0]
-        if donors.size == 0:
+    above = np.nonzero(y > x)[0]
+    first = int(above[0]) if above.size else None
+    while True:
+        pairs = [(i, j) for i in np.nonzero(v > x)[0] for j in np.nonzero(v < x)[0] if j > i]
+        if not pairs:
             break
-        recipients = np.nonzero(diff < -ATOL)[0]
-        i = int(donors.max())
-        right = recipients[recipients > i]
-        if right.size == 0:
-            raise MajorizationError("majorization lost during chain construction")
-        j = int(right.min())
-        delta = min(v[i] - x[i], x[j] - v[j])
-        t = float(min(max(1.0 - delta / (v[i] - v[j]), 0.0), 1.0))
+        i = max(i for i, _ in pairs)
+        j = min(j for k, j in pairs if k == i)
+        a, b = float(v[i]), float(v[j])
+        excess, room = a - x[i], x[j] - b
+        moved = room if i == first else min(excess, room)
         v = v.copy()
-        a, b = v[i], v[j]
-        v[i] = t * a + (1.0 - t) * b
-        v[j] = (1.0 - t) * a + t * b
-        out.append((i + 1, j + 1, t))
-    else:
-        raise MajorizationError("chain did not converge in d steps")
+        v[i] = x[i] if moved == excess else a - moved
+        v[j] = x[j] if moved == room else b + moved
+        out.append((i + 1, j + 1, 1.0 - moved / (a - b)))
+    if np.any(v - x > ATOL):
+        raise MajorizationError("majorization lost during chain construction")
     out.reverse()
     return out
 
@@ -228,9 +229,8 @@ def test_chain_matches_full_vector_reference(pair):
 
 
 def test_chain_ends_when_rounding_exceeds_atol():
-    # at masses near 1e7 a transfer's rounding exceeds ATOL, so the
-    # coordinate that limited it may still test as short of its target;
-    # the sweep counts it settled instead of transferring again
+    # at masses near 1e7 a transfer's rounding exceeds ATOL; the side that
+    # limited each transfer is set to its target, so none is repeated
     x = np.array([13658152.169517871, 12172637.183480311, 11492414.013153568, 7948740.65572466])
     y = np.array([15998318.33356664, 13027288.36149152, 11666842.020838035, 4579495.305980216])
     chain = ttransform_chain(x, y)
