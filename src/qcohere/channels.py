@@ -122,7 +122,11 @@ def is_complete(k: KrausSet):
     if an operator sends columns c and c' to one row; only then is the
     whole matrix formed, in O(n d^2).
     """
-    residual = float(np.abs(np.square(np.abs(k.vals)).sum(axis=0) - 1.0).max())
+    mass = np.abs(k.vals)
+    np.multiply(mass, mass, out=mass)
+    mass = mass.sum(axis=0)
+    mass -= 1.0
+    residual = float(np.abs(mass, out=mass).max())
     srt = np.sort(k.rows, axis=1)
     if (srt[:, 1:] == srt[:, :-1]).any():
         same = k.rows[:, :, None] == k.rows[:, None, :]
@@ -144,18 +148,23 @@ def _require_complete(k: KrausSet) -> None:
         raise CompletenessError(f"completeness residual {residual:.3e}")
 
 
-def _branches(k: KrausSet, psi: np.ndarray) -> list:
-    """apply_selective on a validated state, without the completeness check."""
+def _outcomes(k: KrausSet, psi: np.ndarray) -> tuple:
+    """(operator indices, probabilities, normalized post-states as rows) of
+    the branches of ``k`` on a validated state whose probability exceeds
+    TINY, without the completeness check."""
     if k.dim != psi.size:
         raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {psi.size}")
     vecs = np.zeros(k.vals.shape, dtype=complex)
     np.add.at(vecs, (np.arange(len(k))[:, None], k.rows), k.vals * psi)
     probs = (vecs.real**2 + vecs.imag**2).sum(axis=1)
     live = np.nonzero(probs > TINY)[0]
-    kept = float(probs[live].sum())
+    if live.size < probs.size:
+        probs, vecs = probs[live], vecs[live]
+    kept = float(probs.sum())
     if abs(kept - 1.0) > ATOL + TINY * len(k):
         raise CompletenessError(f"branch probabilities sum to {kept!r}")
-    return [Branch(float(probs[n]), vecs[n] / np.sqrt(probs[n]), k.labels[n]) for n in live]
+    vecs /= np.sqrt(probs)[:, None]
+    return live, probs, vecs
 
 
 def apply_selective(k: KrausSet, psi) -> list:
@@ -165,7 +174,8 @@ def apply_selective(k: KrausSet, psi) -> list:
     probabilities still account for all but negligible mass.
     """
     _require_complete(k)
-    return _branches(k, pure_state(psi))
+    live, probs, states = _outcomes(k, pure_state(psi))
+    return [Branch(p, s, k.labels[n]) for n, p, s in zip(live, probs.tolist(), states)]
 
 
 def apply_channel(k: KrausSet, rho) -> np.ndarray:
@@ -210,10 +220,15 @@ def compose(stages) -> KrausSet:
             )
         # product [m, n] = stage op m after op n: column c goes to rows[n, c],
         # then on to stage.rows[m, rows[n, c]]
-        rows2 = stage.rows[:, rows].reshape(-1, d)
-        vals2 = (stage.vals[:, rows] * vals).reshape(-1, d)
-        keep = np.sqrt((vals2.real**2 + vals2.imag**2).sum(axis=1)) > TINY
-        rows, vals = rows2[keep], vals2[keep]
-        joined = [_join(lab1, lab2) for lab2 in stage.labels for lab1 in labels]
-        labels = [lab for lab, k in zip(joined, keep) if k]
+        rows, vals, labels = _kept(
+            stage.rows[:, rows].reshape(-1, d),
+            (stage.vals[:, rows] * vals).reshape(-1, d),
+            [_join(lab1, lab2) for lab2 in stage.labels for lab1 in labels],
+        )
     return _from_stored(rows, vals, labels=labels, atol=len(stages) * ATOL)
+
+
+def _kept(rows, vals, labels) -> tuple:
+    """The products of a composition whose Frobenius norm exceeds TINY."""
+    keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
+    return rows[keep], vals[keep], [lab for lab, k in zip(labels, keep) if k]

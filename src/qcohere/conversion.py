@@ -9,6 +9,10 @@ ladder of minimizing tails.
 The steps are built together: one array kernel computes every step's
 branch weights, trig pairs and stored operators as a single stack and
 checks them all in one pass; ``two_level_step`` is its one-step call.
+``optimal_protocol`` validates its pair once and reads the ladder, the
+steps and the filter off one canonical pair; the frames of the two states
+enter the first and last stage by re-indexing. ``verify_protocol`` replays
+a protocol with each live branch a (probability, state, label) tuple.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ import numpy as np
 
 from .channels import (
     COMPOSE_CAP,
-    Branch,
     KrausSet,
-    _branches,
     _from_stored,
     _join,
-    compose,
+    _kept,
+    _outcomes,
     is_complete,
 )
 from .errors import (
@@ -37,8 +40,8 @@ from .errors import (
 )
 from .simplex import ATOL, TINY, _transfers
 from .states import (
+    _canonical,
     _count,
-    canonicalize,
     fidelity_pure,
     pure_state,
     support_size,
@@ -73,7 +76,7 @@ def _common_pair(psi, phi):
 def canonical_pair(psi, phi) -> tuple:
     """Canonical frames of psi and phi, zero-padded to the larger dimension."""
     psi, phi = _common_pair(psi, phi)
-    return canonicalize(psi), canonicalize(phi)
+    return _canonical(psi), _canonical(phi)
 
 
 def _require_nonneg_real(psi) -> np.ndarray:
@@ -129,11 +132,13 @@ def _min_block_ratio(sa, sb, hi: int):
     return l + 1, float(ratio[l])
 
 
-def _first_rung(s: np.ndarray, t: np.ndarray) -> float:
-    """P for canonical s -> t: the ladder's first ratio, clipped to [0, 1]."""
+def _first_rung(s: np.ndarray, t: np.ndarray) -> tuple:
+    """(sa, sb, t, (l, ratio)) for canonical s -> t: the suffix sums of the
+    squares of s and of t floored, t floored, and the ladder's first rung,
+    whose ratio clipped to [0, 1] is P."""
     t = _floored(t)
-    _, ratio = _min_block_ratio(_suffix_sums(s * s), _suffix_sums(t * t), s.size)
-    return float(min(max(ratio, 0.0), 1.0))
+    sa, sb = _suffix_sums(s * s), _suffix_sums(t * t)
+    return sa, sb, t, _min_block_ratio(sa, sb, s.size)
 
 
 def conversion_probability(psi, phi) -> float:
@@ -144,7 +149,8 @@ def conversion_probability(psi, phi) -> float:
     target masses whose suffix sum is at or below 1e-12 count as zero.
     """
     psi, phi = _common_pair(psi, phi)
-    return _first_rung(*(np.sort(np.abs(x))[::-1] for x in (psi, phi)))
+    _, ratio = _first_rung(*(np.sort(np.abs(x))[::-1] for x in (psi, phi)))[3]
+    return float(min(max(ratio, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -180,23 +186,26 @@ def _coordinate_ratios(breakpoints, ratios, d: int) -> np.ndarray:
 def build_ladder(psi, phi) -> ConversionLadder:
     """Ladder for canonical psi -> canonical phi with positive probability."""
     s = _require_canonical(psi)
-    t = _floored(_require_canonical(phi))
+    t = _require_canonical(phi)
     if s.size != t.size:
         raise DimensionMismatchError(f"dimensions {s.size} and {t.size} differ")
-    d = s.size
-    sa = _suffix_sums(s * s)
-    sb = _suffix_sums(t * t)
+    return _ladder(*_first_rung(s, t))
 
+
+def _ladder(sa, sb, t: np.ndarray, first) -> ConversionLadder:
+    """Ladder from the suffix sums ``sa``, ``sb`` of canonical s and of the
+    floored target t, whose first rung (l, ratio) is ``first``."""
     breakpoints, ratios = [], []
-    hi = d
-    while hi >= 1:
-        l, ratio = _min_block_ratio(sa, sb, hi)
+    l, ratio = first
+    while True:
         if ratio <= 0.0:
             raise NoLadderError("conversion probability is zero")
         breakpoints.append(l)
         ratios.append(ratio)
-        hi = l - 1
-    gamma = np.sqrt(_coordinate_ratios(breakpoints, ratios, d)) * t
+        if l == 1:
+            break
+        l, ratio = _min_block_ratio(sa, sb, l - 1)
+    gamma = np.sqrt(_coordinate_ratios(breakpoints, ratios, t.size)) * t
     return ConversionLadder(breakpoints=tuple(breakpoints), ratios=tuple(ratios), gamma=gamma)
 
 
@@ -204,9 +213,15 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     """Two-operator filter collapsing gamma onto phi with the ladder's
     success probability. Both operators are diagonal, hence incoherent."""
     t = _floored(_require_canonical(phi))
+    if t.size != ladder.dim:
+        raise DimensionMismatchError(f"phi has dimension {t.size}, ladder {ladder.dim}")
+    return _from_stored(*_filter(ladder, t))
+
+
+def _filter(ladder: ConversionLadder, t: np.ndarray) -> tuple:
+    """(rows, values, labels) of the filter for the floored canonical
+    target t; raises when it does not map gamma onto t within ATOL."""
     d = ladder.dim
-    if t.size != d:
-        raise DimensionMismatchError(f"phi has dimension {t.size}, ladder {d}")
     r1 = ladder.ratios[0]
     m = np.sqrt(r1 / _coordinate_ratios(ladder.breakpoints, ladder.ratios, d))
     out = m * ladder.gamma - np.sqrt(r1) * t
@@ -215,7 +230,7 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     comp = np.sqrt(np.clip(1.0 - m * m, 0.0, None))
     ops = (m, comp) if float((comp * comp).sum()) > TINY else (m,)
     rows = np.array([np.arange(d)] * len(ops))
-    return _from_stored(rows, np.array(ops, dtype=complex), labels=["success", "fail"][: len(ops)])
+    return rows, np.array(ops, dtype=complex), ["success", "fail"][: len(ops)]
 
 
 def _pair_steps(d: int, u, a, b, i, j) -> list:
@@ -365,29 +380,29 @@ def optimal_protocol(psi, phi) -> Protocol:
 
     Inputs may carry phases and arbitrary amplitude order; the first stage
     absorbs the source canonicalization and the last one undoes the
-    target's. Zero probability yields an empty protocol.
+    target's, each by re-indexing its operators. Zero probability yields an
+    empty protocol.
     """
     cs, ct = canonical_pair(psi, phi)
-    d = cs.state.size
-    if _first_rung(cs.state, ct.state) <= 0.0:
+    s = cs.state
+    sa, sb, t, first = _first_rung(s, ct.state)
+    if first[1] <= 0.0:  # P = 0, as conversion_probability finds it
         return Protocol(stages=(), success_label="success", probability=0.0)
-    ladder = build_ladder(cs.state, ct.state)
+    ladder = _ladder(sa, sb, t, first)
     # no transfer crosses a breakpoint, where the tails of psi and gamma agree
-    det = _block_stages(cs.state, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
-    if not det:
-        det = [_identity(d)]
-    filt = filter_operator(ladder, ct.state)
+    det = _block_stages(s, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
+    lead = det[0] if det else _identity(s.size)
+    frows, fvals, labels = _filter(ladder, t)
 
-    # the frames as one-operator sets: w_in = P D sends column c to row
-    # inverse-permutation[c] with phase c; w_out = (P D)^H sends column k to
-    # row permutation[k] with the conjugate phase of that row
-    w_in = _from_stored(np.argsort(cs.permutation)[None], cs.phases[None])
-    w_out = _from_stored(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
-    stages = [compose([w_in, det[0]])] + det[1:] + [compose([filt, w_out])]
-    return Protocol(
-        stages=tuple(stages), success_label="success",
-        probability=ladder.success_probability,
-    )
+    # the frames fold in by re-indexing, each stage checked as a composition
+    # of two: P D sends column c to row inverse-permutation[c] with phase c
+    # before the first stage; (P D)^H sends column k to row permutation[k]
+    # with the conjugate phase of that row after the filter
+    inv, perm = np.argsort(cs.permutation), ct.permutation
+    head = _kept(lead.rows[:, inv], lead.vals[:, inv] * cs.phases, lead.labels)
+    tail = _kept(perm[frows], ct.phases[perm].conj()[frows] * fvals, labels)
+    stages = (_from_stored(*head, atol=2 * ATOL), *det[1:], _from_stored(*tail, atol=2 * ATOL))
+    return Protocol(stages=stages, success_label="success", probability=ladder.success_probability)
 
 
 @dataclass(frozen=True)
@@ -434,7 +449,8 @@ def _fingerprint(state: np.ndarray) -> bytes:
 
 
 def _step(branches: list, stage: KrausSet) -> list:
-    """Run every live branch through one stage, already checked complete.
+    """Run every live branch, a (probability, state, label) tuple, through
+    one stage, already checked complete.
 
     Children with absolute probability at or below TINY are dropped. Two
     children merge when their labels are equal and their states agree
@@ -447,22 +463,23 @@ def _step(branches: list, stage: KrausSet) -> list:
     many = len(branches) * len(stage) > SCAN_LIMIT
     out = {}  # (label, fingerprint or None) -> live branches carrying them
     count = 0
-    for parent in branches:
-        for child in _branches(stage, parent.state):
-            p = parent.probability * child.probability
+    for prob, state, label in branches:
+        live, probs, states = _outcomes(stage, state)
+        for n, q, child in zip(live.tolist(), probs.tolist(), states):
+            p = prob * q
             if p <= TINY:
                 continue
-            label = _join(parent.label, child.label)
-            kept = out.setdefault((label, _fingerprint(child.state) if many else None), [])
-            for k, b in enumerate(kept):
-                if fidelity_pure(b.state, child.state) >= 1.0 - TINY:
-                    kept[k] = Branch(probability=b.probability + p, state=b.state, label=label)
+            joined = _join(label, stage.labels[n])
+            kept = out.setdefault((joined, _fingerprint(child) if many else None), [])
+            for k, (kp, ks, _) in enumerate(kept):
+                if fidelity_pure(ks, child) >= 1.0 - TINY:
+                    kept[k] = (kp + p, ks, joined)
                     break
             else:
                 count += 1
                 if count > COMPOSE_CAP:
                     raise ResourceLimitError(f"live branches exceed the cap of {COMPOSE_CAP}")
-                kept.append(Branch(probability=p, state=child.state, label=label))
+                kept.append((p, child, joined))
     return [b for kept in out.values() for b in kept]
 
 
@@ -471,7 +488,8 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
 
     Each stage's completeness residual is measured once; a stage off by
     more than ATOL raises CompletenessError. The stages then act in turn on
-    the live branches, starting from psi. Branches with equal labels and
+    the live branches, starting from psi; the children of one branch are
+    normalized together. Branches with equal labels and
     equal post-states merge, so a protocol from optimal_protocol carries at
     most two and the cost is linear in the stage count; more than
     COMPOSE_CAP live branches raise ResourceLimitError. Nothing from the
@@ -487,14 +505,14 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     psi = _pad(pure_state(psi), d)
     phi = _pad(pure_state(phi), d)
     residuals = tuple(is_complete(stage)[1] for stage in protocol.stages)
-    branches = [Branch(probability=1.0, state=psi)]
+    branches = [(1.0, psi, "")]
     for n, (stage, res) in enumerate(zip(protocol.stages, residuals), 1):
         if res > ATOL:
             raise CompletenessError(f"stage {n}: completeness residual {res:.3e}")
         branches = _step(branches, stage)
-    succ = [b for b in branches if b.label == protocol.success_label]
-    total = float(sum(b.probability for b in succ))
-    fid = min((fidelity_pure(phi, b.state) for b in succ), default=1.0)
+    succ = [(p, state) for p, state, label in branches if label == protocol.success_label]
+    total = float(sum(p for p, _ in succ))
+    fid = min((fidelity_pure(phi, state) for _, state in succ), default=1.0)
     return ProtocolReport(
         stage_completeness=residuals, success_probability=total,
         declared_probability=protocol.probability, min_success_fidelity=float(fid),

@@ -16,7 +16,7 @@ TENSOR_CAP = 1_000_000
 
 def pure_state(amplitudes) -> np.ndarray:
     """Validate and return a complex amplitude vector with unit norm (1e-9)."""
-    psi = np.atleast_1d(np.asarray(amplitudes, dtype=complex)).copy()
+    psi = np.array(amplitudes, dtype=complex, ndmin=1)
     if psi.ndim != 1 or psi.size == 0:
         raise NormalizationError("expected a non-empty 1-d sequence")
     if not np.isfinite(psi).all():
@@ -49,7 +49,11 @@ class Canonicalization:
 
 def canonicalize(psi) -> Canonicalization:
     """Strip phases and sort moduli non-increasing (stable on ties)."""
-    psi = pure_state(psi)
+    return _canonical(pure_state(psi))
+
+
+def _canonical(psi: np.ndarray) -> Canonicalization:
+    """canonicalize for a state pure_state already validated."""
     mod = np.abs(psi)
     perm = np.argsort(-mod, kind="stable")
     phases = np.ones(psi.size, dtype=complex)

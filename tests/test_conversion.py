@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcohere import (
+    Branch,
     CompletenessError,
     InfeasibleStepError,
     MajorizationError,
@@ -16,6 +17,7 @@ from qcohere import (
     NormalizationError,
     ParameterError,
     Protocol,
+    ProtocolReport,
     ResourceLimitError,
     apply_selective,
     build_ladder,
@@ -431,6 +433,43 @@ def test_stacked_build_matches_stagewise_reference(x, y, mix):
     assert all(same_stage(a, b) for a, b in zip(got, want))
 
 
+def framed(masses, rng):
+    """Amplitudes of ``masses`` in random order with random phases."""
+    return rng.permutation(np.sqrt(masses)) * np.exp(2j * np.pi * rng.random(masses.size))
+
+
+def reference_optimal_protocol(psi, phi):
+    """optimal_protocol from its public pieces: the canonical pair, the
+    ladder, the stages of each ladder block, the filter, and the two frames
+    as one-operator sets joined to the end stages by compose."""
+    if conversion_probability(psi, phi) <= 0.0:
+        return _protocol((), "success", 0.0)
+    cs, ct = conversion.canonical_pair(psi, phi)
+    d = cs.state.size
+    ladder = build_ladder(cs.state, ct.state)
+    det = conversion._block_stages(cs.state, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
+    det = det or [channels._from_stored(np.arange(d)[None], np.ones((1, d), dtype=complex))]
+    filt = filter_operator(ladder, ct.state)
+    w_in = channels._from_stored(np.argsort(cs.permutation)[None], cs.phases[None])
+    w_out = channels._from_stored(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
+    stages = [compose([w_in, det[0]]), *det[1:], compose([filt, w_out])]
+    return _protocol(stages, "success", ladder.success_probability)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(canonical_masses(10), canonical_masses(10), st.integers(0, 2**32 - 1))
+def test_optimal_protocol_matches_composed_reference(x, y, seed):
+    # ties, zeros, masses near the floor and unequal dimensions, in random
+    # order and with random phases; the frames folded in by re-indexing give
+    # the composed stages bit for bit
+    rng = np.random.default_rng(seed)
+    psi, phi = framed(x, rng), framed(y, rng)
+    got, want = optimal_protocol(psi, phi), reference_optimal_protocol(psi, phi)
+    assert got.probability == want.probability
+    assert len(got.stages) == len(want.stages)
+    assert all(same_stage(a, b) for a, b in zip(got.stages, want.stages))
+
+
 def test_optimal_protocol_worked_example():
     protocol = optimal_protocol(PSI, PHI)
     assert abs(protocol.probability - 1.0 / 3.0) < 1e-12
@@ -594,6 +633,72 @@ def test_verify_protocol_unlabelled_branches_reach_cap():
     with pytest.raises(ResourceLimitError):
         verify_protocol(_protocol([stage] * 20), psi, psi)
     assert time.perf_counter() - start < 5.0
+
+
+def reference_verify_protocol(protocol, psi, phi):
+    """verify_protocol's replay with Branch objects from apply_selective,
+    one child normalized at a time, and the merge rule of its step."""
+    d = protocol.stages[0].dim
+    psi = conversion._pad(pure_state(psi), d)
+    phi = conversion._pad(pure_state(phi), d)
+    branches = [Branch(probability=1.0, state=psi)]
+    for stage in protocol.stages:
+        many = len(branches) * len(stage) > conversion.SCAN_LIMIT
+        out = {}
+        for parent in branches:
+            for child in apply_selective(stage, parent.state):
+                p = parent.probability * child.probability
+                if p <= TINY:
+                    continue
+                label = channels._join(parent.label, child.label)
+                key = (label, conversion._fingerprint(child.state) if many else None)
+                kept = out.setdefault(key, [])
+                for k, b in enumerate(kept):
+                    if fidelity_pure(b.state, child.state) >= 1.0 - TINY:
+                        kept[k] = Branch(b.probability + p, b.state, label)
+                        break
+                else:
+                    kept.append(Branch(p, child.state, label))
+        branches = [b for kept in out.values() for b in kept]
+    succ = [b for b in branches if b.label == protocol.success_label]
+    return ProtocolReport(
+        stage_completeness=tuple(is_complete(stage)[1] for stage in protocol.stages),
+        success_probability=float(sum(b.probability for b in succ)),
+        declared_probability=protocol.probability,
+        min_success_fidelity=float(min((fidelity_pure(phi, b.state) for b in succ), default=1.0)),
+        branch_count=len(branches), success_count=len(succ),
+    )
+
+
+def assert_same_report(protocol, psi, phi):
+    got = verify_protocol(protocol, psi, phi)
+    want = reference_verify_protocol(protocol, psi, phi)
+    for field in dataclasses.fields(ProtocolReport):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    return got
+
+
+def test_verify_protocol_matches_branch_reference():
+    # optimal protocols, near the floor too, carry at most two branches
+    rng = np.random.default_rng(44)
+    dust = (np.array([0.45, 0.25, 0.2, 0.1 - 1.1e-12, 1.1e-12]), np.array([0.45, 0.25, 0.2, 0.1]))
+    masses = [dust] + [tuple(rng.dirichlet(np.ones(d), size=2)) for d in (3, 6, 9, 12, 14)]
+    pairs = [(PSI, PHI), (PHI, PSI), (PSI, PSI)] + [(framed(x, rng), framed(y, rng)) for x, y in masses]
+    for psi, phi in pairs:
+        assert assert_same_report(optimal_protocol(psi, phi), psi, phi).branch_count <= 2
+    # labelled coins keep 2^stages branches apart: compared with every kept
+    # branch up to SCAN_LIMIT children, by fingerprint cell beyond it
+    plus = np.full(2, 1.0 / np.sqrt(2.0))
+    half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    labelled = kraus_set([half, half], labels=["a", "b"])
+    for n in (1, 2, 3, 4, 8):
+        report = assert_same_report(_protocol([labelled] * n, ".".join("a" * n), 2.0**-n), plus, plus)
+        assert report.branch_count == 2**n
+    # unlabelled scrambling stages merge equal states reached along different paths
+    stage = _scrambling_stage(np.random.default_rng(8), 8)
+    psi = random_pure_state(np.random.default_rng(9), 8)
+    for n in (1, 2, 3, 8):
+        assert_same_report(_protocol([stage] * n), psi, psi)
 
 
 def test_multicopy_probability():
@@ -837,9 +942,7 @@ def test_near_floor_protocols_pass_their_verifier(x, y, seed):
     # masses near the 1e-12 floor, ties, zeros and unequal dimensions, in
     # random order and with random phases
     rng = np.random.default_rng(seed)
-    psi, phi = (
-        rng.permutation(np.sqrt(m)) * np.exp(2j * np.pi * rng.random(m.size)) for m in (x, y)
-    )
+    psi, phi = framed(x, rng), framed(y, rng)
     if conversion_probability(psi, phi) > 0.0:
         passing_protocol(psi, phi)
 
@@ -871,6 +974,21 @@ def test_optimal_protocol_d512_stays_small():
     assert report.passes()
     assert abs(report.success_probability - conversion_probability(psi, phi)) <= 1e-9
     assert peak < 64 * 2**20
+
+
+def test_conversion_round_trip_batch_is_fast():
+    # the probability, the protocol and its replay for pairs of the sizes in
+    # the convert_verify benchmark: about 0.2 s on a 2-CPU machine
+    rng = np.random.default_rng(200)
+    pairs = [
+        tuple(random_pure_state(rng, int(rng.integers(3, 15)), phases=True) for _ in range(2))
+        for _ in range(200)
+    ]
+    start = time.perf_counter()
+    for psi, phi in pairs:
+        conversion_probability(psi, phi)
+        assert verify_protocol(optimal_protocol(psi, phi), psi, phi).passes()
+    assert time.perf_counter() - start < 2.0
 
 
 def test_stage_stack_cap_raises_before_allocating():
