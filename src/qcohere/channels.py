@@ -46,7 +46,8 @@ class Branch:
 @dataclass(frozen=True)
 class KrausSet:
     """K_n[rows[n, c], c] = vals[n, c], other entries zero. An all-zero
-    column is stored as row c, value +0: equal operators, equal arrays.
+    column is stored as row c, value +0: equal operators, equal arrays. A
+    stored zero adds nothing to sum K^dag K, whichever row it sits on.
     ``labels`` holds one string per operator, "" when it has none."""
 
     rows: np.ndarray
@@ -78,12 +79,7 @@ def _from_stored(rows, vals, labels=None, atol: float = ATOL) -> KrausSet:
     labels = ("",) * rows.shape[0] if labels is None else tuple(str(s) for s in labels)
     if len(labels) != rows.shape[0]:
         raise ParameterError(f"{len(labels)} labels for {rows.shape[0]} operators")
-    ks = KrausSet(rows=rows, vals=vals, labels=labels)
-    _, residual = is_complete(ks)
-    # NaN-safe: a NaN residual fails this test
-    if not residual <= atol:
-        raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.3e}")
-    return ks
+    return _require_complete(KrausSet(rows=rows, vals=vals, labels=labels), atol)
 
 
 def kraus_set(operators, labels=None, atol: float = ATOL) -> KrausSet:
@@ -119,8 +115,8 @@ def is_complete(k: KrausSet):
     and whether it is at most ATOL.
 
     Its diagonal holds the column masses. Entry (c, c') can be nonzero only
-    if an operator sends columns c and c' to one row; only then is the
-    whole matrix formed, in O(n d^2).
+    if an operator holds nonzero entries in columns c and c' on one row;
+    only then is the whole matrix formed, in O(n d^2).
     """
     mass = np.abs(k.vals)
     np.multiply(mass, mass, out=mass)
@@ -129,9 +125,13 @@ def is_complete(k: KrausSet):
     residual = float(np.abs(mass, out=mass).max())
     srt = np.sort(k.rows, axis=1)
     if (srt[:, 1:] == srt[:, :-1]).any():
-        same = k.rows[:, :, None] == k.rows[:, None, :]
-        gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, same)
-        residual = float(np.abs(gram - np.eye(k.dim)).max())
+        # two entries of one operator share a row; look again with each
+        # stored zero on a row of its own, -1 - c, below every real row
+        srt = np.sort(np.where(k.vals == 0, ~np.arange(k.dim), k.rows), axis=1)
+        if (srt[:, 1:] == srt[:, :-1]).any():
+            same = k.rows[:, :, None] == k.rows[:, None, :]
+            gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, same)
+            residual = float(np.abs(gram - np.eye(k.dim)).max())
     return residual <= ATOL, residual
 
 
@@ -142,10 +142,12 @@ def is_incoherent(k: KrausSet):
     return True, None
 
 
-def _require_complete(k: KrausSet) -> None:
-    ok, residual = is_complete(k)
-    if not ok:
-        raise CompletenessError(f"completeness residual {residual:.3e}")
+def _require_complete(k: KrausSet, atol: float = ATOL) -> KrausSet:
+    _, residual = is_complete(k)
+    # NaN-safe: a NaN residual fails this test
+    if not residual <= atol:
+        raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.3e}")
+    return k
 
 
 def _outcomes(k: KrausSet, psi: np.ndarray) -> tuple:

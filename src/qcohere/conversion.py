@@ -246,8 +246,10 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
     tiny sources. An operator is dropped only when its branch weight is at
     or below TINY and none of its columns holds mass above ATOL. All stages
     share one (k, 2, d) array of rows and one of values; each returned
-    KrausSet views its stage's kept operators. The first stage whose
-    completeness residual exceeds ATOL raises, naming itself as "stage m of k".
+    KrausSet views its stage's kept operators. No operator holds two nonzero
+    entries on one row, so the column masses give each stage's completeness
+    residual, as in ``is_complete``; the first stage whose residual exceeds
+    ATOL raises, naming itself as "stage m of k".
     """
     u, a, b = (np.asarray(v, dtype=float) for v in (u, a, b))
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
@@ -273,6 +275,12 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
     if d == 2:  # no column off the pair
         mass = mass[1:]
     residual = np.abs(mass - 1.0).max(axis=0)
+    failed = ~(residual <= ATOL)
+    if failed.any():
+        m = int(failed.argmax())
+        raise CompletenessError(
+            f"stage {m + 1} of {k}: sum K^dag K deviates from identity by {residual[m]:.3e}"
+        )
 
     rows = np.empty((k, 2, d), dtype=np.intp)
     rows[:] = np.arange(d)
@@ -288,21 +296,10 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
         vals[zero] = 0.0
     lo = np.where(keep1, 0, 1)
     hi = np.where(keep2, 2, 1)
-    stages = [
+    return [
         KrausSet(rows=rows[m, a:b], vals=vals[m, a:b], labels=("",) * (b - a))
         for m, a, b in zip(range(k), lo.tolist(), hi.tolist())
     ]
-    # a zero pair column leaves operator 2 with one row twice, where only
-    # the full Gram matrix measures completeness
-    for m in np.flatnonzero(keep2 & (rows[at, 1, i] == rows[at, 1, j])):
-        residual[m] = is_complete(stages[m])[1]
-    failed = ~(residual <= ATOL)
-    if failed.any():
-        m = int(failed.argmax())
-        raise CompletenessError(
-            f"stage {m + 1} of {k}: sum K^dag K deviates from identity by {residual[m]:.3e}"
-        )
-    return stages
 
 
 def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:

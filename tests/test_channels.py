@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qcohere import (
     CompletenessError,
     IncoherenceError,
+    KrausSet,
     ResourceLimitError,
     apply_channel,
     apply_selective,
@@ -16,7 +17,8 @@ from qcohere import (
     pure_density,
     pure_state,
 )
-from qcohere.simplex import TINY
+from qcohere import conversion
+from qcohere.simplex import ATOL, TINY
 from qcohere.channels import COMPOSE_CAP
 from randgen import random_incoherent_kraus, random_pure_state
 
@@ -43,6 +45,58 @@ def test_incomplete_rejected():
     ok, res = is_complete(ks)
     assert not ok
     assert abs(res - 0.75) < 1e-12
+
+
+@st.composite
+def stored_sets(draw):
+    """KrausSets built from stored arrays, complete or not. Either n <= 4
+    operators of d <= 6 with small integer column weights and eighth-turn
+    phases, nonzero entries on a permutation of the rows, zeros of either
+    sign on arbitrary rows, and optionally two nonzero entries of one
+    operator forced onto one row, alone or split into a merge pair whose
+    cross terms cancel; or a two-level stage with a zero pair column."""
+    if draw(st.integers(0, 3)) == 0:
+        d = draw(st.integers(2, 6))
+        i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        u, a = draw(st.floats(0.0, 1.0)), draw(st.floats(1e-14, 1.0))
+        return conversion._pair_steps(d, [u], [a], [0.0], [i], [j])[0]
+    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    ints = st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=n, max_size=n)
+    w = np.array(draw(ints), dtype=float)
+    if draw(st.booleans()):  # no empty column
+        w[0, w.sum(axis=0) == 0] = 1.0
+    rows = np.array([draw(st.permutations(range(d))) for _ in range(n)], dtype=np.intp)
+    collide = d >= 2 and draw(st.booleans())
+    if collide:
+        m = draw(st.integers(0, n - 1))
+        c, c2 = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        w[m, [c, c2]] = np.maximum(w[m, [c, c2]], 1.0)
+        rows[m, c2] = rows[m, c]
+    turns = np.array(draw(ints), dtype=float)
+    vals = np.sqrt(w / np.maximum(w.sum(axis=0), 1.0)) * np.exp(0.25j * np.pi * turns)
+    zero = vals == 0
+    rows[zero] = draw(st.lists(st.integers(0, d - 1), min_size=int(zero.sum()),
+                               max_size=int(zero.sum())))
+    if collide and n < 4 and draw(st.booleans()):
+        # operator m becomes two halves, the second with column c2 negated
+        half = vals[m] / np.sqrt(2.0)
+        flip = half.copy()
+        flip[c2] = -flip[c2]
+        rows = np.vstack([rows, rows[m]])
+        vals = np.vstack([vals[:m], [half], vals[m + 1:], [flip]])
+    return KrausSet(rows=rows, vals=vals, labels=("",) * len(rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stored_sets())
+def test_is_complete_matches_dense_reference(ks):
+    # a stored zero is never paired up, wherever it sits; two nonzero
+    # entries on one row still form the whole matrix
+    dense = sum(op.conj().T @ op for op in ks.operators)
+    want = float(np.abs(dense - np.eye(ks.dim)).max())
+    ok, residual = is_complete(ks)
+    assert abs(residual - want) <= 1e-15
+    assert ok == (want <= ATOL)
 
 
 def test_is_incoherent_identity_and_diagonal():

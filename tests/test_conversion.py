@@ -286,7 +286,8 @@ def test_stacked_steps_name_the_failing_stage():
     # checked, and the first failing stage raises, whatever fails after it
     with pytest.raises(CompletenessError, match="^stage 2 of 3: sum K"):
         steps(ok, (np.nan, 0.7, 0.3), (0.5, np.nan, 0.3))
-    # a stage with a zero pair column is checked through is_complete
+    # a zero pair column leaves operator 2 a zero on the row its other pair
+    # column is swapped to; is_complete never pairs a stored zero up
     stage = steps((0.5, 1.0, 0.0))[0]
     assert stage.rows[1].tolist() == [0, 0, 2]
     assert is_complete(stage)[0]
@@ -988,6 +989,22 @@ def test_conversion_round_trip_batch_is_fast():
     for psi, phi in pairs:
         conversion_probability(psi, phi)
         assert verify_protocol(optimal_protocol(psi, phi), psi, phi).passes()
+    assert time.perf_counter() - start < 2.0
+
+
+def test_unequal_dimension_protocol_is_linear():
+    # the target is zero-padded to the source's d = 1024, and every stage
+    # moving mass into an empty coordinate stores a zero on a row that a
+    # nonzero entry of its operator also uses. Completeness needs no d x d
+    # matrix there: about 0.25 s on a 2-CPU machine, where forming one per
+    # such stage took 40 to 50 s
+    rng = np.random.default_rng(1024)
+    psi, phi = (
+        pure_state(np.sqrt(rng.dirichlet(np.ones(d))) * np.exp(2j * np.pi * rng.random(d)))
+        for d in (1024, 512)
+    )
+    start = time.perf_counter()
+    assert verify_protocol(optimal_protocol(psi, phi), psi, phi).passes()
     assert time.perf_counter() - start < 2.0
 
 

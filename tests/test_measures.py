@@ -190,3 +190,28 @@ def test_extracted_functional_dimension_guard():
         convex_roof_upper(g, np.full((4, 4), 0.25))
     report = validate_functional(g, 3, samples=100)
     assert report.passes
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5, True, np.float64(3.0)])
+def test_dimension_arguments_are_counts(d):
+    # a dimension is a count like samples and restarts: anything else is
+    # refused before f is evaluated, and never rounded to an integer
+    calls = []
+
+    def mu(v):
+        calls.append(v)
+        return 0.0
+
+    with pytest.raises(ParameterError, match="count must be an integer >= 1"):
+        validate_functional(builtin("shannon"), d, samples=10)
+    with pytest.raises(ParameterError, match="count must be an integer >= 1"):
+        extract_functional(mu, d)
+    with pytest.raises(ParameterError, match="count must be an integer >= 1"):
+        CoherenceFunctional(name="fixed", evaluate=lambda x: calls.append(x) or 0.0, dimension=d)
+    assert calls == []
+
+
+def test_dimension_arguments_accept_numpy_integers():
+    g = extract_functional(lambda v: 0.0, np.int64(3))
+    assert g.dimension == 3 and type(g.dimension) is int
+    assert validate_functional(builtin("l1"), np.int64(3), samples=10).passes
