@@ -123,15 +123,12 @@ def is_complete(k: KrausSet):
     mass = mass.sum(axis=0)
     mass -= 1.0
     residual = float(np.abs(mass, out=mass).max())
-    srt = np.sort(k.rows, axis=1)
+    # each stored zero sits on a row of its own, -1 - c, below every real row
+    srt = np.sort(np.where(k.vals == 0, ~np.arange(k.dim), k.rows), axis=1)
     if (srt[:, 1:] == srt[:, :-1]).any():
-        # two entries of one operator share a row; look again with each
-        # stored zero on a row of its own, -1 - c, below every real row
-        srt = np.sort(np.where(k.vals == 0, ~np.arange(k.dim), k.rows), axis=1)
-        if (srt[:, 1:] == srt[:, :-1]).any():
-            same = k.rows[:, :, None] == k.rows[:, None, :]
-            gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, same)
-            residual = float(np.abs(gram - np.eye(k.dim)).max())
+        same = k.rows[:, :, None] == k.rows[:, None, :]
+        gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, same)
+        residual = float(np.abs(gram - np.eye(k.dim)).max())
     return residual <= ATOL, residual
 
 

@@ -24,7 +24,7 @@ from .states import _count, check_density, squared_amplitudes
 class CoherenceFunctional:
     """A named simplex functional.
 
-    ``dimension`` is None for any-dimension families, otherwise a count d >= 1.
+    ``dimension`` is None for any-dimension families, otherwise a count d >= 1 kept as int.
     ``gradient``, when given, maps unnormalized member amplitudes w (last
     axis) to the gradient G of g(w) = p f(|w_i|^2 / p), p = sum_i |w_i|^2,
     in the real sense: dg = Re sum_i conj(G_i) dw_i. The convex-roof search
@@ -46,7 +46,9 @@ class CoherenceFunctional:
     def __post_init__(self):
         # the probe stack: a vertex, the uniform point, a point with one zero
         # mass (for d > 1) and three distinct interior points, as (2, 3, d)
-        d = 3 if self.dimension is None else _count(self.dimension)
+        if self.dimension is not None:
+            object.__setattr__(self, "dimension", _count(self.dimension))
+        d = self.dimension or 3
         ramp = np.arange(1.0, d + 1.0)
         drop = ramp - 1.0 if d > 1 else ramp
         points = np.array([np.eye(d)[0], np.ones(d), drop, ramp, ramp[::-1] ** 2, np.sqrt(ramp)])
@@ -258,7 +260,7 @@ def extract_functional(mu: Callable, d: int) -> CoherenceFunctional:
     def ev(x):
         return float(mu(np.sqrt(np.asarray(x, dtype=float)).astype(complex)))
 
-    return CoherenceFunctional(name="extracted", evaluate=ev, dimension=_count(d))
+    return CoherenceFunctional(name="extracted", evaluate=ev, dimension=d)
 
 
 class RestartReport(NamedTuple):

@@ -63,7 +63,7 @@ def _canonical(psi: np.ndarray) -> Canonicalization:
 
 
 def _count(n) -> int:
-    """A count of copies, samples or restarts: an integer >= 1, not a bool."""
+    """A count of copies, samples, restarts or dimensions: an int >= 1, no bool."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ParameterError(f"count must be an integer >= 1, got {n!r}")
     return int(n)

@@ -77,6 +77,9 @@ def test_validation_sample_count_must_be_a_positive_integer(samples):
     with pytest.raises(ParameterError):
         validate_functional(builtin("shannon"), 3, samples=samples)
     assert validate_functional(builtin("shannon"), 3, samples=np.int64(1)).samples == 1
+    assert validate_functional(builtin("l1"), np.int64(3), samples=10).passes
+    g = extract_functional(lambda v: 0.0, np.int64(3))
+    assert g.dimension == 3 and type(g.dimension) is int
 
 
 def test_validation_catches_asymmetry():
@@ -209,9 +212,3 @@ def test_dimension_arguments_are_counts(d):
     with pytest.raises(ParameterError, match="count must be an integer >= 1"):
         CoherenceFunctional(name="fixed", evaluate=lambda x: calls.append(x) or 0.0, dimension=d)
     assert calls == []
-
-
-def test_dimension_arguments_accept_numpy_integers():
-    g = extract_functional(lambda v: 0.0, np.int64(3))
-    assert g.dimension == 3 and type(g.dimension) is int
-    assert validate_functional(builtin("l1"), np.int64(3), samples=10).passes
