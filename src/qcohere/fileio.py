@@ -1,36 +1,31 @@
 """JSON persistence for states, density matrices, channels, and protocols.
 
 Complex numbers are stored as [re, im] pairs; floats round-trip exactly
-through Python's shortest-repr serialization. A Kraus set is written as its
-stored form, ``{"dim", "rows", "values"}`` plus ``"labels"`` when some
-operator has one: operator n sends column c to row rows[n][c] with amplitude
-values[n][c]. Dense ``"operators"`` files, written before this encoding or
-by hand, are still read, through ``kraus_set``.
-
-Every number is written as ``repr`` writes it, which is what ``json.dumps``
-writes for a finite float or an integer, and each file is the text
-``json.dumps`` gives for its payload. States, density matrices and
-ensembles go through ``json.dumps`` itself. The stages of a protocol hold
-few distinct numbers among many entries (a T-transform stage: two branch
-amplitudes off its pair of levels, two trig pairs on it), so Kraus sets are
-written by joining words instead: each distinct row, real part and
-imaginary part of a file, keyed by its bit pattern so that -0.0 keeps its
-sign, is formatted once. Non-finite values, which JSON cannot hold, are
-refused before the file is opened. On reading, the compact stages of a
-file are decoded together, in one pass over all their operators.
+through Python's shortest-repr serialization, and each file is the text
+``json.dumps`` gives for its payload. A Kraus set is written in run form,
+``{"dim", "at", "rows", "values"}`` plus ``"labels"`` when some operator has
+one: at[n] lists column 0, each column whose value differs bit for bit from
+the one before it (-0.0 from 0.0 too) and each column not on its own row;
+rows[n] and values[n] hold their rows and amplitudes. An unlisted column c
+has row c and the value of the nearest listed column to its left, so a
+T-transform stage takes a few words. Non-finite values are refused before
+the file is opened. The run-form stages of a file are decoded together.
+Dense ``"operators"`` stages, the only form of a coherent channel, are
+still read, through ``kraus_set``.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import asdict
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from .channels import KrausSet, _from_stored, kraus_set
-from .errors import FileFormatError, NormalizationError, ParameterError
+from .errors import DimensionMismatchError, FileFormatError, NormalizationError, ParameterError
 from .simplex import TINY
 from .states import check_density, pure_state
 
@@ -82,15 +77,12 @@ def _load_json(path):
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _write(path, text) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-
-
 def _dump_json(path, payload) -> None:
     # json.dumps without indentation runs the C encoder; json.dump, or any
     # indent, streams through the pure-Python one
-    _write(path, json.dumps(payload))
+    text = json.dumps(payload)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def _expect(payload, key, path):
@@ -134,99 +126,98 @@ def load_density(path) -> np.ndarray:
     return _from_pairs(_expect(payload, "matrix", path), (dim, dim), path)
 
 
-def _words(a, before="", after="") -> np.ndarray:
-    """The JSON word of each entry of a float64 or int64 array, between
-    ``before`` and ``after``, as an object array. Each distinct entry,
-    keyed by its bit pattern, is formatted once."""
-    bits = a.view(np.uint64)
-    keys = np.sort(bits)
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    keys = keys[new]
-    words = [before + w + after for w in map(repr, keys.view(a.dtype).tolist())]
-    return np.array(words, dtype=object)[np.searchsorted(keys, bits)]
-
-
-def _nested(words) -> str:
-    """JSON text of a 2-D array of words, as a list of lists."""
-    return "[" + ", ".join(["[" + ", ".join(row) + "]" for row in words.tolist()]) + "]"
-
-
-def _kraus_texts(sets) -> list:
-    """The JSON text json.dumps gives for the stored form of each Kraus set,
-    {"dim", "rows", "values"} plus "labels" when some operator has one."""
+def _runs(sets) -> list:
+    """The run-form payload of each Kraus set, all of them encoded together.
+    An operator lists column 0, each column whose value differs bit for bit
+    from the one before it, and each column whose row is not its own."""
     if not sets:
         return []
-    vals = np.concatenate([k.vals.ravel() for k in sets], dtype=complex)
+    dim = sets[0].dim
+    if any(k.dim != dim for k in sets):
+        raise DimensionMismatchError("Kraus sets of one file must share their dimension")
+    rows = np.concatenate([k.rows for k in sets])
+    vals = np.concatenate([k.vals for k in sets], dtype=complex)
     if not np.isfinite(vals).all():
         raise ParameterError("Kraus values must be finite to be written")
-    rows = _words(np.concatenate([k.rows.ravel() for k in sets], dtype=np.int64))
-    # a real part opens its [re, im] pair and the imaginary part closes it,
-    # so joining the words of an operator with ", " writes its pairs
-    pairs = np.empty(2 * vals.size, dtype=object)
-    pairs[0::2] = _words(vals.real, before="[")
-    pairs[1::2] = _words(vals.imag, after="]")
-    texts, start = [], 0
-    for k in sets:
-        n, d = k.rows.shape
-        stop = start + n * d
-        text = (f'{{"dim": {d}, "rows": {_nested(rows[start:stop].reshape(n, d))}, '
-                f'"values": {_nested(pairs[2 * start:2 * stop].reshape(n, 2 * d))}')
+    bits = vals.view(np.uint64).reshape(*vals.shape, 2)
+    listed = rows != np.arange(dim)
+    listed[:, 0] = True
+    listed[:, 1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=2)
+    at, rows, vals = np.nonzero(listed)[1].tolist(), rows[listed].tolist(), vals[listed]
+    ends = np.cumsum(listed.sum(axis=1)).tolist()
+    at, rows, pairs = ([f[a:b] for a, b in zip([0] + ends, ends)] for f in
+                       (at, rows, np.stack((vals.real, vals.imag), -1).tolist()))
+    payloads, bounds = [], np.cumsum([0] + [len(k) for k in sets]).tolist()
+    for k, a, b in zip(sets, bounds, bounds[1:]):
+        payloads.append({"dim": dim, "at": at[a:b], "rows": rows[a:b], "values": pairs[a:b]})
         if any(k.labels):
-            text += ', "labels": ' + json.dumps(list(k.labels))
-        texts.append(text + "}")
-        start = stop
-    return texts
+            payloads[-1]["labels"] = list(k.labels)
+    return payloads
 
 
-def _rows(x, dim, path) -> np.ndarray:
-    """Integer array of shape (n, dim) with entries in [0, dim). JSON
+def _ints(x, dim, path, what) -> np.ndarray:
+    """int64 array of the JSON integers ``x``, each in [0, dim). JSON
     booleans and floats are refused, even where numpy would cast them."""
     try:
-        kinds = set(map(type, chain.from_iterable(x)))
-        rows = np.array(x, dtype=np.int64) if kinds <= {int} else None
-    except (TypeError, ValueError, OverflowError):
-        rows = None
-    if rows is None or rows.ndim != 2 or rows.shape[1] != dim:
-        raise FileFormatError(f"{path}: rows must be {dim} integers per operator")
-    if ((rows < 0) | (rows >= dim)).any():
-        raise FileFormatError(f"{path}: rows must lie in [0, {dim})")
-    return rows
+        a = np.array(x, dtype=np.int64) if set(map(type, x)) <= {int} else None
+    except OverflowError:
+        a = None
+    if a is None or ((a < 0) | (a >= dim)).any():
+        raise FileFormatError(f"{path}: {what} must be integers in [0, {dim})")
+    return a
+
+
+def _expand(ops, dim, path):
+    """(rows, vals) of shape (n, dim) from the (at, rows, values) runs of n
+    operators: an unlisted column c has row c and the value of the nearest
+    listed column to its left."""
+    for op in ops:
+        if not all(isinstance(f, list) for f in op) or len(set(map(len, op))) != 1:
+            raise FileFormatError(f"{path}: at, rows and values must be lists of one length per operator")
+    at, rows, vals = (list(chain.from_iterable(f)) for f in zip(*ops))
+    counts = np.array([len(op[0]) for op in ops])
+    at = _ints(at, dim, path, "columns")
+    first = np.cumsum(counts) - counts
+    keys = np.repeat(np.arange(len(ops)) * dim, counts) + at
+    if not counts.all() or at[first].any() or (keys[1:] <= keys[:-1]).any():
+        raise FileFormatError(f"{path}: the columns of each operator must start at 0 and increase")
+    full = np.tile(np.arange(dim), (len(ops), 1))
+    np.put(full, keys, _ints(rows, dim, path, "rows"))
+    vals = _from_pairs(vals, (keys.size,), path)
+    runs = np.searchsorted(keys, np.arange(full.size), side="right") - 1
+    return full, vals[runs].reshape(full.shape)
 
 
 def _stages(payloads, dim, path) -> list:
     """The stages of dimension ``dim`` (a channel file is one stage), each
     checked and decoded. Returns, per stage, the KrausSet constructor with
     its arguments bound; called with the completeness tolerance ``atol`` it
-    builds the set. Compact {"rows", "values"} stages go straight to the
-    stored form, all of them decoded together and then sliced; dense
-    "operators" go through kraus_set, which raises IncoherenceError on a
-    coherent operator."""
+    builds the set. Run-form stages go straight to the stored form, all of
+    them decoded together and then sliced; dense "operators" go through
+    kraus_set, which raises IncoherenceError on a coherent operator."""
     stages, stored = [], []
     for payload in payloads:
         own = _dim(payload, path)
         if own != dim:
             raise FileFormatError(f"{path}: a stage of dim {own} in a protocol of dim {dim}")
-        if "rows" in payload:
-            own_rows, own_values = payload["rows"], _expect(payload, "values", path)
-            if not isinstance(own_rows, list) or not own_rows:
-                raise FileFormatError(f"{path}: rows must be {dim} integers per operator")
-            count = len(own_rows)
-            if not isinstance(own_values, list) or len(own_values) != count:
-                raise FileFormatError(f"{path}: expected [re, im] pairs for {count} operators")
-            stored.append((own_rows, own_values))
+        if "operators" in payload:
+            ops = _from_pairs(payload["operators"], (None, dim, dim), path)
+            count = len(ops)
+        else:
+            runs = [_expect(payload, key, path) for key in ("at", "rows", "values")]
+            count = len(runs[0]) if isinstance(runs[0], list) else 0
+            if not count or not all(isinstance(f, list) and len(f) == count for f in runs):
+                raise FileFormatError(f"{path}: at, rows and values must list the same operators")
+            stored.extend(zip(*runs))
             # no operators of its own: its arrays are sliced from the stack
             ops = None
-        else:
-            ops = _from_pairs(_expect(payload, "operators", path), (None, dim, dim), path)
-            count = len(ops)
         labels = payload.get("labels")
-        if labels is not None and (not isinstance(labels, list) or len(labels) != count):
-            raise FileFormatError(f"{path}: expected a list of {count} labels, got {labels!r}")
+        if labels is not None and (not isinstance(labels, list) or len(labels) != count
+                                   or not all(isinstance(s, str) for s in labels)):
+            raise FileFormatError(f"{path}: expected a list of {count} strings as labels, got {labels!r}")
         stages.append((ops, count, labels))
     if stored:
-        rows = _rows(list(chain.from_iterable(r for r, _ in stored)), dim, path)
-        vals = _from_pairs(list(chain.from_iterable(v for _, v in stored)), rows.shape, path)
+        rows, vals = _expand(stored, dim, path)
     built, start = [], 0
     for ops, count, labels in stages:
         if ops is None:
@@ -239,7 +230,7 @@ def _stages(payloads, dim, path) -> list:
 
 
 def save_channel(path, k: KrausSet) -> None:
-    _write(path, _kraus_texts([k])[0])
+    _dump_json(path, _runs([k])[0])
 
 
 def load_channel(path) -> KrausSet:
@@ -249,24 +240,17 @@ def load_channel(path) -> KrausSet:
 
 
 def save_protocol(path, protocol, report=None) -> None:
-    """Protocol plus an optional verification block."""
-    head = json.dumps({
+    """Protocol plus an optional verification block, the ProtocolReport's
+    fields under their own names."""
+    payload = {
         "dim": int(protocol.stages[0].dim) if protocol.stages else 0,
         "success_label": protocol.success_label,
         "probability": float(protocol.probability),
-    })
-    text = head[:-1] + ', "stages": [' + ", ".join(_kraus_texts(protocol.stages)) + "]"
+        "stages": _runs(protocol.stages),
+    }
     if report is not None:
-        text += ', "verification": ' + json.dumps({
-            "stage_completeness_residuals": list(report.stage_completeness),
-            # kraus_set admits incoherent operators only; kept for old readers
-            "incoherent": True,
-            "composed_success_probability": float(report.success_probability),
-            "min_success_fidelity": float(report.min_success_fidelity),
-            "branch_count": int(report.branch_count),
-            "success_count": int(report.success_count),
-        })
-    _write(path, text + "}")
+        payload["verification"] = asdict(report)
+    _dump_json(path, payload)
 
 
 def _protocol(payload, path):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qcohere import kraus_set, pure_density, pure_state, save_channel, save_density, save_state
+from qcohere import ProtocolReport, kraus_set, pure_density, pure_state, save_channel, save_density, save_state
 from qcohere import cli
 from qcohere.cli import main
 
@@ -80,9 +80,9 @@ def test_convert_writes_protocol(paths, capsys):
     assert abs(payload["probability"] - 1.0 / 3.0) < 1e-12
     assert len(payload["stages"]) >= 2
     ver = payload["verification"]
-    assert ver["incoherent"] is True
+    assert list(ver) == [f.name for f in dataclasses.fields(ProtocolReport)]
     assert ver["min_success_fidelity"] >= 1.0 - 1e-9
-    assert abs(ver["composed_success_probability"] - 1.0 / 3.0) < 1e-9
+    assert abs(ver["success_probability"] - 1.0 / 3.0) < 1e-9
 
 
 def test_convert_failed_verification(paths, capsys, monkeypatch):
@@ -117,9 +117,8 @@ def test_convert_protocol_d64(paths, capsys):
     assert code == 0
     payload = json.loads(proto.read_text())
     ver = payload["verification"]
-    assert max(ver["stage_completeness_residuals"]) <= 1e-9
-    assert ver["incoherent"] is True
-    assert abs(ver["composed_success_probability"] - payload["probability"]) <= 1e-9
+    assert max(ver["stage_completeness"]) <= 1e-9
+    assert abs(ver["success_probability"] - payload["probability"]) <= 1e-9
     assert abs(payload["probability"] - float(out)) <= 1e-12
     assert ver["min_success_fidelity"] >= 1.0 - 1e-9
     assert ver["success_count"] == 1

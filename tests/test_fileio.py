@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from qcohere import (
     CompletenessError,
     DensityMatrixError,
+    DimensionMismatchError,
     FileFormatError,
     KrausSet,
     NormalizationError,
@@ -123,32 +127,59 @@ def test_malformed_operators_raise_file_format_error(tmp_path):
         path.write_text(json.dumps({"dim": 2, "operators": ops}))
         with pytest.raises(FileFormatError):
             load_channel(path)
+    # labels in a file are JSON strings; null or 5 is not read as "None" or "5"
     for payload in ({"dim": 2.0, "operators": [eye]},
                     {"dim": 2, "operators": [eye], "labels": ["a", "b"]},
-                    {"dim": 2, "operators": [eye], "labels": 5}):
+                    {"dim": 2, "operators": [eye], "labels": 5},
+                    {"dim": 2, "operators": [eye], "labels": [None]},
+                    {"dim": 2, "operators": [eye], "labels": [5]},
+                    {"dim": 2, "operators": [eye], "labels": [True]}):
         path.write_text(json.dumps(payload))
         with pytest.raises(FileFormatError):
             load_channel(path)
 
 
-# each file breaks one field of the valid compact qubit identity
-# {"dim": 2, "rows": [[0, 1]], "values": [[[1.0, 0.0], [1.0, 0.0]]]}
+# each file breaks one field of a valid run-form identity; the qubit one,
+# {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[[1.0, 0.0]]]}, lists
+# column 0 alone, as the writer does, and column 1 takes row 1 and value 1
 ONE = [[1.0, 0.0], [1.0, 0.0]]
+V = [1.0, 0.0]
 MALFORMED_COMPACT = {
-    "float rows": {"dim": 2, "rows": [[0.0, 1]], "values": [ONE]},
-    "bool rows": {"dim": 2, "rows": [[0, True]], "values": [ONE]},
-    "negative row": {"dim": 2, "rows": [[-1, 1]], "values": [ONE]},
-    "row at dim": {"dim": 2, "rows": [[0, 2]], "values": [ONE]},
-    "ragged rows": {"dim": 2, "rows": [[0, 1], [0]], "values": [ONE, ONE]},
-    "nested row": {"dim": 2, "rows": [[[0], 1]], "values": [ONE]},
-    "no operators": {"dim": 2, "rows": [], "values": []},
-    "zero dim": {"dim": 0, "rows": [[]], "values": [[]]},
-    "shape mismatch": {"dim": 2, "rows": [[0, 1], [0, 1]], "values": [ONE]},
-    "missing values": {"dim": 2, "rows": [[0, 1]]},
-    "non-finite value": {"dim": 2, "rows": [[0, 1]], "values": [[[1.0, 0.0], [float("inf"), 0.0]]]},
+    "float rows": {"dim": 2, "at": [[0]], "rows": [[0.0]], "values": [[V]]},
+    "bool rows": {"dim": 2, "at": [[0, 1]], "rows": [[0, True]], "values": [ONE]},
+    "negative row": {"dim": 2, "at": [[0]], "rows": [[-1]], "values": [[V]]},
+    "row at dim": {"dim": 2, "at": [[0, 1]], "rows": [[0, 2]], "values": [ONE]},
+    "ragged rows": {"dim": 2, "at": [[0], [0]], "rows": [[0], []], "values": [[V], [V]]},
+    "nested row": {"dim": 2, "at": [[0]], "rows": [[[0]]], "values": [[V]]},
+    "no operators": {"dim": 2, "at": [], "rows": [], "values": []},
+    "empty operator": {"dim": 2, "at": [[]], "rows": [[]], "values": [[]]},
+    "zero dim": {"dim": 0, "at": [[]], "rows": [[]], "values": [[]]},
+    "shape mismatch": {"dim": 2, "at": [[0], [0]], "rows": [[0], [0]], "values": [[V]]},
+    "missing values": {"dim": 2, "at": [[0]], "rows": [[0]]},
+    # the per-entry form of earlier files has no second reader
+    "missing at": {"dim": 2, "rows": [[0, 1]], "values": [ONE]},
+    "non-finite value": {"dim": 2, "at": [[0, 1]], "rows": [[0, 1]], "values": [[V, [float("inf"), 0.0]]]},
     # numpy would cast these to the identity
-    "string and bool values": {"dim": 2, "rows": [[0, 1]], "values": [[["1.0", False], [True, 0]]]},
-    "wrong label count": {"dim": 2, "rows": [[0, 1]], "values": [ONE], "labels": ["a", "b"]},
+    "string and bool values": {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[["1.0", False]]]},
+    "wrong label count": {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V]], "labels": ["a", "b"]},
+    "null label": {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V]], "labels": [None]},
+    "number label": {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V]], "labels": [5]},
+    "columns not from 0": {"dim": 2, "at": [[1]], "rows": [[1]], "values": [[V]]},
+    "unsorted columns": {"dim": 3, "at": [[0, 2, 1]], "rows": [[0, 2, 1]], "values": [[V, V, V]]},
+    "duplicate column": {"dim": 2, "at": [[0, 0]], "rows": [[0, 0]], "values": [[V, V]]},
+    "column at dim": {"dim": 2, "at": [[0, 2]], "rows": [[0, 1]], "values": [ONE]},
+    "negative column": {"dim": 2, "at": [[0, -1]], "rows": [[0, 1]], "values": [ONE]},
+    "huge column": {"dim": 2, "at": [[0, 10**30]], "rows": [[0, 1]], "values": [ONE]},
+    "float column": {"dim": 2, "at": [[0.0]], "rows": [[0]], "values": [[V]]},
+    "bool column": {"dim": 2, "at": [[False]], "rows": [[0]], "values": [[V]]},
+    "more columns than rows": {"dim": 2, "at": [[0, 1]], "rows": [[0]], "values": [ONE]},
+    "more columns than values": {"dim": 2, "at": [[0, 1]], "rows": [[0, 1]], "values": [[V]]},
+    "more rows than columns": {"dim": 2, "at": [[0]], "rows": [[0, 1]], "values": [[V]]},
+    # not a list of columns: numpy and len() would raise TypeError
+    "number in place of columns": {"dim": 2, "at": [5], "rows": [[0]], "values": [[V]]},
+    "number in place of values": {"dim": 2, "at": [[0]], "rows": [[0]], "values": [5]},
+    "string in place of columns": {"dim": 2, "at": ["0"], "rows": [[0]], "values": [[V]]},
+    "number in place of the column lists": {"dim": 2, "at": 0, "rows": [[0]], "values": [[V]]},
 }
 
 
@@ -164,11 +195,18 @@ def test_malformed_compact_channels_raise_file_format_error(tmp_path, capsys, na
 
 
 def test_compact_identity_loads(tmp_path):
-    # the valid file the MALFORMED_COMPACT cases break
+    # the valid files the MALFORMED_COMPACT cases break; listing a column
+    # the writer leaves out changes nothing
     path = tmp_path / "channel.json"
-    path.write_text(json.dumps({"dim": 2, "rows": [[0, 1]], "values": [ONE]}))
-    ks = load_channel(path)
-    assert np.array_equal(ks.operators[0], np.eye(2))
+    for payload in ({"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V]]},
+                    {"dim": 2, "at": [[0, 1]], "rows": [[0, 1]], "values": [ONE]},
+                    {"dim": 3, "at": [[0]], "rows": [[0]], "values": [[V]]}):
+        path.write_text(json.dumps(payload))
+        ks = load_channel(path)
+        assert np.array_equal(ks.operators[0], np.eye(payload["dim"]))
+    # a swap lists both columns, each off its own row
+    path.write_text(json.dumps({"dim": 2, "at": [[0, 1]], "rows": [[1, 0]], "values": [ONE]}))
+    assert np.array_equal(load_channel(path).operators[0], [[0, 1], [1, 0]])
 
 
 @st.composite
@@ -299,9 +337,9 @@ def test_empty_protocol_has_dim_zero(tmp_path):
     assert stages == [] and meta["dim"] == 0
 
 
-def test_written_files_keep_the_per_entry_encoding(tmp_path):
-    # the files hold one [float(re), float(im)] pair per stored entry,
-    # signed zeros included
+def test_written_files_keep_the_run_encoding(tmp_path):
+    # states and densities hold one [float(re), float(im)] pair per entry,
+    # signed zeros included; a Kraus set holds the runs of each operator
     def pairs(a):
         a = np.asarray(a, dtype=complex)
         if a.ndim == 1:
@@ -320,17 +358,37 @@ def test_written_files_keep_the_per_entry_encoding(tmp_path):
     expect(path, {"dim": 3, "matrix": pairs(rho)})
     ks = kraus_set([np.diag([1.0, 0.6, 0.0]), np.diag([0.0, -0.8j, 1.0])], labels=["", "b"])
     save_channel(path, ks)
-    # a Kraus set is written as its stored form: the row and the value of
-    # each operator column
-    expect(path, {"dim": 3, "rows": [[0, 1, 2], [0, 1, 2]], "values": pairs(ks.vals),
-                  "labels": ["", "b"]})
+    # every column sits on its own row, so only a change of value is listed
+    expect(path, {"dim": 3, "at": [[0, 1, 2], [0, 1, 2]], "rows": [[0, 1, 2], [0, 1, 2]],
+                  "values": pairs(ks.vals), "labels": ["", "b"]})
+    r = 1.0 / np.sqrt(2.0)
+    merge = kraus_set([[[1, 0, 0, 0], [0, r, r, 0], [0, 0, 0, 0], [0, 0, 0, r]],
+                       [[0, 0, 0, 0], [0, r, -r, 0], [0, 0, 0, 0], [0, 0, 0, r]]])
+    save_channel(path, merge)
+    # column 2 is listed for its row; column 3 repeats column 2's value in
+    # the first operator only
+    expect(path, {"dim": 4, "at": [[0, 1, 2], [0, 1, 2, 3]], "rows": [[0, 1, 1], [0, 1, 1, 3]],
+                  "values": [[[1.0, 0.0], [r, 0.0], [r, 0.0]],
+                             [[0.0, 0.0], [r, 0.0], [-r, 0.0], [r, 0.0]]]})
+    # -0.0 differs from 0.0 bit for bit
+    signed = KrausSet(rows=np.array([[0, 1, 2]]), vals=np.array([[0.0, complex(-0.0, 0.0), -0.0]]),
+                      labels=("",))
+    save_channel(path, signed)
+    expect(path, {"dim": 3, "at": [[0, 1]], "rows": [[0, 1]],
+                  "values": [[[0.0, 0.0], [-0.0, 0.0]]]})
 
 
-# the writer's reference: the payload each file held before Kraus sets were
-# written word by word, through json.dumps
+# the writer's reference: the run form built column by column, with the
+# ProtocolReport fields under their own names, through json.dumps
 def _reference_channel(ks):
-    payload = {"dim": int(ks.dim), "rows": ks.rows.tolist(),
-               "values": np.stack((ks.vals.real, ks.vals.imag), -1).tolist()}
+    at, rows, values = [], [], []
+    for r, v in zip(ks.rows.tolist(), ks.vals.tolist()):
+        bits = [struct.pack("<dd", z.real, z.imag) for z in v]
+        cols = [c for c in range(ks.dim) if c == 0 or r[c] != c or bits[c] != bits[c - 1]]
+        at.append(cols)
+        rows.append([r[c] for c in cols])
+        values.append([[v[c].real, v[c].imag] for c in cols])
+    payload = {"dim": int(ks.dim), "at": at, "rows": rows, "values": values}
     if any(ks.labels):
         payload["labels"] = list(ks.labels)
     return payload
@@ -345,9 +403,9 @@ def _reference_protocol(protocol, report=None):
     }
     if report is not None:
         payload["verification"] = {
-            "stage_completeness_residuals": list(report.stage_completeness),
-            "incoherent": True,
-            "composed_success_probability": float(report.success_probability),
+            "stage_completeness": list(report.stage_completeness),
+            "success_probability": float(report.success_probability),
+            "declared_probability": float(report.declared_probability),
             "min_success_fidelity": float(report.min_success_fidelity),
             "branch_count": int(report.branch_count),
             "success_count": int(report.success_count),
@@ -463,21 +521,61 @@ def test_non_finite_kraus_values_are_refused_before_writing(tmp_path, bad):
     assert not path.exists()
 
 
-IDENTITY = {"dim": 2, "rows": [[0, 1]], "values": [ONE]}
+def test_save_protocol_rejects_stages_of_unequal_dims(tmp_path):
+    # load_protocol refuses a stage whose dim is not the protocol's
+    path = tmp_path / "protocol.json"
+    qubit, qutrit = (kraus_set([np.eye(d)]) for d in (2, 3))
+    with pytest.raises(DimensionMismatchError):
+        save_protocol(path, Protocol(stages=(qubit, qutrit), success_label="success",
+                                     probability=1.0))
+    assert not path.exists()
+
+
+def test_protocol_file_d1024_is_small_and_fast(tmp_path):
+    # a chain stage is a scaled identity off its two levels and takes a few
+    # words: about 0.6 MB, loaded in about 0.2 s on a 2-CPU machine
+    rng = np.random.default_rng(1024)
+    psi, phi = (random_pure_state(rng, 1024, phases=True) for _ in range(2))
+    protocol = optimal_protocol(psi, phi)
+    path = tmp_path / "protocol.json"
+    save_protocol(path, protocol)
+    assert path.stat().st_size < 1_000_000
+    start = time.perf_counter()
+    stages, _ = load_protocol(path)
+    elapsed = time.perf_counter() - start
+    assert len(stages) == len(protocol.stages) > 1000
+    assert all(_same(a, b) for a, b in zip(stages, protocol.stages))
+    assert elapsed < 0.5
+
+
+IDENTITY = {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V]]}
+LISTED = {"dim": 2, "at": [[0, 1]], "rows": [[0, 1]], "values": [ONE]}
 # each protocol breaks one stage of a protocol of qubit identities; the
 # stages are decoded together, so each fault must still be found per stage
 MALFORMED_PROTOCOLS = {
-    # the row and values counts balance over the file, not per stage
-    "unbalanced stages": [{"dim": 2, "rows": [[0, 1], [0, 1]], "values": [ONE]},
-                          {"dim": 2, "rows": [[0, 1]], "values": [ONE, ONE]}],
-    "stage of another dim": [IDENTITY, {"dim": 3, "rows": [[0, 1, 2]], "values": [ONE + [[1.0, 0.0]]]}],
-    "float row in the last stage": [IDENTITY, IDENTITY, dict(IDENTITY, rows=[[0, 1.0]])],
-    "bool row in the last stage": [IDENTITY, IDENTITY, dict(IDENTITY, rows=[[0, True]])],
-    "row at dim in the last stage": [IDENTITY, IDENTITY, dict(IDENTITY, rows=[[0, 2]])],
-    "empty middle stage": [IDENTITY, dict(IDENTITY, rows=[], values=[]), IDENTITY],
-    "non-finite last value": [IDENTITY, dict(IDENTITY, values=[[[1.0, 0.0], [1.0, float("nan")]]])],
-    "bool last value": [IDENTITY, dict(IDENTITY, values=[[[1.0, 0.0], [True, 0.0]]])],
+    # the operator counts balance over the file, not per stage
+    "unbalanced stages": [{"dim": 2, "at": [[0], [0]], "rows": [[0], [0]], "values": [[V]]},
+                          {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V], [V]]}],
+    # the column, row and value counts balance over the file, not per operator
+    "unbalanced operators": [dict(LISTED, rows=[[0]]), dict(IDENTITY, rows=[[0, 1]])],
+    "stage of another dim": [IDENTITY, {"dim": 3, "at": [[0]], "rows": [[0]], "values": [[V]]}],
+    "float row in the last stage": [IDENTITY, IDENTITY, dict(LISTED, rows=[[0, 1.0]])],
+    "bool row in the last stage": [IDENTITY, IDENTITY, dict(LISTED, rows=[[0, True]])],
+    "row at dim in the last stage": [IDENTITY, IDENTITY, dict(LISTED, rows=[[0, 2]])],
+    "float column in the last stage": [IDENTITY, IDENTITY, dict(LISTED, at=[[0, 1.0]])],
+    "column at dim in the last stage": [IDENTITY, IDENTITY, dict(LISTED, at=[[0, 2]])],
+    "duplicate column in the last stage": [IDENTITY, IDENTITY, dict(LISTED, at=[[0, 0]])],
+    # decoded together, the columns of the file still increase
+    "last stage not from column 0": [IDENTITY, dict(IDENTITY, at=[[1]], rows=[[1]])],
+    "empty middle stage": [IDENTITY, dict(IDENTITY, at=[], rows=[], values=[]), IDENTITY],
+    "empty operator in the middle stage": [IDENTITY, dict(IDENTITY, at=[[]], rows=[[]], values=[[]]),
+                                           IDENTITY],
+    "number in place of columns in the last stage": [IDENTITY, dict(IDENTITY, at=[5])],
+    "per-entry middle stage": [IDENTITY, {"dim": 2, "rows": [[0, 1]], "values": [ONE]}, IDENTITY],
+    "non-finite last value": [IDENTITY, dict(LISTED, values=[[V, [1.0, float("nan")]]])],
+    "bool last value": [IDENTITY, dict(LISTED, values=[[V, [True, 0.0]]])],
     "wrong label count in one stage": [IDENTITY, dict(IDENTITY, labels=["a", "b"]), IDENTITY],
+    "null label in one stage": [IDENTITY, dict(IDENTITY, labels=[None]), IDENTITY],
 }
 
 
@@ -585,7 +683,9 @@ def test_protocol_round_trip(tmp_path):
     assert meta["success_label"] == "success"
     assert abs(meta["probability"] - 1.0 / 3.0) < 1e-12
     ver = meta["verification"]
-    assert ver["incoherent"] is True
+    # the block holds the report under its own field names
+    back = ProtocolReport(**ver)
+    assert dataclasses.replace(back, stage_completeness=tuple(back.stage_completeness)) == report
     assert ver["min_success_fidelity"] >= 1.0 - 1e-9
     assert ver["branch_count"] >= ver["success_count"] >= 1
 
