@@ -6,6 +6,7 @@ they enter (``kraus_set``) and leave (``KrausSet.operators``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -219,15 +220,9 @@ def compose(stages) -> KrausSet:
             )
         # product [m, n] = stage op m after op n: column c goes to rows[n, c],
         # then on to stage.rows[m, rows[n, c]]
-        rows, vals, labels = _kept(
-            stage.rows[:, rows].reshape(-1, d),
-            (stage.vals[:, rows] * vals).reshape(-1, d),
-            [_join(lab1, lab2) for lab2 in stage.labels for lab1 in labels],
-        )
+        vals = (stage.vals[:, rows] * vals).reshape(-1, d)
+        rows = stage.rows[:, rows].reshape(-1, d)
+        keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
+        rows, vals = rows[keep], vals[keep]
+        labels = list(compress((_join(a, b) for b in stage.labels for a in labels), keep))
     return _from_stored(rows, vals, labels=labels, atol=len(stages) * ATOL)
-
-
-def _kept(rows, vals, labels) -> tuple:
-    """The products of a composition whose Frobenius norm exceeds TINY."""
-    keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
-    return rows[keep], vals[keep], [lab for lab, k in zip(labels, keep) if k]

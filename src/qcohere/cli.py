@@ -25,7 +25,7 @@ from .errors import IncoherenceError, QcohereError
 from .fileio import load_density, load_state, read_stages, save_ensemble, save_protocol
 from .measures import builtin, coherence_pure, convex_roof_upper
 from .simplex import ATOL
-from .states import check_density, pure_state, support_size, tensor_power
+from .states import pure_state, support_size, tensor_power
 
 
 def _functional(args):
@@ -86,6 +86,8 @@ def cmd_ladder(args) -> int:
 
 def cmd_verify_channel(args) -> int:
     stages, meta = read_stages(args.channel)
+    if meta is not None and not stages:
+        print("protocol: no stages")
     names = ["channel"] if meta is None else [f"stage {n}" for n in range(1, len(stages) + 1)]
     ok_all = True
     for name, stage in zip(names, stages):
@@ -103,9 +105,8 @@ def cmd_verify_channel(args) -> int:
 
 
 def cmd_roof(args) -> int:
-    rho = check_density(load_density(args.density))
     result = convex_roof_upper(
-        _functional(args), rho, restarts=args.restarts, seed=args.seed
+        _functional(args), load_density(args.density), restarts=args.restarts, seed=args.seed
     )
     print(f"upper bound: {result.value:.12f}")
     if args.ensemble:

@@ -10,9 +10,10 @@ The steps are built together: one array kernel computes every step's
 branch weights, trig pairs and stored operators as a single stack and
 checks them all in one pass; ``two_level_step`` is its one-step call.
 ``optimal_protocol`` validates its pair once and reads the ladder, the
-steps and the filter off one canonical pair; the frames of the two states
-enter the first and last stage by re-indexing. ``verify_protocol`` replays
-a protocol with each live branch a (probability, state, label) tuple.
+steps and the filter off one canonical pair; ``compose`` joins the frames
+of the two states, one operator each, to the first and last stage.
+``verify_protocol`` replays a protocol with each live branch a
+(probability, state, label) tuple.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .channels import (
     KrausSet,
     _from_stored,
     _join,
-    _kept,
     _outcomes,
+    compose,
     is_complete,
 )
 from .errors import (
@@ -38,10 +39,9 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .simplex import ATOL, TINY, _transfers
+from .simplex import ATOL, TINY, _count, _transfers
 from .states import (
     _canonical,
-    _count,
     fidelity_pure,
     pure_state,
     support_size,
@@ -230,7 +230,7 @@ def _filter(ladder: ConversionLadder, t: np.ndarray) -> tuple:
     comp = np.sqrt(np.clip(1.0 - m * m, 0.0, None))
     ops = (m, comp) if float((comp * comp).sum()) > TINY else (m,)
     rows = np.array([np.arange(d)] * len(ops))
-    return rows, np.array(ops, dtype=complex), ["success", "fail"][: len(ops)]
+    return rows, np.array(ops, dtype=complex), ("success", "fail")[: len(ops)]
 
 
 def _pair_steps(d: int, u, a, b, i, j) -> list:
@@ -315,7 +315,8 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     """
     s = _require_nonneg_real(source)
     d = s.size
-    if not (1 <= i <= d and 1 <= j <= d) or i == j:
+    i, j = _count(i, what="coordinate"), _count(j, what="coordinate")
+    if i > d or j > d or i == j:
         raise ParameterError(f"bad coordinate pair ({i}, {j}) for dimension {d}")
     si2, sj2 = float(s[i - 1] ** 2), float(s[j - 1] ** 2)
     ci2, cj2 = float(target_pair[0]), float(target_pair[1])
@@ -327,15 +328,12 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     if abs(ci2 - cj2) <= TINY:
         if abs(si2 - ci2) > ATOL:
             raise InfeasibleStepError("equal targets require an equal source pair")
-        return _identity(d)
-    u = (ci2 - si2) / (ci2 - cj2)
-    if not -ATOL <= u <= 1.0 + ATOL:
-        raise InfeasibleStepError(f"branch weight {1.0 - u!r} outside [0, 1]")
+        u = 0.0
+    else:
+        u = (ci2 - si2) / (ci2 - cj2)
+        if not -ATOL <= u <= 1.0 + ATOL:
+            raise InfeasibleStepError(f"branch weight {1.0 - u!r} outside [0, 1]")
     return _pair_steps(d, [min(max(u, 0.0), 1.0)], [ci2], [cj2], [i - 1], [j - 1])[0]
-
-
-def _identity(d: int) -> KrausSet:
-    return _from_stored(np.arange(d)[None], np.ones((1, d), dtype=complex))
 
 
 def deterministic_protocol(psi, gamma) -> list:
@@ -375,10 +373,11 @@ class Protocol:
 def optimal_protocol(psi, phi) -> Protocol:
     """Protocol realizing the maximal conversion probability for any pair.
 
-    Inputs may carry phases and arbitrary amplitude order; the first stage
-    absorbs the source canonicalization and the last one undoes the
-    target's, each by re-indexing its operators. Zero probability yields an
-    empty protocol.
+    Inputs may carry phases and arbitrary amplitude order. ``compose`` joins
+    the source frame P D, which sends column c to row inverse-permutation[c]
+    with phase c, to the first stage and the target's (P D)^H to the filter;
+    each frame is one operator, an exact incoherent unitary. Zero
+    probability yields an empty protocol.
     """
     cs, ct = canonical_pair(psi, phi)
     s = cs.state
@@ -388,17 +387,9 @@ def optimal_protocol(psi, phi) -> Protocol:
     ladder = _ladder(sa, sb, t, first)
     # no transfer crosses a breakpoint, where the tails of psi and gamma agree
     det = _block_stages(s, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
-    lead = det[0] if det else _identity(s.size)
-    frows, fvals, labels = _filter(ladder, t)
-
-    # the frames fold in by re-indexing, each stage checked as a composition
-    # of two: P D sends column c to row inverse-permutation[c] with phase c
-    # before the first stage; (P D)^H sends column k to row permutation[k]
-    # with the conjugate phase of that row after the filter
-    inv, perm = np.argsort(cs.permutation), ct.permutation
-    head = _kept(lead.rows[:, inv], lead.vals[:, inv] * cs.phases, lead.labels)
-    tail = _kept(perm[frows], ct.phases[perm].conj()[frows] * fvals, labels)
-    stages = (_from_stored(*head, atol=2 * ATOL), *det[1:], _from_stored(*tail, atol=2 * ATOL))
+    w_in = KrausSet(np.argsort(cs.permutation)[None], cs.phases[None], ("",))
+    w_out = KrausSet(ct.permutation[None], ct.phases[ct.permutation].conj()[None], ("",))
+    stages = (compose([w_in, *det[:1]]), *det[1:], compose([KrausSet(*_filter(ladder, t)), w_out]))
     return Protocol(stages=stages, success_label="success", probability=ladder.success_probability)
 
 

@@ -25,7 +25,14 @@ from itertools import chain
 import numpy as np
 
 from .channels import KrausSet, _from_stored, kraus_set
-from .errors import DimensionMismatchError, FileFormatError, NormalizationError, ParameterError
+from .errors import (
+    CompletenessError,
+    DimensionMismatchError,
+    FileFormatError,
+    IncoherenceError,
+    NormalizationError,
+    ParameterError,
+)
 from .simplex import TINY
 from .states import check_density, pure_state
 
@@ -143,10 +150,9 @@ def _runs(sets) -> list:
     listed = rows != np.arange(dim)
     listed[:, 0] = True
     listed[:, 1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=2)
-    at, rows, vals = np.nonzero(listed)[1].tolist(), rows[listed].tolist(), vals[listed]
+    at, rows, pairs = np.nonzero(listed)[1].tolist(), rows[listed].tolist(), _to_pairs(vals[listed])
     ends = np.cumsum(listed.sum(axis=1)).tolist()
-    at, rows, pairs = ([f[a:b] for a, b in zip([0] + ends, ends)] for f in
-                       (at, rows, np.stack((vals.real, vals.imag), -1).tolist()))
+    at, rows, pairs = ([f[a:b] for a, b in zip([0] + ends, ends)] for f in (at, rows, pairs))
     payloads, bounds = [], np.cumsum([0] + [len(k) for k in sets]).tolist()
     for k, a, b in zip(sets, bounds, bounds[1:]):
         payloads.append({"dim": dim, "at": at[a:b], "rows": rows[a:b], "values": pairs[a:b]})
@@ -233,10 +239,21 @@ def save_channel(path, k: KrausSet) -> None:
     _dump_json(path, _runs([k])[0])
 
 
+def _built(stage, where):
+    """The KrausSet of a decoded stage, complete within RENORM_TOL; its
+    completeness or incoherence error names ``where``, the witness kept."""
+    try:
+        return stage(atol=RENORM_TOL)
+    except IncoherenceError as exc:
+        raise IncoherenceError(f"{where}: {exc}", exc.witness) from exc
+    except CompletenessError as exc:
+        raise CompletenessError(f"{where}: {exc}") from exc
+
+
 def load_channel(path) -> KrausSet:
     """Channel file as a KrausSet, complete within RENORM_TOL."""
     payload = _load_json(path)
-    return _stages([payload], _dim(payload, path), path)[0](atol=RENORM_TOL)
+    return _built(_stages([payload], _dim(payload, path), path)[0], path)
 
 
 def save_protocol(path, protocol, report=None) -> None:
@@ -267,7 +284,8 @@ def load_protocol(path):
     """Returns (stages, meta), each stage complete within RENORM_TOL.
     ``meta`` holds the scalar fields as a dict."""
     stages, meta = _protocol(_load_json(path), path)
-    return [stage(atol=RENORM_TOL) for stage in stages], meta
+    k = len(stages)
+    return [_built(stage, f"{path}: stage {m} of {k}") for m, stage in enumerate(stages, 1)], meta
 
 
 def read_stages(path):

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _roofopt
 from .errors import DimensionMismatchError, ParameterError
-from .simplex import ATOL, TINY
-from .states import _count, check_density, squared_amplitudes
+from .simplex import ATOL, TINY, _count
+from .states import check_density, squared_amplitudes
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def validate_functional(
     f: CoherenceFunctional, d: int, samples: int = 1000, seed: int = 0
 ) -> ValidationReport:
     """Check f(vertices)=0, permutation invariance, and concavity by sampling."""
-    d, samples = _count(d), _count(samples)
+    d, samples, seed = _count(d), _count(samples), _count(seed, least=0, what="seed")
     f._check_dimension(d)
     rng = np.random.default_rng(seed)
     x, moved, y = np.empty((3, samples, d))
@@ -328,19 +328,19 @@ def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int 
     """Upper-bound the convex roof of ``f`` over decompositions of ``rho``.
 
     Searches ensembles of rank^2 members by Riemannian conjugate gradient,
-    all restarts at once; deterministic for a fixed seed. Restart 0 starts
-    next to the eigen-ensemble, the others at random ensembles. The gradient
-    is ``f.gradient``, or central differences of ``f.values`` when f has
-    none. A restart held by a cusp of f ("stalled") is resumed, first on the
-    smoothed objective f((1 - eps) x + eps / d) with eps = 1e-3, then on f,
-    and kept only if it scores lower. The eigen-ensemble is returned
-    whenever it scores lower, so the bound never exceeds the
-    eigendecomposition average.
+    all restarts at once; deterministic for a fixed seed, an integer >= 0.
+    Restart 0 starts next to the eigen-ensemble, the others at random
+    ensembles. The gradient is ``f.gradient``, or central differences of
+    ``f.values`` when f has none. A restart held by a cusp of f ("stalled")
+    is resumed, first on the smoothed objective f((1 - eps) x + eps / d)
+    with eps = 1e-3, then on f, and kept only if it scores lower. The
+    eigen-ensemble is returned whenever it scores lower, so the bound never
+    exceeds the eigendecomposition average.
     """
     rho = check_density(rho)
     d = rho.shape[0]
     f._check_dimension(d)
-    restarts = _count(restarts)
+    restarts, seed = _count(restarts), _count(seed, least=0, what="seed")
 
     diag = np.diag(rho)
     if float(np.abs(rho - np.diag(diag)).max()) <= ATOL:

@@ -9,6 +9,7 @@ Index arguments that mirror the usual mathematical notation (tail start
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,15 @@ from .errors import DimensionMismatchError, MajorizationError, NormalizationErro
 ATOL = 1e-9
 # below this, masses are treated as zero and negative dust is clamped
 TINY = 1e-12
+
+
+def _count(n, least: int = 1, what: str = "count") -> int:
+    """An integer >= ``least``, numpy integers accepted, booleans refused: a
+    count of copies, samples, restarts or dimensions, a seed (least 0) or a
+    1-based coordinate."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ParameterError(f"{what} must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def prob_vector(entries) -> np.ndarray:
@@ -85,7 +95,7 @@ class TTransform:
     t: float
 
     def __post_init__(self):
-        if self.i < 1 or self.j < 1 or self.i == self.j:
+        if _count(self.i, what="coordinate") == _count(self.j, what="coordinate"):
             raise ParameterError(f"bad coordinate pair ({self.i}, {self.j})")
         if not 0.0 <= self.t <= 1.0:
             raise ParameterError(f"mix weight {self.t} outside [0, 1]")

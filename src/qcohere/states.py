@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DensityMatrixError, NormalizationError, ParameterError, ResourceLimitError
-from .simplex import ATOL, TINY, prob_vector
+from .errors import DensityMatrixError, NormalizationError, ResourceLimitError
+from .simplex import ATOL, TINY, _count, prob_vector
 
 # cap on the output length of tensor_power
 TENSOR_CAP = 1_000_000
@@ -60,13 +59,6 @@ def _canonical(psi: np.ndarray) -> Canonicalization:
     nz = mod > 0.0
     phases[nz] = psi[nz].conj() / mod[nz]
     return Canonicalization(state=mod[perm], permutation=perm, phases=phases)
-
-
-def _count(n) -> int:
-    """A count of copies, samples, restarts or dimensions: an int >= 1, no bool."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ParameterError(f"count must be an integer >= 1, got {n!r}")
-    return int(n)
 
 
 def tensor_power(psi, n: int) -> np.ndarray:

@@ -247,6 +247,29 @@ def test_verify_channel_on_protocol_file(paths, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_channel_on_empty_protocol(paths, capsys):
+    # P = 0 writes "stages": [], and verify-channel printed nothing
+    proto = paths["tmp"] / "empty.json"
+    code, out, _ = run(["convert", "--source", paths["pair"], "--target", paths["uni3"],
+                        "--protocol", proto], capsys)
+    assert (code, out.strip()) == (0, "0.000000000000")
+    assert json.loads(proto.read_text())["stages"] == []
+    code, out, _ = run(["verify-channel", "--channel", proto], capsys)
+    assert (code, out) == (0, "protocol: no stages\n")
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_roof_bad_seed_is_an_error(paths, capsys, diagonal):
+    # a negative seed escaped as numpy's ValueError with a traceback, or was
+    # never read on a diagonal density, which printed a bound and exited 0
+    dens = paths["tmp"] / "rho.json"
+    rho = np.diag([0.5, 0.5]) if diagonal else np.array([[0.5, 0.25], [0.25, 0.5]])
+    save_density(dens, rho.astype(complex))
+    code, out, err = run(["roof", "--density", dens, "--functional", "l1", "--seed", "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_roof_pure_state(paths, capsys):
     dens = paths["tmp"] / "rho.json"
     save_density(dens, pure_density(pure_state([INV2, INV2])))

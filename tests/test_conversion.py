@@ -229,6 +229,11 @@ def test_two_level_step_degenerate_targets():
     ks = two_level_step(s, (0.5, 0.5), 1, 2)
     assert len(ks) == 1
     assert np.abs(ks.operators[0] - np.eye(2)).max() == 0.0
+    # the identity in stored form, bit for bit: rows arange(d), values 1
+    ident = two_level_step(np.full(3, 1.0 / np.sqrt(3.0)), (1 / 3, 1 / 3), 1, 3)
+    assert ident.rows.dtype == np.intp and ident.labels == ("",)
+    assert ident.rows.tobytes() == np.arange(3)[None].tobytes()
+    assert ident.vals.tobytes() == np.ones((1, 3), dtype=complex).tobytes()
     with pytest.raises(InfeasibleStepError):
         two_level_step(np.sqrt([0.7, 0.3]), (0.5, 0.5), 1, 2)
 
@@ -243,6 +248,20 @@ def test_two_level_step_infeasible():
         two_level_step(s, (0.7, 0.3), 1, 1)
     with pytest.raises(ParameterError):
         two_level_step(s, (0.7, 0.3), 0, 2)
+
+
+@pytest.mark.parametrize("i", [1.5, 1.0, True, "1", None])
+def test_two_level_step_coordinates_are_integers(i):
+    # 1.5 raised numpy's IndexError deep inside the step; True was read as
+    # coordinate 1
+    s = np.full(2, 1.0 / np.sqrt(2.0))
+    with pytest.raises(ParameterError):
+        two_level_step(s, (0.4, 0.4), i, 2)
+    with pytest.raises(ParameterError):
+        two_level_step(s, (0.7, 0.3), 2, i)
+    want = two_level_step(s, (0.7, 0.3), 1, 2)
+    got = two_level_step(s, (0.7, 0.3), np.int32(1), np.int64(2))
+    assert same_stage(got, want)
 
 
 def test_two_level_step_keeps_operator_with_column_mass():
@@ -459,10 +478,15 @@ def reference_optimal_protocol(psi, phi):
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(canonical_masses(10), canonical_masses(10), st.integers(0, 2**32 - 1))
+# equal moduli in two frames: the chain is empty, so the first stage is the
+# source frame alone, where the reference composes it with the identity
+@example(np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.3, 0.2]), 7)
+# a target zero-padded to the source's dimension
+@example(np.array([0.4, 0.3, 0.2, 0.1]), np.array([0.6, 0.4]), 11)
 def test_optimal_protocol_matches_composed_reference(x, y, seed):
     # ties, zeros, masses near the floor and unequal dimensions, in random
-    # order and with random phases; the frames folded in by re-indexing give
-    # the composed stages bit for bit
+    # order and with random phases; the protocol equals the one composed
+    # from the public pieces bit for bit
     rng = np.random.default_rng(seed)
     psi, phi = framed(x, rng), framed(y, rng)
     got, want = optimal_protocol(psi, phi), reference_optimal_protocol(psi, phi)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 import time
 
@@ -13,6 +14,7 @@ from qcohere import (
     DensityMatrixError,
     DimensionMismatchError,
     FileFormatError,
+    IncoherenceError,
     KrausSet,
     NormalizationError,
     ParameterError,
@@ -38,6 +40,7 @@ from qcohere import (
     verify_protocol,
 )
 from qcohere.cli import main
+from qcohere.fileio import read_stages
 from qcohere.fileio import read_stages
 from randgen import _merge_pair, random_incoherent_kraus, random_pure_state
 
@@ -667,6 +670,44 @@ def test_channel_load_enforces_completeness(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CompletenessError):
         load_channel(path)
+
+
+def test_load_errors_name_the_file_and_the_stage(tmp_path):
+    # a completeness error named neither the file nor the stage
+    path = tmp_path / "protocol.json"
+    psi = np.sqrt([0.8, 0.1, 0.1]).astype(complex)
+    phi = np.sqrt([0.4, 0.3, 0.3]).astype(complex)
+    save_protocol(path, optimal_protocol(psi, phi))
+    payload = json.loads(path.read_text())
+    assert len(payload["stages"]) == 2
+    last = payload["stages"][1]
+    last["values"] = [[[0.5 * re, 0.5 * im] for re, im in op] for op in last["values"]]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CompletenessError, match=f"^{re.escape(str(path))}: stage 2 of 2: sum K"):
+        load_protocol(path)
+    # read_stages leaves the error to its caller, unprefixed
+    stages, _ = read_stages(path)
+    with pytest.raises(CompletenessError, match="^sum K"):
+        stages[1](atol=1e-6)
+
+    # a Hadamard on the first two coordinates, written dense
+    h = 1.0 / np.sqrt(2.0)
+    had = [[[h, 0.0], [h, 0.0], [0.0, 0.0]], [[h, 0.0], [-h, 0.0], [0.0, 0.0]],
+           [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]
+    payload["stages"][1] = {"dim": 3, "operators": [had]}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IncoherenceError, match=f"^{re.escape(str(path))}: stage 2 of 2: ") as err:
+        load_protocol(path)
+    assert (err.value.witness.operator, err.value.witness.column) == (1, 1)
+    assert err.value.witness.rows == (1, 2)
+
+    chan = tmp_path / "channel.json"
+    save_channel(chan, kraus_set([np.eye(2)]))
+    payload = json.loads(chan.read_text())
+    payload["values"] = [[[0.5, 0.0]]]
+    chan.write_text(json.dumps(payload))
+    with pytest.raises(CompletenessError, match=f"^{re.escape(str(chan))}: sum K"):
+        load_channel(chan)
 
 
 def test_protocol_round_trip(tmp_path):

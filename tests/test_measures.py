@@ -82,6 +82,15 @@ def test_validation_sample_count_must_be_a_positive_integer(samples):
     assert g.dimension == 3 and type(g.dimension) is int
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+def test_validation_seed_must_be_a_nonnegative_integer(seed):
+    # -1 raised numpy's ValueError, 1.5 a TypeError and True was read as 1
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        validate_functional(builtin("shannon"), 3, samples=10, seed=seed)
+    want = validate_functional(builtin("shannon"), 3, samples=10, seed=0)
+    assert validate_functional(builtin("shannon"), 3, samples=10, seed=np.uint8(0)) == want
+
+
 def test_validation_catches_asymmetry():
     f = CoherenceFunctional("first-coordinate", lambda x: float(x[0]))
     report = validate_functional(f, 3, samples=300)

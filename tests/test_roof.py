@@ -174,6 +174,19 @@ def test_restart_count_must_be_a_positive_integer(restarts):
     assert convex_roof_upper(builtin("shannon"), rho, restarts=np.int64(1)).value == 0.0
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+def test_roof_seed_must_be_a_nonnegative_integer(seed):
+    # -1 raised numpy's ValueError, 1.5 a TypeError and True was read as 1;
+    # a diagonal or pure input never read its seed
+    mixed = mixture_density(np.random.default_rng(5), 2, 2)
+    for rho in (np.diag([0.5, 0.5]), pure_density(np.sqrt([0.5, 0.5])), mixed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            convex_roof_upper(builtin("shannon"), rho, restarts=2, seed=seed)
+    want = convex_roof_upper(builtin("shannon"), mixed, restarts=2, seed=0)
+    got = convex_roof_upper(builtin("shannon"), mixed, restarts=2, seed=np.int64(0))
+    assert (got.value, got.restarts) == (want.value, want.restarts)
+
+
 def random_density(rng, d, rank):
     """The recipe of the benchmark's roof corpus."""
     w = rng.dirichlet(np.ones(rank))

@@ -141,6 +141,18 @@ def test_ttransform_validation():
         TTransform(1, 2, 1.5)
 
 
+@pytest.mark.parametrize("i", [1.5, 2.0, True, "1", None, 0, -1])
+def test_ttransform_coordinates_are_integers(i):
+    # 1.5 constructed, and apply then raised numpy's IndexError; True was
+    # read as coordinate 1
+    with pytest.raises(ParameterError):
+        TTransform(i, 3, 0.5)
+    with pytest.raises(ParameterError):
+        TTransform(3, i, 0.5)
+    v = np.array([0.5, 0.3, 0.2])
+    assert np.array_equal(TTransform(np.int64(1), 3, 0.5).apply(v), TTransform(1, 3, 0.5).apply(v))
+
+
 def reference_chain(x, y):
     """The chain as full-vector rounds: each round recomputes every
     difference, takes the rightmost donor with a recipient to its right and
