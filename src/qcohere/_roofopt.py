@@ -10,8 +10,12 @@ scored for all members with one row-wise call.
 manifold (Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 303 (1998))
 for a stack of starting points at once: Polak-Ribiere+ directions, an Armijo
 line search over a few trial steps scored in one batched call, and a QR
-retraction. ``smoothed`` gives the objective of f((1 - eps) x + eps / d),
-on which a descent stalled at a cusp of f can move again.
+retraction. Its cost is numpy call overhead, so an iteration makes one
+projection, for the new gradient and the old gradient and direction
+together, and masks only when it must: empty members, failed line searches
+and Polak-Ribiere resets are handled by extra calls only when some exist.
+``smoothed`` gives the objective of f((1 - eps) x + eps / d), on which a
+descent stalled at a cusp of f can move again.
 """
 
 import numpy as np
@@ -43,11 +47,19 @@ def ensemble_value(w, rows):
     sq = w.real**2 + w.imag**2
     weights = sq.sum(axis=-1)
     live = weights > TINY
-    terms = np.zeros(weights.shape)
-    terms[live] = weights[live] * rows(sq[live] / weights[live, None])
+    # the whole stack in one piece unless an empty member must be left out
+    if live.all():
+        terms = _terms(sq, weights, rows)
+    else:
+        terms = np.zeros(weights.shape)
+        terms[live] = _terms(sq[live], weights[live], rows)
     # a running sum in member order, so the value does not depend on how
     # numpy would group a pairwise sum
     return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _terms(sq, weights, rows):
+    return weights * rows(sq / weights[..., None])
 
 
 def retract(y):
@@ -77,16 +89,17 @@ def descend(q, scaled, rows, gradient):
     n = q.shape[0]
     scaled_h = scaled.conj().T
     out_q, out_val = np.empty_like(q), np.empty(n)
-    iters = np.zeros(n, dtype=int)
+    iters = np.full(n, MAX_ITER)  # set below for a restart that stops early
     stops = np.full(n, "cap", dtype=object)
     idx = np.arange(n)  # the restart behind each row of the live state
+    k = np.arange(n)  # the rows of the live state
     w = q @ scaled
     val = ensemble_value(w, rows)
     grad = _project(q, gradient(w) @ scaled_h)
     gg = _inner(grad, grad)
     eta, slope = -grad, -gg
     step = 1.0 / np.maximum(np.sqrt(gg), 1.0)
-    for _ in range(MAX_ITER):
+    for it in range(1, MAX_ITER + 1):
         # line search: one batched call tries a ladder of steps around the
         # predicted one and keeps the lowest value passing the Armijo test
         trial = step[:, None] * LADDER
@@ -95,28 +108,29 @@ def descend(q, scaled, rows, gradient):
         ft = ensemble_value(wt, rows)
         ft[ft > val[:, None] + ARMIJO * trial * slope[:, None]] = np.inf
         pick = ft.argmin(axis=1)
-        k = np.arange(idx.size)
         fn = ft[k, pick]
         moved = fn < np.inf
-        iters[idx] += 1
-        # a restart whose ladder fails stays put, restarts along -grad
-        # (Polak-Ribiere+ gives beta = 0 there) and next tries below its
-        # smallest step; it has stalled once that step no longer moves it
-        stuck = ~moved & (trial[:, -1] * np.sqrt(_inner(eta, eta)) <= MIN_MOVE)
-        keep = moved[:, None, None]
-        q = np.where(keep, qt[k, pick], q)
-        w = np.where(keep, wt[k, pick], w)
-        val = np.where(moved, fn, val)
-        t = np.where(moved, trial[k, pick], trial[:, -1] * LADDER[-1])
-        gn = _project(q, gradient(w) @ scaled_h)
+        prev_q, prev_w, prev_val = q, w, val
+        q, w, val, t = qt[k, pick], wt[k, pick], fn, trial[k, pick]
+        stuck = False
+        if not moved.all():
+            # a restart whose ladder fails stays put, restarts along -grad
+            # (Polak-Ribiere+ gives beta = 0 there) and next tries below its
+            # smallest step; it has stalled once that step no longer moves it
+            back = ~moved
+            stuck = back & (trial[:, -1] * np.sqrt(_inner(eta, eta)) <= MIN_MOVE)
+            q[back], w[back], val[back] = prev_q[back], prev_w[back], prev_val[back]
+            t[back] = trial[back, -1] * LADDER[-1]
+        # the new gradient, and the old gradient and direction moved to q
+        gn, old_grad, old_eta = _project(q, np.array((gradient(w) @ scaled_h, grad, eta)))
         ggn = _inner(gn, gn)
-        # Polak-Ribiere+, with the old gradient and direction moved to q
-        old = _project(q, np.stack((grad, eta)))
-        beta = np.maximum(_inner(gn, gn - old[0]) / gg, 0.0)
-        eta = beta[:, None, None] * old[1] - gn
+        # Polak-Ribiere+
+        beta = np.maximum(_inner(gn, gn - old_grad) / gg, 0.0)
+        eta = beta[:, None, None] * old_eta - gn
         sn = _inner(gn, eta)
         reset = sn >= 0.0
-        eta[reset], sn[reset] = -gn[reset], -ggn[reset]
+        if reset.any():
+            eta[reset], sn[reset] = -gn[reset], -ggn[reset]
         # the next prediction rescales this step by the change of slope
         step = t * slope / sn
         grad, gg, slope = gn, ggn, sn
@@ -125,12 +139,13 @@ def descend(q, scaled, rows, gradient):
             stalled = stuck & (gg > FLOOR_GRAD**2)
             stops[idx[stalled]] = "stalled"
             stops[idx[done & ~stalled]] = "converged"
-            out_q[idx[done]], out_val[idx[done]] = q[done], val[done]
+            out_q[idx[done]], out_val[idx[done]], iters[idx[done]] = q[done], val[done], it
             live = ~done
             idx, q, w, val, grad, gg, eta, slope, step = (
                 a[live] for a in (idx, q, w, val, grad, gg, eta, slope, step))
             if idx.size == 0:
                 break
+            k = np.arange(idx.size)
     out_q[idx], out_val[idx] = q, val
     return out_q, out_val, iters, stops
 

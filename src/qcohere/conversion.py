@@ -39,7 +39,7 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .simplex import ATOL, TINY, _count, _transfers
+from .simplex import ATOL, TINY, _count, _real, _transfers
 from .states import (
     _canonical,
     fidelity_pure,
@@ -319,7 +319,11 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     if i > d or j > d or i == j:
         raise ParameterError(f"bad coordinate pair ({i}, {j}) for dimension {d}")
     si2, sj2 = float(s[i - 1] ** 2), float(s[j - 1] ** 2)
-    ci2, cj2 = float(target_pair[0]), float(target_pair[1])
+    try:
+        ci2, cj2 = target_pair
+    except (TypeError, ValueError):
+        raise ParameterError(f"target pair must hold two numbers, got {target_pair!r}") from None
+    ci2, cj2 = _real(ci2, "target mass"), _real(cj2, "target mass")
     if min(ci2, cj2) < -TINY:
         raise InfeasibleStepError(f"negative target pair ({ci2}, {cj2})")
     ci2, cj2 = max(ci2, 0.0), max(cj2, 0.0)

@@ -31,6 +31,14 @@ def _count(n, least: int = 1, what: str = "count") -> int:
     return int(n)
 
 
+def _real(x, what: str) -> float:
+    """A real number, numpy reals accepted, booleans refused: a mix weight or
+    a target mass."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ParameterError(f"{what} must be a real number, got {x!r}")
+    return float(x)
+
+
 def prob_vector(entries) -> np.ndarray:
     """Validate ``entries`` as a probability vector and return it as float64.
 
@@ -97,7 +105,7 @@ class TTransform:
     def __post_init__(self):
         if _count(self.i, what="coordinate") == _count(self.j, what="coordinate"):
             raise ParameterError(f"bad coordinate pair ({self.i}, {self.j})")
-        if not 0.0 <= self.t <= 1.0:
+        if not 0.0 <= _real(self.t, "mix weight") <= 1.0:
             raise ParameterError(f"mix weight {self.t} outside [0, 1]")
 
     def apply(self, v) -> np.ndarray:
@@ -105,11 +113,17 @@ class TTransform:
 
 
 def apply_chain(chain, v) -> np.ndarray:
-    """Apply a transform chain to ``v``; the last list element acts first."""
+    """Apply a transform chain to ``v``; the last list element acts first.
+    A transform acting on a coordinate beyond ``v`` raises
+    DimensionMismatchError."""
     v = np.asarray(v, dtype=float).copy()
-    for tr in reversed(list(chain)):
-        a, b = v[tr.i - 1], v[tr.j - 1]
-        v[tr.i - 1], v[tr.j - 1] = _mix(tr.t, a, b), _mix(tr.t, b, a)
+    try:
+        for tr in reversed(list(chain)):
+            a, b = v[tr.i - 1], v[tr.j - 1]
+            v[tr.i - 1], v[tr.j - 1] = _mix(tr.t, a, b), _mix(tr.t, b, a)
+    except IndexError:
+        # coordinates are at least 1, so only one past the end gets here
+        raise DimensionMismatchError(f"{tr} acts beyond a vector of length {v.size}") from None
     return v
 
 

@@ -264,6 +264,16 @@ def test_two_level_step_coordinates_are_integers(i):
     assert same_stage(got, want)
 
 
+@pytest.mark.parametrize("pair", [(0.5,), 0.5, (0.5, 0.5, 0.0), ("0.5", 0.5), (0.5, 0.5 + 0j)])
+def test_two_level_step_target_pair_is_two_real_numbers(pair):
+    # (0.5,) raised IndexError and 0.5 raised TypeError
+    s = np.full(2, 1.0 / np.sqrt(2.0))
+    with pytest.raises(ParameterError):
+        two_level_step(s, pair, 1, 2)
+    want = two_level_step(s, (0.7, 0.3), 1, 2)
+    assert same_stage(two_level_step(s, np.array([0.7, 0.3]), 1, 2), want)
+
+
 def test_two_level_step_keeps_operator_with_column_mass():
     # branch 2 weighs 1e-14, below TINY, yet its column 1 carries almost all
     # of that column's mass: dropping it left a residual of 9.99e-01

@@ -153,6 +153,23 @@ def test_ttransform_coordinates_are_integers(i):
     assert np.array_equal(TTransform(np.int64(1), 3, 0.5).apply(v), TTransform(1, 3, 0.5).apply(v))
 
 
+@pytest.mark.parametrize("t", ["0.5", 0.5 + 0j, True, None])
+def test_ttransform_weight_is_a_real_number(t):
+    # "0.5" raised a bare TypeError from the range comparison
+    with pytest.raises(ParameterError):
+        TTransform(1, 2, t)
+    assert TTransform(1, 2, np.float32(0.5)).apply([1.0, 0.0]).tolist() == [0.5, 0.5]
+
+
+def test_apply_chain_names_the_transform_beyond_the_vector():
+    # numpy's IndexError came out of the replay loop
+    with pytest.raises(DimensionMismatchError, match=r"^TTransform\(i=1, j=5, t=0.5\)"):
+        TTransform(1, 5, 0.5).apply([0.5, 0.5])
+    chain = [TTransform(3, 1, 0.25), TTransform(1, 2, 0.5)]
+    with pytest.raises(DimensionMismatchError, match=r"^TTransform\(i=3, j=1, t=0.25\)"):
+        apply_chain(chain, [0.5, 0.5])
+
+
 def reference_chain(x, y):
     """The chain as full-vector rounds: each round recomputes every
     difference, takes the rightmost donor with a recipient to its right and
