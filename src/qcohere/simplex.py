@@ -122,7 +122,7 @@ def apply_chain(chain, v) -> np.ndarray:
             a, b = v[tr.i - 1], v[tr.j - 1]
             v[tr.i - 1], v[tr.j - 1] = _mix(tr.t, a, b), _mix(tr.t, b, a)
     except IndexError:
-        # coordinates are at least 1, so only one past the end gets here
+        # coordinates are at least 1, so the index error is one past the end
         raise DimensionMismatchError(f"{tr} acts beyond a vector of length {v.size}") from None
     return v
 
