@@ -23,6 +23,10 @@ from .states import check_density, pure_state
 # cap on the products compose() may form for one stage, and on the live
 # branches verify_protocol may carry
 COMPOSE_CAP = 1 << 14
+# largest stack of stored operators built or decoded at once, in entries:
+# 2^25 are 768 MiB of rows and values (8 + 16 bytes each), enough for the
+# 2 (d - 1) operators of a chain at d = 4096
+STAGE_CAP = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -71,8 +75,9 @@ class KrausSet:
         return tuple(ops)
 
 
-def _from_stored(rows, vals, labels=None, atol: float = ATOL) -> KrausSet:
-    """KrausSet from stored arrays, enforcing completeness within ``atol``."""
+def _from_stored(rows, vals, labels=None) -> KrausSet:
+    """KrausSet of stored arrays, unchecked: each stored zero moves to its
+    own row as +0, and the labels become strings, "" when there are none."""
     zero = vals == 0
     if zero.any():
         rows = np.where(zero, np.arange(rows.shape[1]), rows)
@@ -80,15 +85,12 @@ def _from_stored(rows, vals, labels=None, atol: float = ATOL) -> KrausSet:
     labels = ("",) * rows.shape[0] if labels is None else tuple(str(s) for s in labels)
     if len(labels) != rows.shape[0]:
         raise ParameterError(f"{len(labels)} labels for {rows.shape[0]} operators")
-    return _require_complete(KrausSet(rows=rows, vals=vals, labels=labels), atol)
+    return KrausSet(rows=rows, vals=vals, labels=labels)
 
 
-def kraus_set(operators, labels=None, atol: float = ATOL) -> KrausSet:
-    """KrausSet of dense operators, enforcing completeness within ``atol``.
-
-    Each column keeps its largest entry. A column with two entries above
-    ATOL raises IncoherenceError, whose witness is the first such column.
-    """
+def _stored(operators) -> tuple:
+    """(rows, vals) of dense operators, each column's largest entry; a column
+    with two entries above ATOL raises IncoherenceError, witnessing it."""
     ops = [np.asarray(k, dtype=complex) for k in operators]
     if not ops:
         raise ParameterError("at least one operator required")
@@ -107,8 +109,12 @@ def kraus_set(operators, labels=None, atol: float = ATOL) -> KrausSet:
         witness = IncoherenceWitness(n + 1, c + 1, (int(r[0]) + 1, int(r[1]) + 1))
         raise IncoherenceError(f"coherent operator: {witness}", witness)
     rows = mag.argmax(axis=1)
-    vals = np.take_along_axis(ops, rows[:, None, :], axis=1)[:, 0, :]
-    return _from_stored(rows, vals, labels=labels, atol=atol)
+    return rows, np.take_along_axis(ops, rows[:, None, :], axis=1)[:, 0, :]
+
+
+def kraus_set(operators, labels=None) -> KrausSet:
+    """KrausSet of dense operators, as ``_stored`` reads them, complete within ATOL."""
+    return _require_complete(_from_stored(*_stored(operators), labels))
 
 
 def is_complete(k: KrausSet):
@@ -140,11 +146,12 @@ def is_incoherent(k: KrausSet):
     return True, None
 
 
-def _require_complete(k: KrausSet, atol: float = ATOL) -> KrausSet:
+def _require_complete(k: KrausSet, atol: float = ATOL, where: str = "") -> KrausSet:
+    """The one completeness check: ``k`` within ``atol``, else an error led by ``where``."""
     _, residual = is_complete(k)
     # NaN-safe: a NaN residual fails this test
     if not residual <= atol:
-        raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.3e}")
+        raise CompletenessError(f"{where}sum K^dag K deviates from identity by {residual:.3e}")
     return k
 
 
@@ -225,4 +232,4 @@ def compose(stages) -> KrausSet:
         keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
         rows, vals = rows[keep], vals[keep]
         labels = list(compress((_join(a, b) for b in stage.labels for a in labels), keep))
-    return _from_stored(rows, vals, labels=labels, atol=len(stages) * ATOL)
+    return _require_complete(_from_stored(rows, vals, labels), len(stages) * ATOL)

@@ -24,10 +24,12 @@ import numpy as np
 
 from .channels import (
     COMPOSE_CAP,
+    STAGE_CAP,
     KrausSet,
     _from_stored,
     _join,
     _outcomes,
+    _require_complete,
     compose,
     is_complete,
 )
@@ -50,10 +52,6 @@ from .states import (
 
 # relative slack when comparing tail ratios for the smallest minimizer
 RATIO_TIE = 1e-12
-# largest stage stack ``_pair_steps`` builds, in entries 2 k d of its (k, 2, d)
-# arrays: 2^25 entries are 768 MiB of rows and values (8 + 16 bytes each),
-# enough for the d - 1 stages of a chain at d = 4096
-STAGE_CAP = 1 << 25
 
 
 def _pad(psi: np.ndarray, d: int) -> np.ndarray:
@@ -215,7 +213,7 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     t = _floored(_require_canonical(phi))
     if t.size != ladder.dim:
         raise DimensionMismatchError(f"phi has dimension {t.size}, ladder {ladder.dim}")
-    return _from_stored(*_filter(ladder, t))
+    return _require_complete(_from_stored(*_filter(ladder, t)))
 
 
 def _filter(ladder: ConversionLadder, t: np.ndarray) -> tuple:
@@ -497,10 +495,11 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     psi = _pad(pure_state(psi), d)
     phi = _pad(pure_state(phi), d)
     residuals = tuple(is_complete(stage)[1] for stage in protocol.stages)
+    k = len(residuals)
     branches = [(1.0, psi, "")]
     for n, (stage, res) in enumerate(zip(protocol.stages, residuals), 1):
         if res > ATOL:
-            raise CompletenessError(f"stage {n}: completeness residual {res:.3e}")
+            raise CompletenessError(f"stage {n} of {k}: sum K^dag K deviates from identity by {res:.3e}")
         branches = _step(branches, stage)
     succ = [(p, state) for p, state, label in branches if label == protocol.success_label]
     total = float(sum(p for p, _ in succ))

@@ -9,9 +9,11 @@ the one before it (-0.0 from 0.0 too) and each column not on its own row;
 rows[n] and values[n] hold their rows and amplitudes. An unlisted column c
 has row c and the value of the nearest listed column to its left, so a
 T-transform stage takes a few words. Non-finite values are refused before
-the file is opened. The run-form stages of a file are decoded together.
-Dense ``"operators"`` stages, the only form of a coherent channel, are
-still read, through ``kraus_set``.
+the file is opened. The run-form stages of a file are decoded together,
+at most STAGE_CAP entries beyond two operators. Dense ``"operators"``
+stages, the only form of a coherent channel, are still read. Each stage
+decodes to a plain KrausSet, unchecked, or a coherent dense one to its
+IncoherenceError; the loaders then check completeness within RENORM_TOL.
 """
 
 from __future__ import annotations
@@ -19,19 +21,18 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict
-from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .channels import KrausSet, _from_stored, kraus_set
+from .channels import STAGE_CAP, KrausSet, _from_stored, _require_complete, _stored
 from .errors import (
-    CompletenessError,
     DimensionMismatchError,
     FileFormatError,
     IncoherenceError,
     NormalizationError,
     ParameterError,
+    ResourceLimitError,
 )
 from .simplex import TINY
 from .states import check_density, pure_state
@@ -177,6 +178,10 @@ def _expand(ops, dim, path):
     """(rows, vals) of shape (n, dim) from the (at, rows, values) runs of n
     operators: an unlisted column c has row c and the value of the nearest
     listed column to its left."""
+    # a protocol's chain fills at most STAGE_CAP entries and its filter adds
+    # two operators; a file of a few bytes must not allocate more
+    if max(len(ops) - 2, 1) * dim > STAGE_CAP:
+        raise ResourceLimitError(f"{path}: {len(ops)} x {dim} stored entries exceed the cap of {STAGE_CAP}")
     for op in ops:
         if not all(isinstance(f, list) for f in op) or len(set(map(len, op))) != 1:
             raise FileFormatError(f"{path}: at, rows and values must be lists of one length per operator")
@@ -195,12 +200,9 @@ def _expand(ops, dim, path):
 
 
 def _stages(payloads, dim, path) -> list:
-    """The stages of dimension ``dim`` (a channel file is one stage), each
-    checked and decoded. Returns, per stage, the KrausSet constructor with
-    its arguments bound; called with the completeness tolerance ``atol`` it
-    builds the set. Run-form stages go straight to the stored form, all of
-    them decoded together and then sliced; dense "operators" go through
-    kraus_set, which raises IncoherenceError on a coherent operator."""
+    """The stages of dimension ``dim`` (a channel file is one stage) as
+    KrausSets, unchecked, a coherent dense stage as its IncoherenceError.
+    Run-form stages are decoded together and then sliced."""
     stages, stored = [], []
     for payload in payloads:
         own = _dim(payload, path)
@@ -227,11 +229,13 @@ def _stages(payloads, dim, path) -> list:
     built, start = [], 0
     for ops, count, labels in stages:
         if ops is None:
-            built.append(partial(_from_stored, rows[start:start + count],
-                                 vals[start:start + count], labels=labels))
+            built.append(_from_stored(rows[start:start + count], vals[start:start + count], labels))
             start += count
         else:
-            built.append(partial(kraus_set, ops, labels=labels))
+            try:
+                built.append(_from_stored(*_stored(ops), labels))
+            except IncoherenceError as exc:
+                built.append(exc)
     return built
 
 
@@ -239,21 +243,17 @@ def save_channel(path, k: KrausSet) -> None:
     _dump_json(path, _runs([k])[0])
 
 
-def _built(stage, where):
-    """The KrausSet of a decoded stage, complete within RENORM_TOL; its
-    completeness or incoherence error names ``where``, the witness kept."""
-    try:
-        return stage(atol=RENORM_TOL)
-    except IncoherenceError as exc:
-        raise IncoherenceError(f"{where}: {exc}", exc.witness) from exc
-    except CompletenessError as exc:
-        raise CompletenessError(f"{where}: {exc}") from exc
+def _checked(stage, where):
+    """A decoded stage, complete within RENORM_TOL; errors begin with ``where``."""
+    if isinstance(stage, IncoherenceError):
+        raise IncoherenceError(f"{where}{stage}", stage.witness) from stage
+    return _require_complete(stage, RENORM_TOL, where)
 
 
 def load_channel(path) -> KrausSet:
     """Channel file as a KrausSet, complete within RENORM_TOL."""
     payload = _load_json(path)
-    return _built(_stages([payload], _dim(payload, path), path)[0], path)
+    return _checked(_stages([payload], _dim(payload, path), path)[0], f"{path}: ")
 
 
 def save_protocol(path, protocol, report=None) -> None:
@@ -285,14 +285,13 @@ def load_protocol(path):
     ``meta`` holds the scalar fields as a dict."""
     stages, meta = _protocol(_load_json(path), path)
     k = len(stages)
-    return [_built(stage, f"{path}: stage {m} of {k}") for m, stage in enumerate(stages, 1)], meta
+    return [_checked(stage, f"{path}: stage {m} of {k}: ") for m, stage in enumerate(stages, 1)], meta
 
 
 def read_stages(path):
     """(stages, meta) of a protocol file, or of a channel file as one stage
-    (meta None). Each stage is checked and decoded as in load_protocol, but
-    its KrausSet is built only when the stage is called with a tolerance
-    ``atol``, so coherent or incomplete stages can still be reported on."""
+    (meta None), decoded as in load_protocol but unchecked, a coherent dense
+    stage as its IncoherenceError, so that both can still be reported on."""
     payload = _load_json(path)
     if isinstance(payload, dict) and "stages" in payload:
         return _protocol(payload, path)

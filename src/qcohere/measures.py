@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _roofopt
 from .errors import DimensionMismatchError, ParameterError
-from .simplex import ATOL, TINY, _count
+from .simplex import ATOL, TINY, _count, _real
 from .states import check_density, squared_amplitudes
 
 
@@ -178,14 +178,14 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
     if name == "l1":
         return CoherenceFunctional("l1", _l1, gradient=_l1_gradient)
     if name == "alpha":
-        if alpha is None or not 0.0 < alpha < 1.0:
-            raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha}")
+        if alpha is None or not 0.0 < _real(alpha, "alpha") < 1.0:
+            raise ParameterError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
         a = float(alpha)
         return CoherenceFunctional(f"alpha({a:g})", lambda x: _alpha_entropy(x, a),
                                    gradient=lambda w: _alpha_gradient(w, a))
     if name == "kyfan":
-        if l is None or int(l) != l or l < 2:
-            raise ParameterError(f"kyfan order must be an integer >= 2, got {l}")
+        if l is None or not _real(l, "kyfan order").is_integer() or l < 2:
+            raise ParameterError(f"kyfan order must be an integer >= 2, got {l!r}")
         k = int(l)
         return CoherenceFunctional(f"kyfan({k})", lambda x: _kyfan(x, k),
                                    gradient=lambda w: _kyfan_gradient(w, k))

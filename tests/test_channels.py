@@ -19,7 +19,7 @@ from qcohere import (
 )
 from qcohere import conversion
 from qcohere.simplex import ATOL, TINY
-from qcohere.channels import COMPOSE_CAP
+from qcohere.channels import COMPOSE_CAP, _from_stored, _stored
 from randgen import random_incoherent_kraus, random_pure_state
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -41,8 +41,8 @@ def test_is_complete():
 def test_incomplete_rejected():
     with pytest.raises(CompletenessError):
         kraus_set([np.diag([0.5, 0.5]).astype(complex)])
-    ks = kraus_set([np.diag([0.5, 0.5]).astype(complex)], atol=1.0)
-    ok, res = is_complete(ks)
+    # built, not checked: is_complete reports the residual
+    ok, res = is_complete(_from_stored(*_stored([np.diag([0.5, 0.5]).astype(complex)])))
     assert not ok
     assert abs(res - 0.75) < 1e-12
 
@@ -254,7 +254,7 @@ def test_stored_form_matches_dense(seed, d, max_ops):
     twisted = [ops[0] * np.exp(2j * np.pi * rng.random(d))] + list(ops[1:])
     for dense in (ops, twisted):
         gram = sum(op.conj().T @ op for op in dense)
-        residual = is_complete(kraus_set(dense, atol=np.inf))[1]
+        residual = is_complete(_from_stored(*_stored(dense)))[1]
         assert abs(residual - float(np.abs(gram - np.eye(d)).max())) <= 1e-12
 
     psi = random_pure_state(rng, d)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcohere import ProtocolReport, kraus_set, pure_density, pure_state, save_channel, save_density, save_state
-from qcohere import cli
+from qcohere import channels, cli, is_complete
 from qcohere.cli import main
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -245,6 +245,30 @@ def test_verify_channel_on_protocol_file(paths, capsys):
     assert "stage 1:" in out
     assert "stage 2:" in out
     assert "FAIL" not in out
+
+
+def test_verify_channel_checks_each_stage_once(paths, capsys, monkeypatch):
+    # building a stage checked its completeness, and the report measured
+    # it again: 2k residuals for k stages
+    rng = np.random.default_rng(8)
+    for name in ("src8", "tgt8"):
+        amps = np.sqrt(rng.dirichlet(np.ones(8))) * np.exp(2j * np.pi * rng.random(8))
+        save_state(paths["tmp"] / f"{name}.json", pure_state(amps))
+    proto = paths["tmp"] / "protocol8.json"
+    run(["convert", "--source", paths["tmp"] / "src8.json", "--target", paths["tmp"] / "tgt8.json",
+         "--protocol", proto], capsys)
+    k = len(json.loads(proto.read_text())["stages"])
+    calls = []
+
+    def counting(ks):
+        calls.append(ks)
+        return is_complete(ks)
+
+    for module in (channels, cli):
+        monkeypatch.setattr(module, "is_complete", counting)
+    code, out, _ = run(["verify-channel", "--channel", proto], capsys)
+    assert code == 0 and out.count("[ok]") == k > 2
+    assert len(calls) == k
 
 
 def test_verify_channel_on_empty_protocol(paths, capsys):

@@ -399,7 +399,7 @@ def reference_step(d, u, a, b, i, j):
     rows = np.array([np.arange(d)] * 2)
     rows[1, i], rows[1, j] = j, i
     keep = [p1 > TINY, p2 > TINY]
-    return channels._from_stored(rows[keep], ops[keep])
+    return channels._require_complete(channels._from_stored(rows[keep], ops[keep]))
 
 
 def reference_deterministic_protocol(psi, gamma):
@@ -594,9 +594,12 @@ def test_verify_protocol_checks_each_stage_once(monkeypatch):
 
 def test_verify_protocol_rejects_incomplete_stage():
     plus = np.full(2, 1.0 / np.sqrt(2.0))
-    loose = kraus_set([np.sqrt(0.5 + 1e-7) * np.eye(2), np.sqrt(0.5) * np.eye(2)], atol=1e-6)
-    with pytest.raises(CompletenessError):
-        verify_protocol(_protocol([loose]), plus, plus)
+    loose = channels._from_stored(*channels._stored([np.sqrt(0.5 + 1e-7) * np.eye(2),
+                                                     np.sqrt(0.5) * np.eye(2)]))
+    # the one completeness text, naming the stage as the loaders do
+    with pytest.raises(CompletenessError,
+                       match=r"^stage 2 of 2: sum K\^dag K deviates from identity by 1\.000e-07$"):
+        verify_protocol(_protocol([kraus_set([np.eye(2)]), loose]), plus, plus)
 
 
 def test_verify_protocol_branch_cap():

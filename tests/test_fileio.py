@@ -3,6 +3,7 @@ import json
 import re
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qcohere import (
     ParameterError,
     Protocol,
     ProtocolReport,
+    ResourceLimitError,
     apply_selective,
     builtin,
     compose,
@@ -39,8 +41,9 @@ from qcohere import (
     save_state,
     verify_protocol,
 )
+from qcohere import conversion, fileio
+from qcohere.channels import _from_stored, _require_complete
 from qcohere.cli import main
-from qcohere.fileio import read_stages
 from qcohere.fileio import read_stages
 from randgen import _merge_pair, random_incoherent_kraus, random_pure_state
 
@@ -445,10 +448,26 @@ def stored_sets(draw, d):
 
 
 def _decoded(path):
-    """The (rows, values) read_stages decodes for each stage, before any
-    KrausSet is built from them."""
+    """The (rows, values) the run-form decoder gives for each stage of a
+    file, before ``_from_stored`` moves its stored zeros."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    stages = payload["stages"] if "stages" in payload else [payload]
+    if not stages:
+        return []
+    ops = [op for stage in stages for op in zip(stage["at"], stage["rows"], stage["values"])]
+    rows, vals = fileio._expand(ops, payload["dim"], path)
+    bounds = np.cumsum([0] + [len(stage["at"]) for stage in stages]).tolist()
+    return [(rows[a:b], vals[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _read_back(path, sets):
+    """read_stages gives, unchecked, the KrausSets _from_stored builds from
+    the stored arrays of ``sets``, bit for bit."""
     stages, _ = read_stages(path)
-    return [stage.args for stage in stages]
+    want = [_from_stored(k.rows, k.vals, k.labels) for k in sets]
+    return len(stages) == len(want) and all(
+        _same_stored((a.rows, a.vals), b) and a.labels == b.labels for a, b in zip(stages, want)
+    )
 
 
 def _same_stored(args, ks):
@@ -464,6 +483,7 @@ def test_channel_writer_matches_json_dumps(tmp_path_factory, ks):
     save_channel(path, ks)
     assert path.read_text(encoding="utf-8") == json.dumps(_reference_channel(ks)) + "\n"
     assert _same_stored(*_decoded(path), ks)
+    assert _read_back(path, [ks])
 
 
 @st.composite
@@ -497,6 +517,7 @@ def test_protocol_writer_matches_json_dumps(tmp_path_factory, drawn):
     decoded = _decoded(path)
     assert len(decoded) == len(protocol.stages)
     assert all(_same_stored(args, ks) for args, ks in zip(decoded, protocol.stages))
+    assert _read_back(path, protocol.stages)
 
 
 def test_protocol_writer_matches_json_dumps_on_built_protocols(tmp_path):
@@ -549,6 +570,50 @@ def test_protocol_file_d1024_is_small_and_fast(tmp_path):
     assert len(stages) == len(protocol.stages) > 1000
     assert all(_same(a, b) for a, b in zip(stages, protocol.stages))
     assert elapsed < 0.5
+
+
+def test_decode_refuses_a_huge_dim_before_allocating(tmp_path):
+    # 72 bytes declaring 10^8 columns: the decoder asked numpy for 763 MiB
+    # of rows before any check; now the stack is measured first
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"dim": 100_000_000, "at": [[0]], "rows": [[0]],
+                                "values": [[[1.0, 0.0]]]}))
+    assert path.stat().st_size == 72
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        for load in (load_channel, read_stages):
+            with pytest.raises(ResourceLimitError, match="1 x 100000000 stored entries exceed the cap"):
+                load(path)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1 << 20
+    assert main(["verify-channel", "--channel", str(path)]) == 1
+
+
+def test_decode_cap_admits_the_chain_plus_the_filter(tmp_path, monkeypatch):
+    # with the cap just fitting a protocol's chain stack, 2 operators for
+    # each of its k stages, its file, which adds the filter, still loads
+    rng = np.random.default_rng(16)
+    d = 16
+    psi, phi = (random_pure_state(rng, d, phases=True) for _ in range(2))
+    cap = 2 * (len(optimal_protocol(psi, phi).stages) - 1) * d
+    monkeypatch.setattr(conversion, "STAGE_CAP", cap)
+    monkeypatch.setattr(fileio, "STAGE_CAP", cap)
+    protocol = optimal_protocol(psi, phi)
+    path = tmp_path / "protocol.json"
+    save_protocol(path, protocol)
+    stages, _ = load_protocol(path)
+    assert all(_same(a, b) for a, b in zip(stages, protocol.stages))
+    # the bound is tight: one entry less refuses the file
+    n = sum(len(s) for s in protocol.stages)
+    assert 0 < (n - 2) * d <= cap
+    monkeypatch.setattr(fileio, "STAGE_CAP", (n - 2) * d - 1)
+    with pytest.raises(ResourceLimitError, match=f"{n} x {d} stored entries exceed the cap"):
+        load_protocol(path)
 
 
 IDENTITY = {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V]]}
@@ -685,10 +750,10 @@ def test_load_errors_name_the_file_and_the_stage(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CompletenessError, match=f"^{re.escape(str(path))}: stage 2 of 2: sum K"):
         load_protocol(path)
-    # read_stages leaves the error to its caller, unprefixed
+    # read_stages leaves the check to its caller, whose error is unprefixed
     stages, _ = read_stages(path)
     with pytest.raises(CompletenessError, match="^sum K"):
-        stages[1](atol=1e-6)
+        _require_complete(stages[1], fileio.RENORM_TOL)
 
     # a Hadamard on the first two coordinates, written dense
     h = 1.0 / np.sqrt(2.0)
@@ -700,6 +765,11 @@ def test_load_errors_name_the_file_and_the_stage(tmp_path):
         load_protocol(path)
     assert (err.value.witness.operator, err.value.witness.column) == (1, 1)
     assert err.value.witness.rows == (1, 2)
+    # read_stages hands the coherent stage back as its error, unprefixed
+    stages, _ = read_stages(path)
+    assert isinstance(stages[1], IncoherenceError)
+    assert str(stages[1]).startswith("coherent operator: ")
+    assert stages[1].witness == err.value.witness
 
     chan = tmp_path / "channel.json"
     save_channel(chan, kraus_set([np.eye(2)]))

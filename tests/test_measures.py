@@ -1,7 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcohere import (
     CoherenceFunctional,
@@ -61,6 +64,23 @@ def test_parameter_rejection():
         builtin("alpha", alpha=-0.5)
     with pytest.raises(ParameterError):
         builtin("nope")
+
+
+@pytest.mark.parametrize("alpha", ["0.5", 0.5 + 0j, True, None, float("nan"), [0.5]])
+def test_alpha_is_a_real_number_in_the_open_interval(alpha):
+    # a string or a complex alpha raised a bare TypeError from the comparison
+    with pytest.raises(ParameterError, match="alpha must"):
+        builtin("alpha", alpha=alpha)
+    assert builtin("alpha", alpha=np.float32(0.25)).name == "alpha(0.25)"
+
+
+@pytest.mark.parametrize("l, shown", [("3", "'3'"), (2.5, "2.5"), (1, "1"), (None, "None"),
+                                      (float("inf"), "inf"), (3j, "3j"), (True, "True")])
+def test_kyfan_order_is_shown_as_given(l, shown):
+    # l="3" printed "got 3", as if 3 were refused; inf raised OverflowError
+    with pytest.raises(ParameterError, match=rf"kyfan order must be .*got {re.escape(shown)}$"):
+        builtin("kyfan", l=l)
+    assert builtin("kyfan", l=np.int64(3)).name == builtin("kyfan", l=3.0).name == "kyfan(3)"
 
 
 @pytest.mark.parametrize("f", ALL_BUILTINS, ids=lambda f: f.name)
@@ -221,3 +241,38 @@ def test_dimension_arguments_are_counts(d):
     with pytest.raises(ParameterError, match="count must be an integer >= 1"):
         CoherenceFunctional(name="fixed", evaluate=lambda x: calls.append(x) or 0.0, dimension=d)
     assert calls == []
+
+
+def builtins_drawn():
+    """A built-in functional with its parameter drawn: any alpha in (0, 1),
+    any kyfan order from 2 to 7."""
+    return st.one_of(
+        st.sampled_from([builtin("shannon"), builtin("l1")]),
+        st.floats(0.01, 0.99).map(lambda a: builtin("alpha", alpha=a)),
+        st.integers(2, 7).map(lambda l: builtin("kyfan", l=l)),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(builtins_drawn(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_coherence_pure_ignores_order_and_phases(f, d, seed):
+    # ties and zeros included: some draws repeat or zero an amplitude
+    rng = np.random.default_rng(seed)
+    mass = rng.dirichlet(np.ones(d))
+    if d > 1:
+        mass[rng.integers(d)] = mass[rng.integers(d)]
+        mass[rng.integers(d)] = 0.0
+    if not mass.any():
+        mass[0] = 1.0
+    psi = np.sqrt(mass / mass.sum()).astype(complex)
+    moved = rng.permutation(psi) * np.exp(2j * np.pi * rng.random(d))
+    value = coherence_pure(f, psi)
+    assert abs(coherence_pure(f, moved) - value) <= 1e-12
+    assert value >= -1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(builtins_drawn(), st.integers(1, 6), st.integers(0, 2**16))
+def test_builtins_validate_at_small_dims(f, d, seed):
+    report = validate_functional(f, d, samples=50, seed=seed)
+    assert report.passes, (f.name, d, report)

@@ -44,8 +44,8 @@ THRESHOLD_NAMES = {"atol", "tol", "tolerance", "slack", "floor", "prune", "max_a
 
 
 def test_thresholds_are_not_parameters():
-    # "The thresholds are fixed, not options": only kraus_set takes an atol,
-    # which the file loaders relax and verify-channel lifts
+    # "The thresholds are fixed, not options": no public function takes
+    # one; the file loaders check within RENORM_TOL, verify-channel reports
     found = []
     for name in sorted(dir(qcohere)):
         obj = getattr(qcohere, name)
@@ -56,4 +56,4 @@ def test_thresholds_are_not_parameters():
         except ValueError:  # builtin exception bases have no signature
             continue
         found += [f"{name}({p})" for p in params if p in THRESHOLD_NAMES]
-    assert found == ["kraus_set(atol)"]
+    assert found == []

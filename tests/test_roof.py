@@ -220,6 +220,29 @@ def test_corpus_values_never_rise():
             assert value <= before + 1e-12, (d, rank, f.name)
 
 
+# How each CORPUS_VALUES search ends, (iterations, stop) of its one restart,
+# recorded with numpy 2.4.6 in the order of BUILTINS. A change that moves
+# any search's path moves some of these, even where no value rises.
+CORPUS_TRAJECTORIES = {
+    (2, 2): ((55, "converged"), (44, "converged"), (211, "stalled"), (51, "converged")),
+    (3, 3): ((200, "cap"), (443, "stalled"), (340, "stalled"), (88, "converged")),
+    (4, 3): ((129, "converged"), (344, "stalled"), (378, "stalled"), (55, "converged")),
+    (6, 4): ((101, "converged"), (200, "cap"), (408, "stalled"), (64, "converged")),
+}
+
+
+def test_corpus_trajectories_are_pinned():
+    # a search that drifts in either direction fails here; the values are
+    # pinned within 1e-12 on both sides, the iteration counts exactly
+    rng = np.random.default_rng(2015)
+    for (d, rank), values in CORPUS_VALUES.items():
+        rho = random_density(rng, d, rank)
+        for f, before, (iterations, stop) in zip(BUILTINS, values, CORPUS_TRAJECTORIES[(d, rank)]):
+            res = convex_roof_upper(f, rho, restarts=1, seed=0)
+            assert abs(res.value - before) <= 1e-12, (d, rank, f.name)
+            assert [r[1:] for r in res.restarts] == [(iterations, stop)], (d, rank, f.name)
+
+
 def test_readme_roof_problem_is_fast():
     # the README problem and its figures, 1.131860710581 in about 0.085 s;
     # a ceiling on the value as above, and on the time, in a fresh

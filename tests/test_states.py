@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcohere import (
     CompletenessError,
@@ -261,3 +263,71 @@ def test_pure_density():
     rho = pure_density([INV2, INV2 * 1j])
     assert abs(rho.trace() - 1.0) < 1e-12
     np.testing.assert_allclose(rho @ rho, rho, atol=1e-12)
+
+
+@st.composite
+def tied_states(draw, max_dim=6):
+    """Pure states whose moduli come from a few small integers, so that ties
+    and exact zeros are common, with eighth-turn or arbitrary phases."""
+    d = draw(st.integers(1, max_dim))
+    weights = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(any))
+    turns = st.sampled_from([k / 8 for k in range(8)]) | st.floats(0.0, 1.0)
+    phases = np.exp(2j * np.pi * np.array(draw(st.lists(turns, min_size=d, max_size=d))))
+    amps = np.sqrt(np.array(weights, dtype=float) / sum(weights)) * phases
+    return pure_state(amps)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tied_states())
+@example(pure_state([0.0, INV2, 0.0, -INV2]))
+@example(pure_state([0.5, 0.5j, -0.5, -0.5j]))
+def test_canonicalize_ties_and_zeros(psi):
+    c = canonicalize(psi)
+    d = psi.size
+    # sorted non-increasing, nonnegative, and stable: equal moduli keep
+    # their order, zeros included
+    assert np.all(np.diff(c.state) <= 0.0) and np.all(c.state >= 0.0)
+    key = [(-m, k) for k, m in enumerate(np.abs(psi).tolist())]
+    assert c.permutation.tolist() == sorted(range(d), key=key.__getitem__)
+    # a zero amplitude takes phase 1; every phase has unit modulus
+    assert np.all(c.phases[psi == 0] == 1.0)
+    assert np.abs(np.abs(c.phases) - 1.0).max() <= 1e-15
+    # the frame P D reproduces psi from the canonical state
+    back = np.empty(d, dtype=complex)
+    back[c.permutation] = c.state
+    assert np.abs(back * c.phases.conj() - psi).max() <= 1e-15
+    # canonicalizing again is the identity frame
+    again = canonicalize(c.state)
+    assert again.permutation.tolist() == list(range(d))
+    assert np.array_equal(again.state, c.state)
+
+
+@st.composite
+def near_singular_densities(draw, max_dim=6):
+    """(rho, least eigenvalue) for a density matrix with a random unitary
+    frame and eigenvalues of which some sit at or near zero, possibly just
+    below it."""
+    d = draw(st.integers(1, max_dim))
+    small = st.sampled_from([0.0, 1e-15, 1e-13, 1e-12, 1e-10, -1e-12, -5e-10, -2e-9, -1e-7])
+    tiny = draw(st.lists(small, max_size=d - 1))
+    bulk = draw(st.lists(st.floats(0.05, 1.0), min_size=d - len(tiny), max_size=d - len(tiny)))
+    lam = np.array(bulk) / sum(bulk) * (1.0 - sum(tiny))
+    lam = np.concatenate([lam, tiny])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (q * lam) @ q.conj().T, float(lam.min())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(near_singular_densities())
+@example((np.diag([1.0 + 5e-10, -5e-10]).astype(complex), -5e-10))
+@example((np.diag([1.0 + 1e-7, 0.0, -1e-7]).astype(complex), -1e-7))
+def test_check_density_near_singular(drawn):
+    # an eigenvalue within 1e-9 below zero is rounding; one further below
+    # is refused, whatever the frame
+    rho, least = drawn
+    if least >= -5e-10:
+        assert np.array_equal(check_density(rho), rho)
+    elif least <= -2e-9:
+        with pytest.raises(DensityMatrixError, match="negative eigenvalue"):
+            check_density(rho)
