@@ -6,7 +6,7 @@ they enter (``kraus_set``) and leave (``KrausSet.operators``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
 
 import numpy as np
 
@@ -23,10 +23,16 @@ from .states import check_density, pure_state
 # cap on the products compose() may form for one stage, and on the live
 # branches verify_protocol may carry
 COMPOSE_CAP = 1 << 14
-# largest stack of stored operators built or decoded at once, in entries:
-# 2^25 are 768 MiB of rows and values (8 + 16 bytes each), enough for the
-# 2 (d - 1) operators of a chain at d = 4096
+# largest stack of stored operators built or decoded at once, in entries,
+# enough for the 2 (d - 1) operators of a chain at d = 4096; a decoded file
+# may add a filter's two. Rows and values take 8 + 16 bytes an entry, and
+# decoding peaks at 24.2 bytes an entry (191 MiB for the 8.3 million of a
+# d = 2048 file), so near 775 MiB at the cap
 STAGE_CAP = 1 << 25
+# stages checked as one stack hold at most this many stored entries: at
+# d = 2048 one stack of the whole protocol took 2.4 times as long as stacks
+# of this size, and held 362 MiB against 3 MiB
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -118,25 +124,45 @@ def kraus_set(operators, labels=None) -> KrausSet:
 
 
 def is_complete(k: KrausSet):
-    """(flag, residual): max deviation of sum K^dag K from the identity,
-    and whether it is at most ATOL.
-
-    Its diagonal holds the column masses. Entry (c, c') can be nonzero only
-    if an operator holds nonzero entries in columns c and c' on one row;
-    only then is the whole matrix formed, in O(n d^2).
-    """
-    mass = np.abs(k.vals)
-    np.multiply(mass, mass, out=mass)
-    mass = mass.sum(axis=0)
-    mass -= 1.0
-    residual = float(np.abs(mass, out=mass).max())
-    # each stored zero sits on a row of its own, -1 - c, below every real row
-    srt = np.sort(np.where(k.vals == 0, ~np.arange(k.dim), k.rows), axis=1)
-    if (srt[:, 1:] == srt[:, :-1]).any():
-        same = k.rows[:, :, None] == k.rows[:, None, :]
-        gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, same)
-        residual = float(np.abs(gram - np.eye(k.dim)).max())
+    """(residual <= ATOL, residual): max deviation of sum K^dag K from the identity."""
+    residual = float(_stacked(k.rows[None], k.vals[None], (k,))[0])
     return residual <= ATOL, residual
+
+
+def _stacked(rows, vals, stages) -> np.ndarray:
+    """Completeness residuals of the KrausSets ``stages``, stacked as ``rows``
+    and ``vals`` of shape (S, n, d). The column masses are the diagonal of
+    sum K^dag K; a stage with two nonzero entries of one operator on one row
+    forms the whole matrix, in O(n d^2)."""
+    residual = np.abs(np.square(np.abs(vals)).sum(axis=1) - 1.0).max(axis=1)
+    # each stored zero sits on a row of its own, -1 - c, below every real
+    # row; the stable sort runs fast through the nearly sorted rows
+    if (zero := vals == 0).any():
+        rows = np.where(zero, ~np.arange(rows.shape[2]), rows)
+    srt = np.sort(rows, axis=2, kind="stable")
+    if (same := srt[:, :, 1:] == srt[:, :, :-1]).any():
+        for s in np.flatnonzero(same.any(axis=(1, 2))):
+            k = stages[s]
+            pairs = k.rows[:, :, None] == k.rows[:, None, :]
+            gram = np.einsum("nc,nk,nck->ck", k.vals.conj(), k.vals, pairs)
+            residual[s] = np.abs(gram - np.eye(k.dim)).max()
+    return residual
+
+
+def _residuals(stages) -> list:
+    """Completeness residual of each KrausSet of ``stages``, measured on
+    stacks of consecutive stages of one shape, at most _BLOCK stored
+    entries each; a lone stage is not copied."""
+    out = []
+    for (n, d), run in groupby(stages, key=lambda k: k.rows.shape):
+        run = list(run)
+        step = max(1, _BLOCK // max(n * d, 1))
+        for block in (run[at:at + step] for at in range(0, len(run), step)):
+            rows, vals = block[0].rows[None], block[0].vals[None]
+            if len(block) > 1:
+                rows, vals = np.stack([k.rows for k in block]), np.stack([k.vals for k in block])
+            out += _stacked(rows, vals, block).tolist()
+    return out
 
 
 def is_incoherent(k: KrausSet):
@@ -146,13 +172,32 @@ def is_incoherent(k: KrausSet):
     return True, None
 
 
-def _require_complete(k: KrausSet, atol: float = ATOL, where: str = "") -> KrausSet:
-    """The one completeness check: ``k`` within ``atol``, else an error led by ``where``."""
-    _, residual = is_complete(k)
+def _incomplete(found, where: str = ""):
+    """The error, led by ``where``, of a residual or a file's coherent stage."""
+    if isinstance(found, IncoherenceError):
+        return IncoherenceError(f"{where}{found}", found.witness)
+    return CompletenessError(f"{where}sum K^dag K deviates from identity by {found:.3e}")
+
+
+def _require_complete(k, atol: float = ATOL, where: str = "") -> KrausSet:
+    """``k``, complete within ``atol``, else ``_incomplete``'s error led by ``where``."""
+    found = is_complete(k)[1] if isinstance(k, KrausSet) else k
     # NaN-safe: a NaN residual fails this test
-    if not residual <= atol:
-        raise CompletenessError(f"{where}sum K^dag K deviates from identity by {residual:.3e}")
+    if isinstance(found, IncoherenceError) or not found <= atol:
+        raise _incomplete(found, where)
     return k
+
+
+def _require_stages(stages, atol: float = ATOL, where: str = "") -> list:
+    """Residuals of ``stages``, measured at once; the first failing stage raises as
+    ``_require_complete`` does, led by ``where`` and ``stage m of k: ``."""
+    residuals = _residuals([s for s in stages if isinstance(s, KrausSet)])
+    found = iter(residuals)
+    for m, stage in enumerate(stages, 1):
+        r = next(found) if isinstance(stage, KrausSet) else stage
+        if isinstance(r, IncoherenceError) or not r <= atol:
+            raise _incomplete(r, f"{where}stage {m} of {len(stages)}: ")
+    return residuals
 
 
 def _outcomes(k: KrausSet, psi: np.ndarray) -> tuple:

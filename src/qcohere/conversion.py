@@ -27,14 +27,14 @@ from .channels import (
     STAGE_CAP,
     KrausSet,
     _from_stored,
+    _incomplete,
     _join,
     _outcomes,
     _require_complete,
+    _require_stages,
     compose,
-    is_complete,
 )
 from .errors import (
-    CompletenessError,
     DimensionMismatchError,
     InfeasibleStepError,
     NoLadderError,
@@ -247,7 +247,7 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
     KrausSet views its stage's kept operators. No operator holds two nonzero
     entries on one row, so the column masses give each stage's completeness
     residual, as in ``is_complete``; the first stage whose residual exceeds
-    ATOL raises, naming itself as "stage m of k".
+    ATOL raises the one completeness error, naming itself as "stage m of k".
     """
     u, a, b = (np.asarray(v, dtype=float) for v in (u, a, b))
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
@@ -276,9 +276,7 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
     failed = ~(residual <= ATOL)
     if failed.any():
         m = int(failed.argmax())
-        raise CompletenessError(
-            f"stage {m + 1} of {k}: sum K^dag K deviates from identity by {residual[m]:.3e}"
-        )
+        raise _incomplete(residual[m], f"stage {m + 1} of {k}: ")
 
     rows = np.empty((k, 2, d), dtype=np.intp)
     rows[:] = np.arange(d)
@@ -413,12 +411,10 @@ class ProtocolReport:
 
     def passes(self) -> bool:
         """Every stage complete, the declared probability delivered and
-        every success branch on the target, each within ATOL."""
-        if self.stage_completeness and max(self.stage_completeness) > ATOL:
-            return False
-        if abs(self.success_probability - self.declared_probability) > ATOL:
-            return False
-        return self.min_success_fidelity >= 1.0 - ATOL
+        every success branch on the target, each within ATOL; NaN fails."""
+        return (all(r <= ATOL for r in self.stage_completeness)
+                and abs(self.success_probability - self.declared_probability) <= ATOL
+                and self.min_success_fidelity >= 1.0 - ATOL)
 
 
 # cell size of the branch fingerprints, far above TINY: equal post-states
@@ -476,12 +472,12 @@ def _step(branches: list, stage: KrausSet) -> list:
 def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     """Simulate ``protocol`` on psi and check it delivers phi as declared.
 
-    Each stage's completeness residual is measured once; a stage off by
-    more than ATOL raises CompletenessError. The stages then act in turn on
-    the live branches, starting from psi; the children of one branch are
-    normalized together. Branches with equal labels and
-    equal post-states merge, so a protocol from optimal_protocol carries at
-    most two and the cost is linear in the stage count; more than
+    The stages' completeness residuals are measured first, in one pass; the
+    first stage off by more than ATOL, or NaN, raises CompletenessError. The
+    stages then act in turn on the live branches, starting from psi; the
+    children of one branch are normalized together. Branches with equal
+    labels and equal post-states merge, so a protocol from optimal_protocol
+    carries at most two and the cost is linear in the stage count; more than
     COMPOSE_CAP live branches raise ResourceLimitError. Nothing from the
     builder (ladder, gamma, declared probability) enters the simulation.
     """
@@ -494,12 +490,9 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     d = protocol.stages[0].dim
     psi = _pad(pure_state(psi), d)
     phi = _pad(pure_state(phi), d)
-    residuals = tuple(is_complete(stage)[1] for stage in protocol.stages)
-    k = len(residuals)
+    residuals = tuple(_require_stages(protocol.stages))
     branches = [(1.0, psi, "")]
-    for n, (stage, res) in enumerate(zip(protocol.stages, residuals), 1):
-        if res > ATOL:
-            raise CompletenessError(f"stage {n} of {k}: sum K^dag K deviates from identity by {res:.3e}")
+    for stage in protocol.stages:
         branches = _step(branches, stage)
     succ = [(p, state) for p, state, label in branches if label == protocol.success_label]
     total = float(sum(p for p, _ in succ))

@@ -13,7 +13,8 @@ the file is opened. The run-form stages of a file are decoded together,
 at most STAGE_CAP entries beyond two operators. Dense ``"operators"``
 stages, the only form of a coherent channel, are still read. Each stage
 decodes to a plain KrausSet, unchecked, or a coherent dense one to its
-IncoherenceError; the loaders then check completeness within RENORM_TOL.
+IncoherenceError; the loaders then check every stage in one pass, complete
+within RENORM_TOL, and the first failing stage in file order raises.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channels import STAGE_CAP, KrausSet, _from_stored, _require_complete, _stored
+from .channels import STAGE_CAP, KrausSet, _from_stored, _require_complete, _require_stages, _stored
 from .errors import (
     DimensionMismatchError,
     FileFormatError,
@@ -194,9 +195,9 @@ def _expand(ops, dim, path):
         raise FileFormatError(f"{path}: the columns of each operator must start at 0 and increase")
     full = np.tile(np.arange(dim), (len(ops), 1))
     np.put(full, keys, _ints(rows, dim, path, "rows"))
-    vals = _from_pairs(vals, (keys.size,), path)
-    runs = np.searchsorted(keys, np.arange(full.size), side="right") - 1
-    return full, vals[runs].reshape(full.shape)
+    # each listed value runs up to the next listed column
+    vals = np.repeat(_from_pairs(vals, (keys.size,), path), np.diff(keys, append=full.size))
+    return full, vals.reshape(full.shape)
 
 
 def _stages(payloads, dim, path) -> list:
@@ -243,17 +244,10 @@ def save_channel(path, k: KrausSet) -> None:
     _dump_json(path, _runs([k])[0])
 
 
-def _checked(stage, where):
-    """A decoded stage, complete within RENORM_TOL; errors begin with ``where``."""
-    if isinstance(stage, IncoherenceError):
-        raise IncoherenceError(f"{where}{stage}", stage.witness) from stage
-    return _require_complete(stage, RENORM_TOL, where)
-
-
 def load_channel(path) -> KrausSet:
     """Channel file as a KrausSet, complete within RENORM_TOL."""
     payload = _load_json(path)
-    return _checked(_stages([payload], _dim(payload, path), path)[0], f"{path}: ")
+    return _require_complete(_stages([payload], _dim(payload, path), path)[0], RENORM_TOL, f"{path}: ")
 
 
 def save_protocol(path, protocol, report=None) -> None:
@@ -284,8 +278,8 @@ def load_protocol(path):
     """Returns (stages, meta), each stage complete within RENORM_TOL.
     ``meta`` holds the scalar fields as a dict."""
     stages, meta = _protocol(_load_json(path), path)
-    k = len(stages)
-    return [_checked(stage, f"{path}: stage {m} of {k}: ") for m, stage in enumerate(stages, 1)], meta
+    _require_stages(stages, RENORM_TOL, f"{path}: ")
+    return stages, meta
 
 
 def read_stages(path):

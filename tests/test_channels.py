@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from qcohere import (
     pure_density,
     pure_state,
 )
-from qcohere import conversion
+from qcohere import channels, conversion
 from qcohere.simplex import ATOL, TINY
 from qcohere.channels import COMPOSE_CAP, _from_stored, _stored
 from randgen import random_incoherent_kraus, random_pure_state
@@ -48,19 +50,20 @@ def test_incomplete_rejected():
 
 
 @st.composite
-def stored_sets(draw):
-    """KrausSets built from stored arrays, complete or not. Either n <= 4
+def stored_sets(draw, d=None):
+    """KrausSets built from stored arrays, complete or not, of dimension
+    ``d`` or of any up to 6. Either n <= 4
     operators of d <= 6 with small integer column weights and eighth-turn
     phases, nonzero entries on a permutation of the rows, zeros of either
     sign on arbitrary rows, and optionally two nonzero entries of one
     operator forced onto one row, alone or split into a merge pair whose
     cross terms cancel; or a two-level stage with a zero pair column."""
-    if draw(st.integers(0, 3)) == 0:
-        d = draw(st.integers(2, 6))
+    if d != 1 and draw(st.integers(0, 3)) == 0:
+        d = draw(st.integers(2, 6)) if d is None else d
         i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
         u, a = draw(st.floats(0.0, 1.0)), draw(st.floats(1e-14, 1.0))
         return conversion._pair_steps(d, [u], [a], [0.0], [i], [j])[0]
-    d, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    d, n = draw(st.integers(1, 6)) if d is None else d, draw(st.integers(1, 4))
     ints = st.lists(st.lists(st.integers(0, 3), min_size=d, max_size=d), min_size=n, max_size=n)
     w = np.array(draw(ints), dtype=float)
     if draw(st.booleans()):  # no empty column
@@ -97,6 +100,38 @@ def test_is_complete_matches_dense_reference(ks):
     ok, residual = is_complete(ks)
     assert abs(residual - want) <= 1e-15
     assert ok == (want <= ATOL)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_stacked_residuals_equal_lone_residuals(data):
+    # stage lists with mixed operator counts, stored zeros of either sign,
+    # duplicate-row operators, one dimension or mixed ones, and sometimes a
+    # NaN value; small stacks split the list into many blocks
+    d = data.draw(st.none() | st.integers(1, 6))
+    stages = data.draw(st.lists(stored_sets(d), min_size=1, max_size=12))
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(0, len(stages) - 1))
+        vals = stages[m].vals.copy()
+        vals.flat[data.draw(st.integers(0, vals.size - 1))] = np.nan
+        stages[m] = KrausSet(stages[m].rows, vals, stages[m].labels)
+    with mock.patch.object(channels, "_BLOCK", data.draw(st.sampled_from([1, 8, 30, 1 << 16]))):
+        stacked = channels._residuals(stages)
+    lone = [is_complete(k)[1] for k in stages]
+    assert np.array(stacked).tobytes() == np.array(lone).tobytes()
+
+
+def test_stacked_residuals_at_dimension_one():
+    # numpy sums the masses of more than 8 operators of one column
+    # pairwise: a stack of d = 1 stages must keep each stage's grouping,
+    # which padding a stage to a wider one's operator count would change
+    rng = np.random.default_rng(1)
+    stages = []
+    for n in (9, 30, 17, 1, 24, 9) * 4:
+        w = rng.random(n)
+        stages.append(_from_stored(np.zeros((n, 1), dtype=np.intp), np.sqrt(w / w.sum())[:, None] + 0j))
+    lone = [is_complete(k)[1] for k in stages]
+    assert np.array(channels._residuals(stages)).tobytes() == np.array(lone).tobytes()
 
 
 def test_is_incoherent_identity_and_diagonal():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qcohere import ProtocolReport, kraus_set, pure_density, pure_state, save_channel, save_density, save_state
-from qcohere import channels, cli, is_complete
+from qcohere import channels, cli
 from qcohere.cli import main
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -249,7 +249,8 @@ def test_verify_channel_on_protocol_file(paths, capsys):
 
 def test_verify_channel_checks_each_stage_once(paths, capsys, monkeypatch):
     # building a stage checked its completeness, and the report measured
-    # it again: 2k residuals for k stages
+    # it again: 2k residuals for k stages; now each is measured once, in
+    # stacks of consecutive stages of one shape
     rng = np.random.default_rng(8)
     for name in ("src8", "tgt8"):
         amps = np.sqrt(rng.dirichlet(np.ones(8))) * np.exp(2j * np.pi * rng.random(8))
@@ -258,17 +259,17 @@ def test_verify_channel_checks_each_stage_once(paths, capsys, monkeypatch):
     run(["convert", "--source", paths["tmp"] / "src8.json", "--target", paths["tmp"] / "tgt8.json",
          "--protocol", proto], capsys)
     k = len(json.loads(proto.read_text())["stages"])
-    calls = []
+    measured = []
+    kernel = channels._stacked
 
-    def counting(ks):
-        calls.append(ks)
-        return is_complete(ks)
+    def counting(rows, vals, stages):
+        measured.append(len(stages))
+        return kernel(rows, vals, stages)
 
-    for module in (channels, cli):
-        monkeypatch.setattr(module, "is_complete", counting)
+    monkeypatch.setattr(channels, "_stacked", counting)
     code, out, _ = run(["verify-channel", "--channel", proto], capsys)
     assert code == 0 and out.count("[ok]") == k > 2
-    assert len(calls) == k
+    assert sum(measured) == k and len(measured) < k
 
 
 def test_verify_channel_on_empty_protocol(paths, capsys):

@@ -519,6 +519,16 @@ def test_optimal_protocol_worked_example():
     assert report.min_success_fidelity >= 1.0 - 1e-9
 
 
+def test_report_with_nan_does_not_pass():
+    # NaN compares false with ATOL: a NaN residual ahead of an incomplete
+    # one, or a NaN success probability, let passes() return True
+    report = verify_protocol(optimal_protocol(PSI, PHI), PSI, PHI)
+    nan = float("nan")
+    for residuals in ((nan, 2e-9), (0.0, nan)):
+        assert not dataclasses.replace(report, stage_completeness=residuals).passes()
+    assert not dataclasses.replace(report, success_probability=nan).passes()
+
+
 def test_optimal_protocol_zero_probability():
     psi = np.full(2, 1.0 / np.sqrt(2.0))
     phi = np.full(3, 1.0 / np.sqrt(3.0))
@@ -579,17 +589,18 @@ def test_verify_protocol_checks_each_stage_once(monkeypatch):
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     half = np.sqrt(0.5) * np.eye(2, dtype=complex)
     protocol = _protocol([kraus_set([half, half], labels=["a", "b"])] * 12)
-    calls = []
+    # one pass: the kernel measures the 12 stages as one stack, none twice
+    measured = []
+    kernel = channels._stacked
 
-    def counting(k, *args, **kwargs):
-        calls.append(k)
-        return is_complete(k, *args, **kwargs)
+    def counting(rows, vals, stages):
+        measured.append(len(stages))
+        return kernel(rows, vals, stages)
 
-    monkeypatch.setattr(channels, "is_complete", counting)
-    monkeypatch.setattr(conversion, "is_complete", counting)
+    monkeypatch.setattr(channels, "_stacked", counting)
     report = verify_protocol(protocol, plus, plus)
     assert report.branch_count == 4096
-    assert len(calls) == 12
+    assert measured == [12]
 
 
 def test_verify_protocol_rejects_incomplete_stage():
@@ -600,6 +611,15 @@ def test_verify_protocol_rejects_incomplete_stage():
     with pytest.raises(CompletenessError,
                        match=r"^stage 2 of 2: sum K\^dag K deviates from identity by 1\.000e-07$"):
         verify_protocol(_protocol([kraus_set([np.eye(2)]), loose]), plus, plus)
+
+
+def test_verify_protocol_rejects_a_nan_stage():
+    # a NaN residual compared false with ATOL, so the verifier let the stage
+    # through; its NaN branch was dropped and the report passed
+    nan = channels.KrausSet(rows=np.array([[0, 1], [0, 1]]), vals=np.array([[1.0, 0.0], [0.0, np.nan]], dtype=complex),
+                   labels=("success", ""))
+    with pytest.raises(CompletenessError, match=r"^stage 1 of 1: sum K\^dag K deviates from identity by nan$"):
+        verify_protocol(_protocol([nan], "success", 1.0), [1.0, 0.0], [1.0, 0.0])
 
 
 def test_verify_protocol_branch_cap():

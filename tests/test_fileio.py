@@ -42,7 +42,7 @@ from qcohere import (
     verify_protocol,
 )
 from qcohere import conversion, fileio
-from qcohere.channels import _from_stored, _require_complete
+from qcohere.channels import IncoherenceWitness, _from_stored, _require_complete
 from qcohere.cli import main
 from qcohere.fileio import read_stages
 from randgen import _merge_pair, random_incoherent_kraus, random_pure_state
@@ -572,6 +572,31 @@ def test_protocol_file_d1024_is_small_and_fast(tmp_path):
     assert elapsed < 0.5
 
 
+def test_protocol_d2048_loads_and_verifies_fast(tmp_path):
+    # the completeness pass runs over stacks of at most 2^16 stored entries.
+    # In a fresh interpreter on a 2-CPU machine, load plus verify took
+    # 0.8-0.9 s; one stack of the whole protocol took 1.5-1.6 s and made
+    # verify_protocol peak at 362 MiB, not 3 MiB
+    rng = np.random.default_rng(2048)
+    psi, phi = (random_pure_state(rng, 2048, phases=True) for _ in range(2))
+    protocol = optimal_protocol(psi, phi)
+    path = tmp_path / "protocol.json"
+    save_protocol(path, protocol)
+    start = time.perf_counter()
+    stages, _ = load_protocol(path)
+    report = verify_protocol(dataclasses.replace(protocol, stages=tuple(stages)), psi, phi)
+    elapsed = time.perf_counter() - start
+    assert report.passes() and len(stages) > 1900
+    tracemalloc.start()
+    try:
+        verify_protocol(protocol, psi, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert elapsed < 2.0
+
+
 def test_decode_refuses_a_huge_dim_before_allocating(tmp_path):
     # 72 bytes declaring 10^8 columns: the decoder asked numpy for 763 MiB
     # of rows before any check; now the stack is measured first
@@ -778,6 +803,30 @@ def test_load_errors_name_the_file_and_the_stage(tmp_path):
     chan.write_text(json.dumps(payload))
     with pytest.raises(CompletenessError, match=f"^{re.escape(str(chan))}: sum K"):
         load_channel(chan)
+
+
+def test_load_errors_come_in_file_order(tmp_path):
+    # the stages are checked in one pass, yet the first failing stage in
+    # file order raises, whichever of the two checks it fails
+    path = tmp_path / "protocol.json"
+    psi = np.sqrt([0.8, 0.1, 0.1]).astype(complex)
+    phi = np.sqrt([0.4, 0.3, 0.3]).astype(complex)
+    save_protocol(path, optimal_protocol(psi, phi))
+    payload = json.loads(path.read_text())
+    loose = payload["stages"][0]
+    loose["values"] = [[[0.5 * re, 0.5 * im] for re, im in op] for op in loose["values"]]
+    h = 1.0 / np.sqrt(2.0)
+    had = {"dim": 3, "operators": [[[[h, 0.0], [h, 0.0], [0.0, 0.0]], [[h, 0.0], [-h, 0.0], [0.0, 0.0]],
+                                    [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]]}
+    payload["stages"] = [loose, had]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CompletenessError, match=f"^{re.escape(str(path))}: stage 1 of 2: sum K"):
+        load_protocol(path)
+    payload["stages"] = [had, loose]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(IncoherenceError, match=f"^{re.escape(str(path))}: stage 1 of 2: coherent") as err:
+        load_protocol(path)
+    assert err.value.witness == IncoherenceWitness(1, 1, (1, 2))
 
 
 def test_protocol_round_trip(tmp_path):
