@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import _roofopt
-from .errors import DimensionMismatchError, ParameterError
-from .simplex import ATOL, TINY, _count, _real
+from .errors import DimensionMismatchError, ParameterError, ResourceLimitError
+from .simplex import ATOL, TINY, _count, _real, _tail_sums
 from .states import check_density, squared_amplitudes
 
 
@@ -152,13 +152,6 @@ def _alpha_gradient(w, alpha: float):
     return 2.0 * w * (np.log2(total) / (1.0 - alpha) + c * (ratio - 1.0))
 
 
-def _kyfan(x, l: int):
-    keep = x.shape[-1] - l + 1
-    if keep <= 0:
-        return np.zeros(x.shape[:-1])
-    return np.sort(x, axis=-1)[..., :keep].sum(axis=-1)
-
-
 def _kyfan_gradient(w, l: int):
     # p f(a/p) is the sum of the d-l+1 smallest a_i: slope 1 there, 0 elsewhere
     rank = (w.real**2 + w.imag**2).argsort(axis=-1).argsort(axis=-1)
@@ -187,7 +180,7 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
         if l is None or not _real(l, "kyfan order").is_integer() or l < 2:
             raise ParameterError(f"kyfan order must be an integer >= 2, got {l!r}")
         k = int(l)
-        return CoherenceFunctional(f"kyfan({k})", lambda x: _kyfan(x, k),
+        return CoherenceFunctional(f"kyfan({k})", lambda x: _tail_sums(x, k),
                                    gradient=lambda w: _kyfan_gradient(w, k))
     raise ParameterError(f"unknown functional family {name!r}")
 
@@ -295,6 +288,10 @@ class RoofResult:
 # the eigen-ensemble: exactly there the empty members have zero gradient, so
 # the descent could never leave the rank-r subspace
 EIGEN_NUDGE = 1e-2
+# cap on the entries of one line-search array, restarts x trial steps x
+# rank^2 members x d amplitudes: 16 MiB of complex values, which a full-rank
+# d = 35 search at 8 restarts fits
+ROOF_CAP = 1 << 20
 
 
 def _search(f, scaled, restarts, rng):
@@ -335,7 +332,9 @@ def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int 
     is resumed, first on the smoothed objective f((1 - eps) x + eps / d)
     with eps = 1e-3, then on f, and kept only if it scores lower. The
     eigen-ensemble is returned whenever it scores lower, so the bound never
-    exceeds the eigendecomposition average.
+    exceeds the eigendecomposition average. A search whose line-search
+    array, restarts x 3 trial steps x rank^2 members x d amplitudes, would
+    hold more than ROOF_CAP entries raises ResourceLimitError first.
     """
     rho = check_density(rho)
     d = rho.shape[0]
@@ -359,6 +358,9 @@ def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int 
         vec = vecs[:, keep[0]]
         return RoofResult(value=coherence_pure(f, vec), ensemble=((1.0, vec),))
 
+    if restarts * len(_roofopt.LADDER) * r * r * d > ROOF_CAP:
+        raise ResourceLimitError(f"{restarts} x {len(_roofopt.LADDER)} x {r}^2 x {d} "
+                                 f"line-search entries exceed the cap of {ROOF_CAP}")
     # rows are the eigenvectors scaled by sqrt(eigenvalue); any matrix with
     # orthonormal columns applied from the left yields a valid ensemble
     scaled = np.ascontiguousarray((vecs[:, keep] * np.sqrt(w[keep])).T)

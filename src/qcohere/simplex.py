@@ -22,12 +22,14 @@ ATOL = 1e-9
 TINY = 1e-12
 
 
-def _count(n, least: int = 1, what: str = "count") -> int:
+def _count(n, least: int | None = 1, what: str = "count") -> int:
     """An integer >= ``least``, numpy integers accepted, booleans refused: a
-    count of copies, samples, restarts or dimensions, a seed (least 0) or a
-    1-based coordinate."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
-        raise ParameterError(f"{what} must be an integer >= {least}, got {n!r}")
+    count of copies, samples, restarts or dimensions, a seed (least 0), a
+    1-based coordinate, or a tail start (least None, any integer), whose
+    range its caller checks."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or (least is not None and n < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise ParameterError(f"{what} must be an integer{at_least}, got {n!r}")
     return int(n)
 
 
@@ -68,10 +70,18 @@ def tail_sum(x, l: int) -> float:
     """Sum of the d-l+1 smallest entries of ``x`` (the tail of the sorted
     vector starting at 1-based position ``l``). ``x`` need not be sorted."""
     x = np.asarray(x, dtype=float)
-    d = x.size
-    if not 1 <= l <= d:
-        raise IndexError(f"l={l} outside [1, {d}]")
-    return float(np.sort(x)[: d - l + 1].sum())
+    if x.ndim != 1:
+        raise ParameterError(f"x must be a 1-d vector, got shape {x.shape}")
+    l = _count(l, least=None, what="tail start")
+    if not 1 <= l <= x.size:
+        raise IndexError(f"l={l} outside [1, {x.size}]")
+    return float(_tail_sums(x, l))
+
+
+def _tail_sums(x, l: int):
+    """Sums of the d-l+1 smallest entries along the last axis of ``x``, 0
+    where l > d: ``tail_sum`` and the kyfan functional."""
+    return np.sort(x, axis=-1)[..., : max(x.shape[-1] - l + 1, 0)].sum(axis=-1)
 
 
 def majorizes(y, x) -> bool:
@@ -139,6 +149,8 @@ def _transfers(x, y, starts=(0,)) -> list:
     a difference of large masses. Only a donor left without a recipient may
     keep an excess, up to ATOL. A record holds the 0-based pair, the share u
     of a - b moved and the pair (a, b) it mixes; records come in chain order.
+    Inputs may rise by TINY, so a pair may be near-tied: u is capped at 1,
+    and is 0 where a <= b, mixing a pair that is equal within TINY.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -165,7 +177,7 @@ def _transfers(x, y, starts=(0,)) -> list:
                 a, b = v[i], v[j]
                 excess, room = a - xs[i], xs[j] - b
                 moved = room if i == first else min(excess, room)
-                out.append((i, j, moved / (a - b), a, b))
+                out.append((i, j, min(moved / (a - b), 1.0) if a > b else 0.0, a, b))
                 v[i] = xs[i] if moved == excess else a - moved
                 if moved == room:
                     stack.pop()  # j is settled and never read again

@@ -262,9 +262,9 @@ def test_verify_channel_checks_each_stage_once(paths, capsys, monkeypatch):
     measured = []
     kernel = channels._stacked
 
-    def counting(rows, vals, stages):
-        measured.append(len(stages))
-        return kernel(rows, vals, stages)
+    def counting(rows, vals):
+        measured.append(rows.shape[0])
+        return kernel(rows, vals)
 
     monkeypatch.setattr(channels, "_stacked", counting)
     code, out, _ = run(["verify-channel", "--channel", proto], capsys)
@@ -293,6 +293,14 @@ def test_roof_bad_seed_is_an_error(paths, capsys, diagonal):
     code, out, err = run(["roof", "--density", dens, "--functional", "l1", "--seed", "-1"], capsys)
     assert (code, out) == (1, "")
     assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
+def test_roof_over_the_cap_is_an_error(paths, capsys):
+    dens = paths["tmp"] / "rho36.json"
+    save_density(dens, np.eye(36, dtype=complex) / 36 + 0.01 * np.eye(36, k=1) + 0.01 * np.eye(36, k=-1))
+    code, out, err = run(["roof", "--density", dens, "--functional", "shannon"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: 8 x 3 x 36^2 x 36 line-search entries exceed the cap of 1048576\n"
 
 
 def test_roof_pure_state(paths, capsys):

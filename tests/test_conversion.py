@@ -303,7 +303,7 @@ def test_two_level_step_names_what_is_infeasible():
         two_level_step(s, (np.nan, 0.5), 1, 2)
 
 
-def test_stacked_steps_name_the_failing_stage():
+def test_stacked_steps_build_each_stage():
     ok = (0.5, 0.7, 0.3)  # u, a, b of a feasible step
 
     def steps(*stages):
@@ -311,15 +311,58 @@ def test_stacked_steps_name_the_failing_stage():
         return conversion._pair_steps(3, *cols, [0] * len(stages), [1] * len(stages))
 
     assert len(steps(ok, ok)) == 2
-    # a chain record cannot make a stage infeasible; only completeness is
-    # checked, and the first failing stage raises, whatever fails after it
-    with pytest.raises(CompletenessError, match="^stage 2 of 3: sum K"):
-        steps(ok, (np.nan, 0.7, 0.3), (0.5, np.nan, 0.3))
     # a zero pair column leaves operator 2 a zero on the row its other pair
     # column is swapped to; is_complete never pairs a stored zero up
     stage = steps((0.5, 1.0, 0.0))[0]
     assert stage.rows[1].tolist() == [0, 0, 2]
     assert is_complete(stage)[0]
+    # a share outside [0, 1] is clipped, not turned into NaN operators
+    for u, want in ((2.0, 1.0), (-1.5, 0.0)):
+        (got,) = steps((u, 0.7, 0.3))
+        assert np.isfinite(got.vals).all() and is_complete(got)[0]
+        assert got.vals.tobytes() == steps((want, 0.7, 0.3))[0].vals.tobytes()
+
+
+@pytest.mark.parametrize("gamma2", [[0.5 + 1e-13, 0.5 - 1e-13], [0.5, 0.5], [0.5 - 0.5e-13, 0.5 + 0.5e-13]])
+def test_near_tied_pair_builds_complete_stages(gamma2):
+    # canonical inputs may rise by TINY: the sweep's share was 2 (NaN
+    # operators), a division by a - b = 0, or -2.5 on these pairs
+    psi = np.sqrt([0.5 - 3e-13, 0.5 + 3e-13])
+    gamma = np.sqrt(gamma2)
+    stages = deterministic_protocol(psi, gamma)
+    assert all(np.isfinite(ks.vals).all() and is_complete(ks)[0] for ks in stages)
+    report = verify_protocol(optimal_protocol(psi, gamma), psi, gamma)
+    assert report.passes() and report.success_probability == 1.0
+
+
+EDGE_MASSES = st.sampled_from([0.0, 5e-324, 1e-13, 1e-12 * (1 - 1e-9), 1e-12, 1e-12 * (1 + 1e-9),
+                               2e-12, 1e-9, 0.25, 0.5])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(EDGE_MASSES | st.floats(0.0, 1.0), min_size=2, max_size=6).filter(lambda m: sum(m) > 0),
+       st.data())
+def test_built_stages_are_complete(masses, data):
+    """The chain builder is exact by construction and measures nothing: every
+    stage that two_level_step, deterministic_protocol and optimal_protocol
+    build passes is_complete, over ties, zero, subnormal and near-floor
+    masses and the branch weights at u = 0 and 1."""
+    g = np.sort(np.array(masses) / sum(masses))[::-1]
+    d = g.size
+    # the step whose source mixes target masses (a, b) at a pair by the share u
+    i, j = data.draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    u = data.draw(st.sampled_from([0.0, 1.0, 5e-324, 1e-12, 1.0 - 1e-12]) | st.floats(0.0, 1.0))
+    a, b = g[i], g[j]
+    x = g.copy()
+    x[i], x[j] = (1.0 - u) * a + u * b, u * a + (1.0 - u) * b
+    stages = [two_level_step(np.sqrt(x), (a, b), i + 1, j + 1)]
+    # a canonical source majorized by g: a few T-transforms of g, re-sorted
+    ts = data.draw(st.lists(st.tuples(st.integers(1, d - 1), st.sampled_from([0.0, 0.5, 1.0 - 1e-12, 1.0])
+                                      | st.floats(0.0, 1.0)), max_size=4))
+    psi = np.sqrt(np.sort(simplex.apply_chain([simplex.TTransform(1, k + 1, t) for k, t in ts], g))[::-1])
+    stages += deterministic_protocol(psi, np.sqrt(g))
+    stages += optimal_protocol(np.sqrt(g[::-1]), psi).stages + optimal_protocol(psi, np.sqrt(g)).stages
+    assert all(is_complete(ks)[0] for ks in stages)
 
 
 def test_stacked_stages_view_one_stack():
@@ -593,14 +636,28 @@ def test_verify_protocol_checks_each_stage_once(monkeypatch):
     measured = []
     kernel = channels._stacked
 
-    def counting(rows, vals, stages):
-        measured.append(len(stages))
-        return kernel(rows, vals, stages)
+    def counting(rows, vals):
+        measured.append(rows.shape[0])
+        return kernel(rows, vals)
 
     monkeypatch.setattr(channels, "_stacked", counting)
     report = verify_protocol(protocol, plus, plus)
     assert report.branch_count == 4096
     assert measured == [12]
+
+
+def test_complete_stage_on_a_valid_state_is_replayed():
+    # a stage complete within ATOL on a state whose squared norm is within
+    # 1e-9 of 1: a second test on the branch sum refused the pair
+    stage = kraus_set([np.sqrt(1 + 5e-10) * np.eye(4)])
+    psi = np.full(4, 0.5) * np.sqrt(1 + 9e-10)
+    assert is_complete(stage)[0]
+    (branch,) = apply_selective(stage, psi)
+    assert abs(branch.probability - 1.0) <= 2e-9
+    report = verify_protocol(_protocol([stage]), psi, psi)
+    assert report.stage_completeness == (is_complete(stage)[1],)
+    assert report.success_probability == branch.probability
+    assert (report.branch_count, report.success_count) == (1, 1)
 
 
 def test_verify_protocol_rejects_incomplete_stage():

@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qcohere import (
     CoherenceFunctional,
     ParameterError,
+    ResourceLimitError,
     _roofopt,
     builtin,
     coherence_pure,
@@ -16,7 +18,7 @@ from qcohere import (
     extract_functional,
     pure_density,
 )
-from qcohere.measures import EIGEN_NUDGE
+from qcohere.measures import EIGEN_NUDGE, ROOF_CAP
 from randgen import random_pure_state
 
 BUILTINS = (builtin("shannon"), builtin("l1"), builtin("alpha", alpha=0.5), builtin("kyfan", l=2))
@@ -253,6 +255,29 @@ def test_readme_roof_problem_is_fast():
     elapsed = time.perf_counter() - start
     assert value <= 1.1318607105806615 + 1e-12
     assert elapsed < 1.0
+
+
+def test_roof_cap_raises_before_allocating():
+    # a full-rank d = 128 search at 8 restarts stacked 8 x 3 x 128^2 x 128
+    # complex entries, 805 MB, in each line-search array; d = 24 full rank
+    # and every smaller problem stay under the cap
+    assert 8 * 3 * 24**3 <= ROOF_CAP < 8 * 3 * 128**3
+    rho = random_density(np.random.default_rng(128), 128, 128)
+    pair = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"^8 x 3 x 128\^2 x 128 line-search entries exceed the cap"):
+            convex_roof_upper(builtin("shannon"), rho)
+        # so is a restart count whose stack would not fit, at any dimension
+        with pytest.raises(ResourceLimitError, match=r"^1000000 x 3 x 2\^2 x 2 "):
+            convex_roof_upper(builtin("shannon"), pair, restarts=10**6)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 8 * 2**20
 
 
 def test_qubit_l1_closed_form():

@@ -53,6 +53,17 @@ def test_tail_sum_range():
         tail_sum([0.5, 0.5], 0)
     with pytest.raises(IndexError):
         tail_sum([0.5, 0.5], 3)
+    with pytest.raises(IndexError):
+        tail_sum([0.5, 0.5], -1)
+    # the one integer rule: a float raised TypeError from slicing, and True
+    # was read as l = 1
+    for l in (2.0, True, "2", None):
+        with pytest.raises(ParameterError, match="^tail start must be an integer, got"):
+            tail_sum([0.5, 0.5], l)
+    assert tail_sum([0.5, 0.5], np.int64(2)) == 0.5
+    # a matrix was summed over its flattened entries
+    with pytest.raises(ParameterError, match="^x must be a 1-d vector"):
+        tail_sum([[0.5, 0.5], [0.0, 0.0]], 1)
 
 
 def test_majorizes_basics():
@@ -112,6 +123,16 @@ def test_chain_interleaved_excess():
 def test_chain_requires_majorization():
     with pytest.raises(MajorizationError):
         ttransform_chain(np.array([0.7, 0.3]), np.array([0.5, 0.5]))
+
+
+def test_chain_on_near_tied_pairs():
+    # inputs may rise by TINY: the share of a - b came out as 2, a division
+    # by zero, or -2.5, and the chain refused its own mix weights
+    x = np.array([0.5 - 3e-13, 0.5 + 3e-13])
+    for y, t in (([0.5 + 1e-13, 0.5 - 1e-13], 0.0), ([0.5, 0.5], 1.0), ([0.5 - 0.5e-13, 0.5 + 0.5e-13], 1.0)):
+        chain = ttransform_chain(x, np.array(y))
+        assert [(tr.i, tr.j, tr.t) for tr in chain] == [(1, 2, t)]
+        assert np.abs(apply_chain(chain, y) - x).max() <= 1e-12
 
 
 def test_chain_requires_sorted():
