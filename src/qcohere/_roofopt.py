@@ -14,11 +14,20 @@ retraction. Its cost is numpy call overhead, so an iteration makes one
 projection, for the new gradient and the old gradient and direction
 together, and masks only when it must: empty members, failed line searches
 and Polak-Ribiere resets are handled by extra calls only when some exist.
+
+``retract`` reads only Q and R's diagonal, so it calls the two stacked
+LAPACK kernels behind ``np.linalg.qr`` (``numpy.linalg._umath_linalg``, numpy
+2.x) itself, under that function's error state, and skips the rest of it:
+the type checks, a second error-state switch and the full upper triangle of
+R. Q and the signs are the same bits, and one retraction of a d = 3,
+rank-3 line-search stack takes about half the time.
+
 ``smoothed`` gives the objective of f((1 - eps) x + eps / d), on which a
 descent stalled at a cusp of f can move again.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .simplex import TINY
 
@@ -62,10 +71,20 @@ def _terms(sq, weights, rows):
     return weights * rows(sq / weights[..., None])
 
 
+def _qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def retract(y):
-    """Q factor of each matrix in the stack, with R's diagonal made positive."""
-    q, r = np.linalg.qr(y)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    """Q factor of each complex matrix in the stack, with R's diagonal made
+    positive."""
+    # np.linalg.qr's own calls: the first factors the copy in place, R on and
+    # above the diagonal, the second forms Q from the reflectors below it
+    a = y.astype(complex)
+    with np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+        q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    diag = a.diagonal(0, -2, -1)
     return q * (diag / np.abs(diag))[..., None, :]
 
 

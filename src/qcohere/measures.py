@@ -350,17 +350,21 @@ def convex_roof_upper(f: CoherenceFunctional, rho, restarts: int = 8, seed: int 
         members = tuple(zip(weights.tolist(), basis.astype(complex)))
         return RoofResult(value=float(sum(weights * f.values(basis))), ensemble=members)
 
+    # the cap is checked on the rank from the eigenvalues alone, before any
+    # eigenvector is computed: with multithreaded BLAS, the first eigenvector
+    # solve of a large matrix took a second in some fresh processes, the
+    # values milliseconds
+    r = int(np.count_nonzero(np.linalg.eigvalsh(rho) > TINY))
+    if r > 1 and restarts * len(_roofopt.LADDER) * r * r * d > ROOF_CAP:
+        raise ResourceLimitError(f"{restarts} x {len(_roofopt.LADDER)} x {r}^2 x {d} "
+                                 f"line-search entries exceed the cap of {ROOF_CAP}")
+
     w, vecs = np.linalg.eigh(rho)
     order = np.argsort(-w)
     keep = order[w[order] > TINY]
-    r = keep.size
-    if r == 1:
+    if keep.size == 1:
         vec = vecs[:, keep[0]]
         return RoofResult(value=coherence_pure(f, vec), ensemble=((1.0, vec),))
-
-    if restarts * len(_roofopt.LADDER) * r * r * d > ROOF_CAP:
-        raise ResourceLimitError(f"{restarts} x {len(_roofopt.LADDER)} x {r}^2 x {d} "
-                                 f"line-search entries exceed the cap of {ROOF_CAP}")
     # rows are the eigenvectors scaled by sqrt(eigenvalue); any matrix with
     # orthonormal columns applied from the left yields a valid ensemble
     scaled = np.ascontiguousarray((vecs[:, keep] * np.sqrt(w[keep])).T)

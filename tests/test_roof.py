@@ -1,6 +1,7 @@
 import dataclasses
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ def test_corpus_trajectories_are_pinned():
 
 
 def test_readme_roof_problem_is_fast():
-    # the README problem and its figures, 1.131860710581 in about 0.085 s;
+    # the README problem and its figures, 1.131860710581 in about 0.05 s;
     # a ceiling on the value as above, and on the time, in a fresh
     # interpreter, room for a slow machine
     readme = random_density(np.random.default_rng(0), 4, 3)
@@ -404,3 +405,68 @@ def test_stacked_descent_rows_equal_lone_descents(seed, shape, f):
         assert qi[0].tobytes() == q[i].tobytes(), (f.name, i)
         assert vi[0].tobytes() == vals[i].tobytes()
         assert (ni[0], si[0]) == (iters[i], stops[i])
+
+
+def qr_retract(y):
+    """The retraction through np.linalg.qr, which ``retract`` must equal bit
+    for bit."""
+    q, r = np.linalg.qr(y)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def outcome(retraction, y):
+    """retraction(y) as its shape and bytes, or its error, with the warnings
+    it gave on the way, recorded instead of raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            q = retraction(y)
+            got = (q.shape, q.dtype.str, q.tobytes())
+        except Exception as exc:
+            got = (type(exc), str(exc))
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1),
+       st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(0, 4)),
+       st.integers(-150, 150), st.booleans(), st.sampled_from(["full", "zero", "multiple"]),
+       st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)]))
+def test_retract_equals_numpy_qr_bit_for_bit(seed, shape, exponent, zero_row, column, special):
+    # stacks (n, t, m, r) with m >= r, as the line search builds them, at
+    # scales from 1e-150 to 1e150, with members of weight 0, rank-deficient
+    # columns and NaN or inf entries: the same bits, or the same error, and
+    # the same warnings (a zero column gives R a zero diagonal entry)
+    n, t, r, extra = shape
+    m = r + extra
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n, t, m, r, 2)).view(np.complex128)[..., 0] * 10.0**exponent
+    if zero_row:
+        y[..., rng.integers(m), :] = 0.0
+    if column == "zero":
+        y[..., rng.integers(r)] = 0.0
+    elif column == "multiple" and r > 1:
+        y[..., -1] = rng.standard_normal() * y[..., 0]
+    if special is not None:
+        y[tuple(rng.integers(k) for k in y.shape)] = special
+    assert outcome(_roofopt.retract, y) == outcome(qr_retract, y)
+
+
+def test_searches_are_unchanged_under_the_numpy_qr_retraction(monkeypatch):
+    # the CORPUS_VALUES searches and the README problem, once as they are
+    # and once retracting through np.linalg.qr, both in this process, so
+    # that this holds on any CPU and numpy build, unlike the recorded pins
+    rng = np.random.default_rng(2015)
+    rhos = [random_density(rng, d, rank) for d, rank in CORPUS_VALUES]
+    problems = [(f, rho, 1) for rho in rhos for f in BUILTINS]
+    problems.append((builtin("shannon"), random_density(np.random.default_rng(0), 4, 3), 8))
+
+    def searches():
+        results = [convex_roof_upper(f, rho, restarts=n, seed=0) for f, rho, n in problems]
+        return [(res.value.hex(), res.restarts, [(w.hex(), v.tobytes()) for w, v in res.ensemble])
+                for res in results]
+
+    ours = searches()
+    monkeypatch.setattr(_roofopt, "retract", qr_retract)
+    assert searches() == ours
