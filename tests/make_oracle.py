@@ -216,10 +216,35 @@ def _chain_cases():
         yield f"chain-{name}", case
 
 
+def _step_cases():
+    """two_level_step at shares 0 and 1, just outside them, on tiny and
+    subnormal masses, and on invalid pairs."""
+    s = np.sqrt([0.7, 0.3])
+    inputs = [("generic", s, (0.5, 0.5), 1, 2), ("swap", s, (0.3, 0.7), 1, 2),
+              ("share-0", s, (0.7, 0.3), 1, 2), ("equal-targets", np.full(2, np.sqrt(0.5)), (0.5, 0.5), 1, 2),
+              ("share-above-1", s, (0.3 + 2e-10, 0.7 - 2e-10), 1, 2),
+              ("share-below-0", s, (0.7 - 2e-10, 0.3 + 2e-10), 1, 2),
+              ("tiny-pair", np.sqrt([1.0 - 2e-13, 1e-13, 1e-13]), (2e-13, 0.0), 2, 3),
+              ("subnormal", np.sqrt([1.0, 5e-324]), (5e-324, 1.0), 1, 2),
+              ("negative-target", s, (1.1, -0.1), 1, 2), ("mass-mismatch", s, (0.8, 0.3), 1, 2),
+              ("same-coordinate", s, (0.7, 0.3), 1, 1), ("coordinate-0", s, (0.7, 0.3), 0, 2),
+              ("not-a-pair", s, (0.7,), 1, 2), ("weight-outside", s, (0.9, 0.1), 2, 1)]
+    for name, source, pair, i, j in inputs:
+        case = Case()
+        k = _attempt(case, lambda: q.two_level_step(source, pair, i, j))
+        if k is not None:
+            case.stages([k])
+        yield f"step-{name}", case
+
+
 def _deterministic_cases():
     rng = np.random.default_rng(11)
     h = np.sqrt(0.5)
-    inputs = [("unsorted-source", [0.6, 0.8], [1.0, 0.0]),
+    near = np.sqrt([0.5 - 3e-13, 0.5 + 3e-13])
+    inputs = [("near-tied-0", near, np.sqrt([0.5 + 1e-13, 0.5 - 1e-13])),
+              ("near-tied-1", near, np.sqrt([0.5, 0.5])),
+              ("near-tied-2", near, np.sqrt([0.5 - 0.5e-13, 0.5 + 0.5e-13])),
+              ("unsorted-source", [0.6, 0.8], [1.0, 0.0]),
               ("negative-source", [0.8, -0.6], [1.0, 0.0]),
               ("complex-source", [0.8, 0.6j], [1.0, 0.0]),
               ("unsorted-gamma", [0.8, 0.6], [0.6, 0.8]),
@@ -263,8 +288,11 @@ def _compose_cases():
     rng = np.random.default_rng(17)
     scalar = channels._from_stored(np.zeros((129, 1), dtype=np.intp), np.full((129, 1), np.sqrt(1 / 129), complex))
     half = channels._from_stored(np.zeros((2, 2), dtype=np.intp), np.full((2, 2), 0.5 + 0j))
+    # products of two different projectors are zero and are dropped
+    projectors = q.kraus_set([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])], labels=["a", "b"])
     inputs = [("empty", []), ("dims", [q.kraus_set([np.eye(2)]), q.kraus_set([np.eye(3)])]),
-              ("cap", [scalar, scalar]), ("incomplete", [half, q.kraus_set([np.eye(2)])])]
+              ("cap", [scalar, scalar]), ("incomplete", [half, q.kraus_set([np.eye(2)])]),
+              ("annihilating", [projectors, projectors, projectors])]
     for n in range(6):
         d = int(rng.integers(3, 8))
         psi, phi = (_framed(rng, _masses(rng, d)) for _ in range(2))
@@ -330,7 +358,7 @@ def build() -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         for name, psi, phi, copies in _conversion_pairs():
             out[f"protocol-{name}"] = _protocol_case(psi, phi, copies, workdir).as_dict()
-        for cases in (_chain_cases(), _deterministic_cases(), _filter_cases(), _compose_cases(),
+        for cases in (_chain_cases(), _step_cases(), _deterministic_cases(), _filter_cases(), _compose_cases(),
                       _channel_cases(workdir), _replay_cases()):
             out.update((name, case.as_dict()) for name, case in cases)
     return out
