@@ -125,43 +125,59 @@ def kraus_set(operators, labels=None) -> KrausSet:
 
 def is_complete(k: KrausSet):
     """(residual <= ATOL, residual): max deviation of sum K^dag K from the identity."""
-    residual = float(_stacked(k.rows[None], k.vals[None])[0])
+    residual = float(_stacked(k.rows, k.vals, [len(k)])[0])
     return residual <= ATOL, residual
 
 
-def _stacked(rows, vals) -> np.ndarray:
-    """Completeness residuals of the stages stacked as ``rows`` and ``vals``
-    of shape (S, n, d). The column masses are the diagonal of sum K^dag K;
-    a stage with two nonzero entries of one operator on one row forms the
+def _stacked(rows, vals, counts) -> np.ndarray:
+    """Completeness residuals of consecutive stages of one dimension, their
+    operators concatenated as ``rows`` and ``vals`` of shape (N, d), stage
+    s holding ``counts[s]`` of them. The column masses, the diagonal of
+    sum K^dag K, are summed per run of stages with one operator count; a
+    stage with two nonzero entries of one operator on one row forms the
     whole matrix, in O(n d^2)."""
-    residual = np.abs(np.square(np.abs(vals)).sum(axis=1) - 1.0).max(axis=1)
+    d = rows.shape[1]
+    mass = np.square(np.abs(vals))
+    residual, at = [], 0
+    for n, run in groupby(counts):
+        m = len(list(run))
+        residual.append(np.abs(mass[at:at + m * n].reshape(m, n, d).sum(axis=1) - 1.0).max(axis=1))
+        at += m * n
+    residual = np.concatenate(residual)
     # each stored zero sits on a row of its own, -1 - c, below every real
     # row; the stable sort runs fast through the nearly sorted rows
     keys = rows
     if (zero := vals == 0).any():
-        keys = np.where(zero, ~np.arange(rows.shape[2]), rows)
-    srt = np.sort(keys, axis=2, kind="stable")
-    if (same := srt[:, :, 1:] == srt[:, :, :-1]).any():
-        for s in np.flatnonzero(same.any(axis=(1, 2))):
-            pairs = rows[s][:, :, None] == rows[s][:, None, :]
-            gram = np.einsum("nc,nk,nck->ck", vals[s].conj(), vals[s], pairs)
-            residual[s] = np.abs(gram - np.eye(rows.shape[2])).max()
+        keys = np.where(zero, ~np.arange(d), rows)
+    srt = np.sort(keys, axis=1, kind="stable")
+    if (same := srt[:, 1:] == srt[:, :-1]).any():
+        starts = np.cumsum(counts) - counts
+        for s in np.unique(np.repeat(np.arange(len(counts)), counts)[same.any(axis=1)]):
+            span = slice(starts[s], starts[s] + counts[s])
+            r, v = rows[span], vals[span]
+            gram = np.einsum("nc,nk,nck->ck", v.conj(), v, r[:, :, None] == r[:, None, :])
+            residual[s] = np.abs(gram - np.eye(d)).max()
     return residual
 
 
 def _residuals(stages) -> list:
-    """Completeness residual of each KrausSet of ``stages``, measured on
-    stacks of consecutive stages of one shape, at most _BLOCK stored
-    entries each; a lone stage is not copied."""
-    out = []
-    for (n, d), run in groupby(stages, key=lambda k: k.rows.shape):
-        run = list(run)
-        step = max(1, _BLOCK // max(n * d, 1))
-        for block in (run[at:at + step] for at in range(0, len(run), step)):
-            rows, vals = block[0].rows[None], block[0].vals[None]
-            if len(block) > 1:
-                rows, vals = np.stack([k.rows for k in block]), np.stack([k.vals for k in block])
-            out += _stacked(rows, vals).tolist()
+    """Completeness residual of each KrausSet of ``stages``. Consecutive
+    stages of one dimension are measured in one ``_stacked`` pass over
+    their concatenated operators, at most _BLOCK stored entries at a time;
+    a lone stage is not copied."""
+    out, at = [], 0
+    while at < len(stages):
+        end, size = at + 1, stages[at].rows.size
+        while (end < len(stages) and stages[end].dim == stages[at].dim
+               and size + stages[end].rows.size <= _BLOCK):
+            size += stages[end].rows.size
+            end += 1
+        block = stages[at:end]
+        rows, vals = block[0].rows, block[0].vals
+        if len(block) > 1:
+            rows, vals = np.concatenate([k.rows for k in block]), np.concatenate([k.vals for k in block])
+        out += _stacked(rows, vals, [len(k) for k in block]).tolist()
+        at = end
     return out
 
 
@@ -206,8 +222,12 @@ def _outcomes(k: KrausSet, psi: np.ndarray) -> tuple:
     whose probability exceeds TINY."""
     if k.dim != psi.size:
         raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {psi.size}")
-    vecs = np.zeros(k.vals.shape, dtype=complex)
-    np.add.at(vecs, (np.arange(len(k))[:, None], k.rows), k.vals * psi)
+    n, d = k.rows.shape
+    # the entries landing on one row add up from +0 in column order; a flat
+    # index keeps np.add.at on its fast one-dimensional path
+    vecs = np.zeros(n * d, dtype=complex)
+    np.add.at(vecs, (k.rows + np.arange(0, n * d, d)[:, None]).ravel(), (k.vals * psi).ravel())
+    vecs = vecs.reshape(n, d)
     probs = (vecs.real**2 + vecs.imag**2).sum(axis=1)
     live = np.nonzero(probs > TINY)[0]
     if live.size < probs.size:
@@ -246,6 +266,17 @@ def _join(a: str, b: str) -> str:
     return a or b
 
 
+def _product(first: KrausSet, then: KrausSet) -> KrausSet:
+    """The products [m, n] = then's operator m after first's n, those of
+    Frobenius norm at or below TINY dropped, unchecked: column c goes to
+    first.rows[n, c], then on to then.rows[m, first.rows[n, c]]."""
+    vals = (then.vals[:, first.rows] * first.vals).reshape(-1, first.dim)
+    rows = then.rows[:, first.rows].reshape(-1, first.dim)
+    keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
+    labels = tuple(compress((_join(a, b) for b in then.labels for a in first.labels), keep))
+    return KrausSet(rows=rows[keep], vals=vals[keep], labels=labels)
+
+
 def compose(stages) -> KrausSet:
     """Collapse sequential stages into one Kraus set (stage 1 acts first).
 
@@ -261,17 +292,11 @@ def compose(stages) -> KrausSet:
     d = stages[0].dim
     if any(s.dim != d for s in stages):
         raise DimensionMismatchError("stages differ in dimension")
-    rows, vals, labels = stages[0].rows, stages[0].vals, stages[0].labels
+    k = stages[0]
     for stage in stages[1:]:
-        if len(rows) * len(stage) > COMPOSE_CAP:
+        if len(k) * len(stage) > COMPOSE_CAP:
             raise ResourceLimitError(
-                f"{len(rows)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
+                f"{len(k)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
             )
-        # product [m, n] = stage op m after op n: column c goes to rows[n, c],
-        # then on to stage.rows[m, rows[n, c]]
-        vals = (stage.vals[:, rows] * vals).reshape(-1, d)
-        rows = stage.rows[:, rows].reshape(-1, d)
-        keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
-        rows, vals = rows[keep], vals[keep]
-        labels = list(compress((_join(a, b) for b in stage.labels for a in labels), keep))
-    return _require_complete(_from_stored(rows, vals, labels), len(stages) * ATOL)
+        k = _product(k, stage)
+    return _require_complete(_from_stored(k.rows, k.vals, k.labels), len(stages) * ATOL)

@@ -10,10 +10,11 @@ The steps are built together: one array kernel computes every step's
 branch weights, trig pairs and stored operators as a single stack, exact
 by construction; ``two_level_step`` is its one-step call.
 ``optimal_protocol`` validates its pair once and reads the ladder, the
-steps and the filter off one canonical pair; ``compose`` joins the frames
-of the two states, one operator each, to the first and last stage.
-``verify_protocol`` replays a protocol with each live branch a
-(probability, state, label) tuple.
+steps and the filter off one canonical pair; the product kernel of
+``compose`` joins the frames of the two states, one operator each, to the
+first and last stage. Its stages are complete by construction and checked
+nowhere on the way: ``verify_protocol``, which replays a protocol with each
+live branch a (probability, state, label) tuple, is the check.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .channels import (
     _from_stored,
     _join,
     _outcomes,
+    _product,
     _require_complete,
     _require_stages,
-    compose,
 )
 from .errors import (
     DimensionMismatchError,
@@ -40,7 +41,7 @@ from .errors import (
     ParameterError,
     ResourceLimitError,
 )
-from .simplex import ATOL, TINY, _count, _real, _transfers
+from .simplex import ATOL, TINY, _chain_inputs, _count, _real, _transfers
 from .states import (
     _canonical,
     fidelity_pure,
@@ -212,18 +213,20 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     t = _floored(_require_canonical(phi))
     if t.size != ladder.dim:
         raise DimensionMismatchError(f"phi has dimension {t.size}, ladder {ladder.dim}")
-    return _require_complete(_from_stored(*_filter(ladder, t)))
+    rows, vals, labels = _filter(ladder)
+    # the success operator's diagonal is real
+    if float(np.abs(vals[0].real * ladder.gamma - np.sqrt(ladder.ratios[0]) * t).max()) > ATOL:
+        raise ParameterError("filter does not map gamma onto phi; inputs inconsistent")
+    return _require_complete(_from_stored(rows, vals, labels))
 
 
-def _filter(ladder: ConversionLadder, t: np.ndarray) -> tuple:
-    """(rows, values, labels) of the filter for the floored canonical
-    target t; raises when it does not map gamma onto t within ATOL."""
+def _filter(ladder: ConversionLadder) -> tuple:
+    """(rows, values, labels) of the ladder's filter, unchecked: the success
+    operator scales block j by sqrt(r_1 / r_j), taking gamma to
+    sqrt(r_1) times the floored target the ladder was built for."""
     d = ladder.dim
     r1 = ladder.ratios[0]
     m = np.sqrt(r1 / _coordinate_ratios(ladder.breakpoints, ladder.ratios, d))
-    out = m * ladder.gamma - np.sqrt(r1) * t
-    if float(np.abs(out).max()) > ATOL:
-        raise ParameterError("filter does not map gamma onto phi; inputs inconsistent")
     comp = np.sqrt(np.clip(1.0 - m * m, 0.0, None))
     ops = (m, comp) if float((comp * comp).sum()) > TINY else (m,)
     rows = np.array([np.arange(d)] * len(ops))
@@ -332,12 +335,15 @@ def deterministic_protocol(psi, gamma) -> list:
     in gamma. Stage m undoes the chain's transform T_{m+1}, built from the
     sweep's record of it alone, and all are built in one stacked pass.
     """
-    return _block_stages(_require_canonical(psi), _require_canonical(gamma), (0,))
+    s, g = _require_canonical(psi), _require_canonical(gamma)
+    _chain_inputs(s * s, g * g)
+    return _block_stages(s, g, (0,))
 
 
 def _block_stages(s: np.ndarray, g: np.ndarray, starts) -> list:
     """Stages carrying canonical s to canonical g, one chain sweep per block
-    of coordinates from each 0-based start in ``starts`` to the next."""
+    of coordinates from each 0-based start in ``starts`` to the next; the
+    squared pair is not checked again."""
     i, j, u, a, b = np.array(_transfers(s * s, g * g, starts), dtype=float).reshape(-1, 5).T
     return _pair_steps(s.size, u, a, b, i, j)
 
@@ -360,10 +366,12 @@ class Protocol:
 def optimal_protocol(psi, phi) -> Protocol:
     """Protocol realizing the maximal conversion probability for any pair.
 
-    Inputs may carry phases and arbitrary amplitude order. ``compose`` joins
-    the source frame P D, which sends column c to row inverse-permutation[c]
-    with phase c, to the first stage and the target's (P D)^H to the filter;
-    each frame is one operator, an exact incoherent unitary. Zero
+    Inputs may carry phases and arbitrary amplitude order. The product
+    kernel of ``compose`` joins the source frame P D, which sends column c
+    to row inverse-permutation[c] with phase c, to the first stage and the
+    target's (P D)^H to the filter; each frame is one operator, an exact
+    incoherent unitary. The stages are complete by construction, and
+    nothing is checked on the way: ``verify_protocol`` is the check. Zero
     probability yields an empty protocol.
     """
     cs, ct = canonical_pair(psi, phi)
@@ -376,7 +384,9 @@ def optimal_protocol(psi, phi) -> Protocol:
     det = _block_stages(s, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
     w_in = KrausSet(np.argsort(cs.permutation)[None], cs.phases[None], ("",))
     w_out = KrausSet(ct.permutation[None], ct.phases[ct.permutation].conj()[None], ("",))
-    stages = (compose([w_in, *det[:1]]), *det[1:], compose([KrausSet(*_filter(ladder, t)), w_out]))
+    ends = (_product(w_in, det[0]) if det else w_in, _product(KrausSet(*_filter(ladder)), w_out))
+    first, last = (_from_stored(k.rows, k.vals, k.labels) for k in ends)
+    stages = (first, *det[1:], last)
     return Protocol(stages=stages, success_label="success", probability=ladder.success_probability)
 
 
@@ -469,6 +479,9 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     builder (ladder, gamma, declared probability) enters the simulation.
     """
     if not protocol.stages:
+        # no stage acts, but the states must still be states
+        pure_state(psi)
+        pure_state(phi)
         return ProtocolReport(
             stage_completeness=(), success_probability=0.0,
             declared_probability=protocol.probability,

@@ -145,7 +145,9 @@ def _runs(sets) -> list:
     if any(k.dim != dim for k in sets):
         raise DimensionMismatchError("Kraus sets of one file must share their dimension")
     rows = np.concatenate([k.rows for k in sets])
-    vals = np.concatenate([k.vals for k in sets], dtype=complex)
+    # concatenating keeps a lone Fortran-ordered set's layout; the bit view
+    # below needs C order
+    vals = np.ascontiguousarray(np.concatenate([k.vals for k in sets], dtype=complex))
     if not np.isfinite(vals).all():
         raise ParameterError("Kraus values must be finite to be written")
     bits = vals.view(np.uint64).reshape(*vals.shape, 2)

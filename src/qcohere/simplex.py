@@ -150,18 +150,11 @@ def _transfers(x, y, starts=(0,)) -> list:
     keep an excess, up to ATOL. A record holds the 0-based pair, the share u
     of a - b moved and the pair (a, b) it mixes; records come in chain order.
     Inputs may rise by TINY, so a pair may be near-tied: u is capped at 1,
-    and is 0 where a <= b, mixing a pair that is equal within TINY.
+    and is 0 where a <= b, mixing a pair that is equal within TINY. The
+    float-array inputs are not checked here: ``_chain_inputs`` checks them
+    for the public entry points, and ``optimal_protocol`` sweeps its own
+    ladder's pair.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise DimensionMismatchError(f"lengths {x.size} and {y.size} differ")
-    for name, v in (("x", x), ("y", y)):
-        if np.any(np.diff(v) > TINY):
-            raise ParameterError(f"{name} must be sorted non-increasing")
-    if not majorizes(y, x):
-        raise MajorizationError("x is not majorized by y")
-
     xs, v, above = x.tolist(), y.tolist(), y > x
     out = []
     for lo, hi in zip(starts, [*starts[1:], x.size]):
@@ -190,12 +183,28 @@ def _transfers(x, y, starts=(0,)) -> list:
     return out[::-1]
 
 
+def _chain_inputs(x, y) -> tuple:
+    """``x`` and ``y`` as float arrays, checked for ``_transfers``: equal
+    lengths, both sorted non-increasing within TINY, x majorized by y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size != y.size:
+        raise DimensionMismatchError(f"lengths {x.size} and {y.size} differ")
+    for name, v in (("x", x), ("y", y)):
+        if np.any(np.diff(v) > TINY):
+            raise ParameterError(f"{name} must be sorted non-increasing")
+    if not majorizes(y, x):
+        raise MajorizationError("x is not majorized by y")
+    return x, y
+
+
 def ttransform_chain(x, y) -> list:
     """Chain of at most d-1 T-transforms carrying ``y`` to ``x``.
 
-    Both inputs must be sorted non-increasing with x majorized by y. The
-    returned list [T_1, ..., T_k] reproduces x as T_1(T_2(...T_k(y))), via
+    Both inputs must be sorted non-increasing with x majorized by y, as
+    ``_chain_inputs`` checks before the sweep. The returned list
+    [T_1, ..., T_k] reproduces x as T_1(T_2(...T_k(y))), via
     :func:`apply_chain`. One sweep builds it in O(d) steps, the rightmost
     donor always giving to its nearest recipient on the right.
     """
-    return [TTransform(i + 1, j + 1, 1.0 - u) for i, j, u, _, _ in _transfers(x, y)]
+    return [TTransform(i + 1, j + 1, 1.0 - u) for i, j, u, _, _ in _transfers(*_chain_inputs(x, y))]

@@ -262,9 +262,9 @@ def test_verify_channel_checks_each_stage_once(paths, capsys, monkeypatch):
     measured = []
     kernel = channels._stacked
 
-    def counting(rows, vals):
-        measured.append(rows.shape[0])
-        return kernel(rows, vals)
+    def counting(rows, vals, counts):
+        measured.append(len(counts))
+        return kernel(rows, vals, counts)
 
     monkeypatch.setattr(channels, "_stacked", counting)
     code, out, _ = run(["verify-channel", "--channel", proto], capsys)

@@ -612,6 +612,17 @@ def _protocol(stages, label="", probability=1.0):
     return Protocol(stages=tuple(stages), success_label=label, probability=probability)
 
 
+def test_verify_protocol_validates_states_of_an_empty_protocol():
+    # with no stage to run, the states went unchecked and the report passed
+    empty = _protocol((), "success", 0.0)
+    for psi in ([np.nan, 1.0], [3.0, 4.0], [[0.6, 0.8]]):
+        with pytest.raises(NormalizationError):
+            verify_protocol(empty, psi, [1.0, 0.0])
+        with pytest.raises(NormalizationError):
+            verify_protocol(empty, [1.0, 0.0], psi)
+    assert verify_protocol(empty, [0.6, 0.8], [1.0, 0.0]).passes()
+
+
 def test_verify_protocol_merges_equal_branches():
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     half = np.sqrt(0.5) * np.eye(2, dtype=complex)
@@ -636,9 +647,9 @@ def test_verify_protocol_checks_each_stage_once(monkeypatch):
     measured = []
     kernel = channels._stacked
 
-    def counting(rows, vals):
-        measured.append(rows.shape[0])
-        return kernel(rows, vals)
+    def counting(rows, vals, counts):
+        measured.append(len(counts))
+        return kernel(rows, vals, counts)
 
     monkeypatch.setattr(channels, "_stacked", counting)
     report = verify_protocol(protocol, plus, plus)

@@ -26,6 +26,7 @@ from qcohere import (
     builtin,
     compose,
     convex_roof_upper,
+    is_complete,
     kraus_set,
     load_channel,
     load_density,
@@ -269,6 +270,26 @@ def test_channel_round_trip_bit_identical(tmp_path_factory, ks):
     path = tmp_path_factory.getbasetemp() / "round-trip.json"
     save_channel(path, ks)
     assert _same(load_channel(path), ks)
+
+
+def test_channel_file_does_not_depend_on_memory_layout(tmp_path):
+    # a Fortran-ordered set, or a transposed view, made the run-form
+    # writer raise numpy's bare ValueError while is_complete accepted it
+    rng = np.random.default_rng(23)
+    sets = [_merged_signed()] + [random_incoherent_kraus(rng, d) for d in (2, 3, 5)]
+    for ks in sets:
+        fortran = KrausSet(np.asfortranarray(ks.rows), np.asfortranarray(ks.vals), ks.labels)
+        transposed = KrausSet(ks.rows.T.copy().T, ks.vals.T.copy().T, ks.labels)
+        assert not fortran.vals.flags.c_contiguous or len(ks) == 1
+        assert is_complete(fortran)[0]
+        save_channel(tmp_path / "c.json", ks)
+        for other in (fortran, transposed):
+            save_channel(tmp_path / "other.json", other)
+            assert (tmp_path / "other.json").read_bytes() == (tmp_path / "c.json").read_bytes()
+        protocol = Protocol((fortran, ks), "", 1.0)
+        save_protocol(tmp_path / "p.json", protocol)
+        save_protocol(tmp_path / "q.json", Protocol((ks, ks), "", 1.0))
+        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "q.json").read_bytes()
 
 
 def _dense_payload(ks):
