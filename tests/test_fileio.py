@@ -286,9 +286,8 @@ def test_channel_file_does_not_depend_on_memory_layout(tmp_path):
         for other in (fortran, transposed):
             save_channel(tmp_path / "other.json", other)
             assert (tmp_path / "other.json").read_bytes() == (tmp_path / "c.json").read_bytes()
-        protocol = Protocol((fortran, ks), "", 1.0)
-        save_protocol(tmp_path / "p.json", protocol)
-        save_protocol(tmp_path / "q.json", Protocol((ks, ks), "", 1.0))
+        save_protocol(tmp_path / "p.json", Protocol((fortran,), "", 1.0))
+        save_protocol(tmp_path / "q.json", Protocol((ks,), "", 1.0))
         assert (tmp_path / "p.json").read_bytes() == (tmp_path / "q.json").read_bytes()
 
 
