@@ -222,12 +222,8 @@ def _outcomes(k: KrausSet, psi: np.ndarray) -> tuple:
     whose probability exceeds TINY."""
     if k.dim != psi.size:
         raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {psi.size}")
-    n, d = k.rows.shape
-    # the entries landing on one row add up from +0 in column order; a flat
-    # index keeps np.add.at on its fast one-dimensional path
-    vecs = np.zeros(n * d, dtype=complex)
-    np.add.at(vecs, (k.rows + np.arange(0, n * d, d)[:, None]).ravel(), (k.vals * psi).ravel())
-    vecs = vecs.reshape(n, d)
+    vecs = np.zeros(k.vals.shape, dtype=complex)
+    np.add.at(vecs, (np.arange(len(k))[:, None], k.rows), k.vals * psi)
     probs = (vecs.real**2 + vecs.imag**2).sum(axis=1)
     live = np.nonzero(probs > TINY)[0]
     if live.size < probs.size:
@@ -266,15 +262,17 @@ def _join(a: str, b: str) -> str:
     return a or b
 
 
-def _product(first: KrausSet, then: KrausSet) -> KrausSet:
-    """The products [m, n] = then's operator m after first's n, those of
-    Frobenius norm at or below TINY dropped, unchecked: column c goes to
-    first.rows[n, c], then on to then.rows[m, first.rows[n, c]]."""
-    vals = (then.vals[:, first.rows] * first.vals).reshape(-1, first.dim)
-    rows = then.rows[:, first.rows].reshape(-1, first.dim)
+def _product(rows, vals, labels, then: KrausSet) -> tuple:
+    """(rows, vals, labels) of the products [m, n] = then's operator m
+    after operator n of the stored ``rows``, ``vals`` and ``labels``, those
+    of Frobenius norm at or below TINY dropped, unchecked and with stored
+    zeros where the products put them: column c goes to rows[n, c], then on
+    to then.rows[m, rows[n, c]]."""
+    vals = (then.vals[:, rows] * vals).reshape(-1, then.dim)
+    rows = then.rows[:, rows].reshape(-1, then.dim)
     keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
-    labels = tuple(compress((_join(a, b) for b in then.labels for a in first.labels), keep))
-    return KrausSet(rows=rows[keep], vals=vals[keep], labels=labels)
+    labels = list(compress((_join(a, b) for b in then.labels for a in labels), keep))
+    return rows[keep], vals[keep], labels
 
 
 def compose(stages) -> KrausSet:
@@ -292,11 +290,11 @@ def compose(stages) -> KrausSet:
     d = stages[0].dim
     if any(s.dim != d for s in stages):
         raise DimensionMismatchError("stages differ in dimension")
-    k = stages[0]
+    rows, vals, labels = stages[0].rows, stages[0].vals, stages[0].labels
     for stage in stages[1:]:
-        if len(k) * len(stage) > COMPOSE_CAP:
+        if len(rows) * len(stage) > COMPOSE_CAP:
             raise ResourceLimitError(
-                f"{len(k)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
+                f"{len(rows)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
             )
-        k = _product(k, stage)
-    return _require_complete(_from_stored(k.rows, k.vals, k.labels), len(stages) * ATOL)
+        rows, vals, labels = _product(rows, vals, labels, stage)
+    return _require_complete(_from_stored(rows, vals, labels), len(stages) * ATOL)

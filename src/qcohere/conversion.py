@@ -213,24 +213,23 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     t = _floored(_require_canonical(phi))
     if t.size != ladder.dim:
         raise DimensionMismatchError(f"phi has dimension {t.size}, ladder {ladder.dim}")
-    rows, vals, labels = _filter(ladder)
-    # the success operator's diagonal is real
-    if float(np.abs(vals[0].real * ladder.gamma - np.sqrt(ladder.ratios[0]) * t).max()) > ATOL:
+    m, stored = _filter(ladder)
+    if float(np.abs(m * ladder.gamma - np.sqrt(ladder.ratios[0]) * t).max()) > ATOL:
         raise ParameterError("filter does not map gamma onto phi; inputs inconsistent")
-    return _require_complete(_from_stored(rows, vals, labels))
+    return _require_complete(_from_stored(*stored))
 
 
 def _filter(ladder: ConversionLadder) -> tuple:
-    """(rows, values, labels) of the ladder's filter, unchecked: the success
-    operator scales block j by sqrt(r_1 / r_j), taking gamma to
-    sqrt(r_1) times the floored target the ladder was built for."""
+    """(m, (rows, values, labels)) of the ladder's filter, unchecked: the
+    success operator's diagonal m scales block j by sqrt(r_1 / r_j), taking
+    gamma to sqrt(r_1) times the floored target the ladder was built for."""
     d = ladder.dim
     r1 = ladder.ratios[0]
     m = np.sqrt(r1 / _coordinate_ratios(ladder.breakpoints, ladder.ratios, d))
     comp = np.sqrt(np.clip(1.0 - m * m, 0.0, None))
     ops = (m, comp) if float((comp * comp).sum()) > TINY else (m,)
     rows = np.array([np.arange(d)] * len(ops))
-    return rows, np.array(ops, dtype=complex), ("success", "fail")[: len(ops)]
+    return m, (rows, np.array(ops, dtype=complex), ("success", "fail")[: len(ops)])
 
 
 def _pair_steps(d: int, u, a, b, i, j) -> list:
@@ -336,16 +335,15 @@ def deterministic_protocol(psi, gamma) -> list:
     sweep's record of it alone, and all are built in one stacked pass.
     """
     s, g = _require_canonical(psi), _require_canonical(gamma)
-    _chain_inputs(s * s, g * g)
-    return _block_stages(s, g, (0,))
+    return _block_stages(*_chain_inputs(s * s, g * g), (0,))
 
 
-def _block_stages(s: np.ndarray, g: np.ndarray, starts) -> list:
-    """Stages carrying canonical s to canonical g, one chain sweep per block
-    of coordinates from each 0-based start in ``starts`` to the next; the
-    squared pair is not checked again."""
-    i, j, u, a, b = np.array(_transfers(s * s, g * g, starts), dtype=float).reshape(-1, 5).T
-    return _pair_steps(s.size, u, a, b, i, j)
+def _block_stages(x: np.ndarray, y: np.ndarray, starts) -> list:
+    """Stages carrying the canonical state of squared amplitudes x to that
+    of y, one chain sweep per block of coordinates from each 0-based start
+    in ``starts`` to the next; the pair is not checked again."""
+    i, j, u, a, b = np.array(_transfers(x, y, starts), dtype=float).reshape(-1, 5).T
+    return _pair_steps(x.size, u, a, b, i, j)
 
 
 @dataclass(frozen=True)
@@ -381,12 +379,15 @@ def optimal_protocol(psi, phi) -> Protocol:
         return Protocol(stages=(), success_label="success", probability=0.0)
     ladder = _ladder(sa, sb, t, first)
     # no transfer crosses a breakpoint, where the tails of psi and gamma agree
-    det = _block_stages(s, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
-    w_in = KrausSet(np.argsort(cs.permutation)[None], cs.phases[None], ("",))
+    g = ladder.gamma
+    det = _block_stages(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]])
+    w_in = (np.argsort(cs.permutation)[None], cs.phases[None], ("",))
     w_out = KrausSet(ct.permutation[None], ct.phases[ct.permutation].conj()[None], ("",))
-    ends = (_product(w_in, det[0]) if det else w_in, _product(KrausSet(*_filter(ladder)), w_out))
-    first, last = (_from_stored(k.rows, k.vals, k.labels) for k in ends)
-    stages = (first, *det[1:], last)
+    stages = (
+        _from_stored(*(_product(*w_in, det[0]) if det else w_in)),
+        *det[1:],
+        _from_stored(*_product(*_filter(ladder)[1], w_out)),
+    )
     return Protocol(stages=stages, success_label="success", probability=ladder.success_probability)
 
 

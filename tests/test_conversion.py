@@ -520,7 +520,8 @@ def reference_optimal_protocol(psi, phi):
     cs, ct = conversion.canonical_pair(psi, phi)
     d = cs.state.size
     ladder = build_ladder(cs.state, ct.state)
-    det = conversion._block_stages(cs.state, ladder.gamma, [l - 1 for l in ladder.breakpoints[::-1]])
+    s, g = cs.state, ladder.gamma
+    det = conversion._block_stages(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]])
     det = det or [channels._from_stored(np.arange(d)[None], np.ones((1, d), dtype=complex))]
     filt = filter_operator(ladder, ct.state)
     w_in = channels._from_stored(np.argsort(cs.permutation)[None], cs.phases[None])
