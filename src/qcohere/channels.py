@@ -1,7 +1,7 @@
 """Incoherent Kraus-operator sets, stored with their one nonzero entry per
-column: completeness check, selective application to pure states, channel
-action on density matrices, composition. Dense matrices appear only where
-they enter (``kraus_set``) and leave (``KrausSet.operators``)."""
+column: completeness (``_residuals``, the one measure), selective application
+to pure states, channel action on density matrices, composition. Dense
+matrices appear only at the edges: ``kraus_set`` and ``KrausSet.operators``."""
 
 from __future__ import annotations
 
@@ -26,8 +26,9 @@ COMPOSE_CAP = 1 << 14
 # largest stack of stored operators built or decoded at once, in entries,
 # enough for the 2 (d - 1) operators of a chain at d = 4096; a decoded file
 # may add a filter's two. Rows and values take 8 + 16 bytes an entry, and
-# decoding peaks at 24.2 bytes an entry (191 MiB for the 8.3 million of a
-# d = 2048 file), so near 775 MiB at the cap
+# decoding peaks at 25.2 bytes an entry, with the 1-byte mask of the stored
+# zeros (198 MiB for the 8.3 million of a d = 2048 file), so near 805 MiB
+# at the cap
 STAGE_CAP = 1 << 25
 # stages checked as one stack hold at most this many stored entries: at
 # d = 2048 one stack of the whole protocol took 2.4 times as long as stacks
@@ -101,8 +102,8 @@ def _stored(operators) -> tuple:
     if not ops:
         raise ParameterError("at least one operator required")
     d = ops[0].shape
-    if len(d) != 2 or d[0] != d[1]:
-        raise DimensionMismatchError(f"operators must be square, got shape {d}")
+    if len(d) != 2 or d[0] != d[1] or not d[0]:
+        raise DimensionMismatchError(f"operators must be nonempty square matrices, got shape {d}")
     if any(op.shape != d for op in ops):
         raise DimensionMismatchError("operators differ in shape")
     ops = np.stack(ops)
@@ -125,58 +126,46 @@ def kraus_set(operators, labels=None) -> KrausSet:
 
 def is_complete(k: KrausSet):
     """(residual <= ATOL, residual): max deviation of sum K^dag K from the identity."""
-    residual = float(_stacked(k.rows, k.vals, [len(k)])[0])
+    residual = _residuals([k])[0]
     return residual <= ATOL, residual
-
-
-def _stacked(rows, vals, counts) -> np.ndarray:
-    """Completeness residuals of consecutive stages of one dimension, their
-    operators concatenated as ``rows`` and ``vals`` of shape (N, d), stage
-    s holding ``counts[s]`` of them. The column masses, the diagonal of
-    sum K^dag K, are summed per run of stages with one operator count; a
-    stage with two nonzero entries of one operator on one row forms the
-    whole matrix, in O(n d^2)."""
-    d = rows.shape[1]
-    mass = np.square(np.abs(vals))
-    residual, at = [], 0
-    for n, run in groupby(counts):
-        m = len(list(run))
-        residual.append(np.abs(mass[at:at + m * n].reshape(m, n, d).sum(axis=1) - 1.0).max(axis=1))
-        at += m * n
-    residual = np.concatenate(residual)
-    # each stored zero sits on a row of its own, -1 - c, below every real
-    # row; the stable sort runs fast through the nearly sorted rows
-    keys = rows
-    if (zero := vals == 0).any():
-        keys = np.where(zero, ~np.arange(d), rows)
-    srt = np.sort(keys, axis=1, kind="stable")
-    if (same := srt[:, 1:] == srt[:, :-1]).any():
-        starts = np.cumsum(counts) - counts
-        for s in np.unique(np.repeat(np.arange(len(counts)), counts)[same.any(axis=1)]):
-            span = slice(starts[s], starts[s] + counts[s])
-            r, v = rows[span], vals[span]
-            gram = np.einsum("nc,nk,nck->ck", v.conj(), v, r[:, :, None] == r[:, None, :])
-            residual[s] = np.abs(gram - np.eye(d)).max()
-    return residual
 
 
 def _residuals(stages) -> list:
     """Completeness residual of each KrausSet of ``stages``. Consecutive
-    stages of one dimension are measured in one ``_stacked`` pass over
-    their concatenated operators, at most _BLOCK stored entries at a time;
-    a lone stage is not copied."""
+    stages of one dimension form one block, at most _BLOCK stored entries,
+    a lone stage uncopied. Column masses, the diagonal of sum K^dag K, are
+    summed in C order per run of stages with one operator count; a stage with
+    two nonzero entries of one operator on one row forms the whole matrix."""
     out, at = [], 0
     while at < len(stages):
-        end, size = at + 1, stages[at].rows.size
-        while (end < len(stages) and stages[end].dim == stages[at].dim
-               and size + stages[end].rows.size <= _BLOCK):
+        end, size, d = at + 1, stages[at].rows.size, stages[at].dim
+        while end < len(stages) and stages[end].dim == d and size + stages[end].rows.size <= _BLOCK:
             size += stages[end].rows.size
             end += 1
-        block = stages[at:end]
+        block, counts = stages[at:end], [len(k) for k in stages[at:end]]
         rows, vals = block[0].rows, block[0].vals
         if len(block) > 1:
             rows, vals = np.concatenate([k.rows for k in block]), np.concatenate([k.vals for k in block])
-        out += _stacked(rows, vals, [len(k) for k in block]).tolist()
+        # a Fortran-ordered set would sum its masses along a contiguous
+        # axis, pairwise, and move the residual's last bits
+        mass, first = np.square(np.abs(vals), order="C"), len(out)
+        for n, run in groupby(counts):
+            m = len(list(run))
+            out += np.abs(mass[:m * n].reshape(m, n, d).sum(axis=1) - 1.0).max(axis=1).tolist()
+            mass = mass[m * n:]
+        # each stored zero sits on a row of its own, -1 - c, below every real
+        # row; the stable sort runs fast through the nearly sorted rows
+        keys = rows
+        if (zero := vals == 0).any():
+            keys = np.where(zero, ~np.arange(d), rows)
+        srt = np.sort(keys, axis=1, kind="stable")
+        if (same := srt[:, 1:] == srt[:, :-1]).any():
+            starts = np.cumsum(counts) - counts
+            for s in np.unique(np.repeat(np.arange(len(counts)), counts)[same.any(axis=1)]):
+                span = slice(starts[s], starts[s] + counts[s])
+                r, v = rows[span], vals[span]
+                gram = np.einsum("nc,nk,nck->ck", v.conj(), v, r[:, :, None] == r[:, None, :])
+                out[first + s] = float(np.abs(gram - np.eye(d)).max())
         at = end
     return out
 
@@ -188,32 +177,32 @@ def is_incoherent(k: KrausSet):
     return True, None
 
 
-def _incomplete(found, where: str = ""):
-    """The error, led by ``where``, of a residual or a file's coherent stage."""
+def _findings(stages) -> list:
+    """Each stage's completeness residual, measured in one ``_residuals``
+    pass, or a file's coherent stage's IncoherenceError, in stage order."""
+    found = iter(_residuals([s for s in stages if isinstance(s, KrausSet)]))
+    return [next(found) if isinstance(s, KrausSet) else s for s in stages]
+
+
+def _require_complete(k, atol: float = ATOL, where: str = ""):
+    """``k``, a KrausSet or one of ``_findings``, if complete within ``atol``;
+    else its IncoherenceError or a CompletenessError, led by ``where``."""
+    found = _residuals([k])[0] if isinstance(k, KrausSet) else k
     if isinstance(found, IncoherenceError):
-        return IncoherenceError(f"{where}{found}", found.witness)
-    return CompletenessError(f"{where}sum K^dag K deviates from identity by {found:.3e}")
-
-
-def _require_complete(k, atol: float = ATOL, where: str = "") -> KrausSet:
-    """``k``, complete within ``atol``, else ``_incomplete``'s error led by ``where``."""
-    found = is_complete(k)[1] if isinstance(k, KrausSet) else k
+        raise IncoherenceError(f"{where}{found}", found.witness)
     # NaN-safe: a NaN residual fails this test
-    if isinstance(found, IncoherenceError) or not found <= atol:
-        raise _incomplete(found, where)
+    if not found <= atol:
+        raise CompletenessError(f"{where}sum K^dag K deviates from identity by {found:.3e}")
     return k
 
 
 def _require_stages(stages, atol: float = ATOL, where: str = "") -> list:
-    """Residuals of ``stages``, measured at once; the first failing stage raises as
+    """``_findings`` of ``stages``; the first failing stage raises as
     ``_require_complete`` does, led by ``where`` and ``stage m of k: ``."""
-    residuals = _residuals([s for s in stages if isinstance(s, KrausSet)])
-    found = iter(residuals)
-    for m, stage in enumerate(stages, 1):
-        r = next(found) if isinstance(stage, KrausSet) else stage
-        if isinstance(r, IncoherenceError) or not r <= atol:
-            raise _incomplete(r, f"{where}stage {m} of {len(stages)}: ")
-    return residuals
+    findings = _findings(stages)
+    for m, found in enumerate(findings, 1):
+        _require_complete(found, atol, f"{where}stage {m} of {len(stages)}: ")
+    return findings
 
 
 def _outcomes(k: KrausSet, psi: np.ndarray) -> tuple:

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .channels import KrausSet, _residuals, is_complete, kraus_set
+from .channels import _findings, is_complete, kraus_set
 from .conversion import (
     build_ladder,
     canonical_pair,
@@ -89,17 +89,16 @@ def cmd_verify_channel(args) -> int:
     if meta is not None and not stages:
         print("protocol: no stages")
     names = ["channel"] if meta is None else [f"stage {n}" for n in range(1, len(stages) + 1)]
-    residuals = iter(_residuals([s for s in stages if isinstance(s, KrausSet)]))
     ok_all = True
-    for name, stage in zip(names, stages):
-        if isinstance(stage, IncoherenceError):
-            complete, w = False, stage.witness
+    for name, found in zip(names, _findings(stages)):
+        if isinstance(found, IncoherenceError):
+            complete, w = False, found.witness
             print(f"{name}: incoherent: no [FAIL]")
             print(f"  witness: operator {w.operator}, column {w.column}, "
                   f"rows {w.rows[0]} and {w.rows[1]}")
         else:
-            complete = (residual := next(residuals)) <= ATOL
-            print(f"{name}: completeness residual {residual:.3e}, "
+            complete = found <= ATOL
+            print(f"{name}: completeness residual {found:.3e}, "
                   f"incoherent: yes [{'ok' if complete else 'FAIL'}]")
         ok_all = ok_all and complete
     return 0 if ok_all else 1

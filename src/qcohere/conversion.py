@@ -247,7 +247,7 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
     share one (k, 2, d) array of rows and one of values; each returned
     KrausSet views its stage's kept operators. With u clipped to [0, 1], as
     a near-tied pair needs, the stages are complete by construction; the
-    verifier and the loaders measure them with ``is_complete``'s kernel.
+    verifier and the loaders measure them with ``channels._residuals``.
     """
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)

@@ -8,13 +8,13 @@ one: at[n] lists column 0, each column whose value differs bit for bit from
 the one before it (-0.0 from 0.0 too) and each column not on its own row;
 rows[n] and values[n] hold their rows and amplitudes. An unlisted column c
 has row c and the value of the nearest listed column to its left, so a
-T-transform stage takes a few words. Non-finite values are refused before
-the file is opened. The run-form stages of a file are decoded together,
-at most STAGE_CAP entries beyond two operators. Dense ``"operators"``
-stages, the only form of a coherent channel, are still read. Each stage
-decodes to a plain KrausSet, unchecked, or a coherent dense one to its
-IncoherenceError; the loaders then check every stage in one pass, complete
-within RENORM_TOL, and the first failing stage in file order raises.
+T-transform stage takes a few words. A set with a non-finite value or no
+entries is refused before the file is opened. The run-form stages of a file
+are decoded as one stack, at most STAGE_CAP entries beyond two operators,
+and the stored-zero rule runs over it once, in place. Dense ``"operators"``
+stages, the only form of a coherent channel, are still read. The loaders
+check all stages in one pass, with ``channels._require_complete``'s rule,
+complete within RENORM_TOL; the first failing stage in file order raises.
 """
 
 from __future__ import annotations
@@ -141,6 +141,9 @@ def _runs(sets) -> list:
     from the one before it, and each column whose row is not its own."""
     if not sets:
         return []
+    # the loaders refuse a set with no operators or no columns
+    if not all(k.rows.size for k in sets):
+        raise ParameterError("a Kraus set must hold at least one operator, of dim 1 or more, to be written")
     dim = sets[0].dim
     if any(k.dim != dim for k in sets):
         raise DimensionMismatchError("Kraus sets of one file must share their dimension")
@@ -204,8 +207,8 @@ def _expand(ops, dim, path):
 
 def _stages(payloads, dim, path) -> list:
     """The stages of dimension ``dim`` (a channel file is one stage) as
-    KrausSets, unchecked, a coherent dense stage as its IncoherenceError.
-    Run-form stages are decoded together and then sliced."""
+    KrausSets, unchecked, a coherent dense stage as its IncoherenceError;
+    a run-form stage is a slice of the one decoded stack."""
     stages, stored = [], []
     for payload in payloads:
         own = _dim(payload, path)
@@ -226,13 +229,18 @@ def _stages(payloads, dim, path) -> list:
         if labels is not None and (not isinstance(labels, list) or len(labels) != count
                                    or not all(isinstance(s, str) for s in labels)):
             raise FileFormatError(f"{path}: expected a list of {count} strings as labels, got {labels!r}")
-        stages.append((ops, count, labels))
+        stages.append((ops, count, ("",) * count if labels is None else tuple(labels)))
     if stored:
         rows, vals = _expand(stored, dim, path)
+        # _from_stored's stored-zero rule, in place on the decoder's arrays
+        zero = vals == 0
+        if zero.any():
+            np.copyto(rows, np.arange(dim), where=zero)
+            vals[zero] = 0.0
     built, start = [], 0
     for ops, count, labels in stages:
         if ops is None:
-            built.append(_from_stored(rows[start:start + count], vals[start:start + count], labels))
+            built.append(KrausSet(rows[start:start + count], vals[start:start + count], labels))
             start += count
         else:
             try:
@@ -272,6 +280,10 @@ def _protocol(payload, path):
     stages = _expect(payload, "stages", path)
     if not isinstance(stages, list):
         raise FileFormatError(f"{path}: stages must be a list")
+    label, p = (_expect(payload, key, path) for key in ("success_label", "probability"))
+    if not isinstance(label, str) or type(p) not in (int, float) or not abs(p) < np.inf:
+        raise FileFormatError(f"{path}: expected a string success_label and a finite number as "
+                              f"probability, got {label!r} and {p!r}")
     meta = {k: v for k, v in payload.items() if k != "stages"}
     return _stages(stages, dim, path), meta
 

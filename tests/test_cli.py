@@ -1,10 +1,21 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
-from qcohere import ProtocolReport, kraus_set, pure_density, pure_state, save_channel, save_density, save_state
+from qcohere import (
+    CompletenessError,
+    ProtocolReport,
+    kraus_set,
+    load_protocol,
+    pure_density,
+    pure_state,
+    save_channel,
+    save_density,
+    save_state,
+)
 from qcohere import channels, cli
 from qcohere.cli import main
 
@@ -236,6 +247,28 @@ def test_verify_channel_incomplete(paths, capsys):
     assert "[FAIL]" in out
 
 
+def test_verify_channel_reports_an_incomplete_and_a_coherent_stage(paths, capsys):
+    # the report and the loader read one rule: an incomplete run-form stage
+    # 1 fails on its residual, a coherent dense stage 2 on its witness, and
+    # the loader raises for stage 1, the first in file order
+    proto = paths["tmp"] / "mixed.json"
+    run(["convert", "--source", paths["psi"], "--target", paths["phi"], "--protocol", proto], capsys)
+    payload = json.loads(proto.read_text())
+    loose = payload["stages"][0]
+    loose["values"] = [[[0.5 * re, 0.5 * im] for re, im in op] for op in loose["values"]]
+    had = [[[INV2, 0.0], [INV2, 0.0], [0.0, 0.0]], [[INV2, 0.0], [-INV2, 0.0], [0.0, 0.0]],
+           [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]
+    payload["stages"][1] = {"dim": 3, "operators": [had]}
+    proto.write_text(json.dumps(payload))
+    code, out, _ = run(["verify-channel", "--channel", proto], capsys)
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 3
+    assert lines[0].startswith("stage 1: completeness residual ") and lines[0].endswith("[FAIL]")
+    assert lines[1:] == ["stage 2: incoherent: no [FAIL]", "  witness: operator 1, column 1, rows 1 and 2"]
+    with pytest.raises(CompletenessError, match=f"^{re.escape(str(proto))}: stage 1 of 2: sum K"):
+        load_protocol(proto)
+
+
 def test_verify_channel_on_protocol_file(paths, capsys):
     proto = paths["tmp"] / "protocol.json"
     run(["convert", "--source", paths["psi"], "--target", paths["phi"],
@@ -260,13 +293,13 @@ def test_verify_channel_checks_each_stage_once(paths, capsys, monkeypatch):
          "--protocol", proto], capsys)
     k = len(json.loads(proto.read_text())["stages"])
     measured = []
-    kernel = channels._stacked
+    kernel = channels._residuals
 
-    def counting(rows, vals, counts):
-        measured.append(len(counts))
-        return kernel(rows, vals, counts)
+    def counting(stages):
+        measured.append(len(stages))
+        return kernel(stages)
 
-    monkeypatch.setattr(channels, "_stacked", counting)
+    monkeypatch.setattr(channels, "_residuals", counting)
     code, out, _ = run(["verify-channel", "--channel", proto], capsys)
     assert code == 0 and out.count("[ok]") == k > 2
     assert sum(measured) == k and len(measured) < k

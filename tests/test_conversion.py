@@ -646,13 +646,13 @@ def test_verify_protocol_checks_each_stage_once(monkeypatch):
     protocol = _protocol([kraus_set([half, half], labels=["a", "b"])] * 12)
     # one pass: the kernel measures the 12 stages as one stack, none twice
     measured = []
-    kernel = channels._stacked
+    kernel = channels._residuals
 
-    def counting(rows, vals, counts):
-        measured.append(len(counts))
-        return kernel(rows, vals, counts)
+    def counting(stages):
+        measured.append(len(stages))
+        return kernel(stages)
 
-    monkeypatch.setattr(channels, "_stacked", counting)
+    monkeypatch.setattr(channels, "_residuals", counting)
     report = verify_protocol(protocol, plus, plus)
     assert report.branch_count == 4096
     assert measured == [12]

@@ -565,6 +565,20 @@ def test_non_finite_kraus_values_are_refused_before_writing(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("shape", [(0, 2), (1, 0), (0, 0)])
+def test_kraus_sets_without_entries_are_refused_before_writing(tmp_path, shape):
+    # a set with no operators was written, and its own loaders refused the
+    # file: "at, rows and values must list the same operators"
+    ks = KrausSet(np.zeros(shape, dtype=int), np.zeros(shape, dtype=complex), ("",) * shape[0])
+    path = tmp_path / "channel.json"
+    with pytest.raises(ParameterError, match="at least one operator"):
+        save_channel(path, ks)
+    with pytest.raises(ParameterError, match="at least one operator"):
+        save_protocol(path, Protocol(stages=(kraus_set([np.eye(2)]), ks), success_label="success",
+                                     probability=1.0))
+    assert not path.exists()
+
+
 def test_save_protocol_rejects_stages_of_unequal_dims(tmp_path):
     # load_protocol refuses a stage whose dim is not the protocol's
     path = tmp_path / "protocol.json"
@@ -702,6 +716,28 @@ def test_malformed_protocol_stages_raise_file_format_error(tmp_path, capsys, nam
     assert main(["verify-channel", "--channel", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "[ok]" not in captured.out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("probability", "abc"), ("probability", True), ("probability", None), ("probability", [0.5]),
+    ("probability", float("nan")), ("probability", float("inf")), ("success_label", 5),
+    ("success_label", None), ("success_label", ["success"]), ("success_label", False),
+])
+def test_protocol_metadata_is_checked(tmp_path, field, value):
+    # "probability": "abc" and "success_label": 5 used to load as given
+    path = tmp_path / "protocol.json"
+    payload = {"dim": 2, "success_label": "success", "probability": 1.0, "stages": [IDENTITY]}
+    path.write_text(json.dumps(dict(payload, **{field: value})))
+    for load in (load_protocol, read_stages):
+        with pytest.raises(FileFormatError, match="a string success_label and a finite number"):
+            load(path)
+    del payload[field]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FileFormatError, match=f"missing key '{field}'"):
+        load_protocol(path)
+    # an integer probability, the 0 or 1 a hand-written file may hold, loads
+    path.write_text(json.dumps(dict(payload, success_label="ok", probability=1)))
+    assert load_protocol(path)[1]["probability"] == 1
 
 
 def test_mixed_compact_and_dense_stages_load_as_alone(tmp_path):
