@@ -1,7 +1,7 @@
-"""Incoherent Kraus-operator sets, stored with their one nonzero entry per
-column: completeness (``_residuals``, the one measure), selective application
-to pure states, channel action on density matrices, composition. Dense
-matrices appear only at the edges: ``kraus_set`` and ``KrausSet.operators``."""
+"""Incoherent Kraus-operator sets, in the stored form ``KrausSet`` enforces:
+one nonzero entry per column. Completeness (``_residuals``, the one measure),
+selective application to pure states, channel action on density matrices,
+composition; dense matrices only in ``kraus_set`` and ``KrausSet.operators``."""
 
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ COMPOSE_CAP = 1 << 14
 # largest stack of stored operators built or decoded at once, in entries,
 # enough for the 2 (d - 1) operators of a chain at d = 4096; a decoded file
 # may add a filter's two. Rows and values take 8 + 16 bytes an entry, and
-# decoding peaks at 25.2 bytes an entry, with the 1-byte mask of the stored
-# zeros (198 MiB for the 8.3 million of a d = 2048 file), so near 805 MiB
-# at the cap
+# load_protocol peaks at 25.2 bytes an entry (201 MiB for the 8.4 million of
+# a d = 2048 file; decoding alone at 24.3), so near 806 MiB at the cap
 STAGE_CAP = 1 << 25
 # stages checked as one stack hold at most this many stored entries: at
 # d = 2048 one stack of the whole protocol took 2.4 times as long as stacks
@@ -57,14 +56,29 @@ class Branch:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """K_n[rows[n, c], c] = vals[n, c], other entries zero. An all-zero
-    column is stored as row c, value +0: equal operators, equal arrays. A
-    stored zero adds nothing to sum K^dag K, whichever row it sits on.
-    ``labels`` holds one string per operator, "" when it has none."""
+    """K_n[rows[n, c], c] = vals[n, c], other entries zero, for signed
+    integer ``rows`` and ``vals`` of one shape (n, d), n, d >= 1; n ``labels``
+    (None: all ""). A stored zero adds nothing to sum K^dag K, so each moves
+    to row c as +0, in place: equal operators, equal arrays. The set owns its
+    arrays, copying read-only ones: sets sharing ``rows`` must agree on zeros."""
 
     rows: np.ndarray
     vals: np.ndarray
-    labels: tuple
+    labels: tuple = None
+
+    def __post_init__(self):
+        rows, vals = self.rows, self.vals
+        if not (rows.ndim == 2 and rows.shape == vals.shape and rows.size and rows.dtype.kind == "i"):
+            raise DimensionMismatchError("KrausSet rows, signed integers, and vals need one shape (n, d), "
+                                         f"n, d >= 1; got {rows.dtype} {rows.shape} and {vals.shape}")
+        object.__setattr__(self, "labels", ("",) * len(rows) if self.labels is None else tuple(self.labels))
+        if len(self.labels) != len(rows):
+            raise ParameterError(f"{len(self.labels)} labels for {len(rows)} operators")
+        if np.count_nonzero(vals) < vals.size:
+            if not (rows.flags.writeable and vals.flags.writeable):
+                self.__dict__.update(rows=rows.copy(), vals=vals.copy())
+            np.copyto(self.rows, np.arange(rows.shape[1]), where=(zero := self.vals == 0))
+            self.vals[zero] = 0
 
     @property
     def dim(self) -> int:
@@ -80,19 +94,6 @@ class KrausSet:
         ops = np.zeros((n, d, d), dtype=complex)
         ops[np.arange(n)[:, None], self.rows, np.arange(d)] = self.vals
         return tuple(ops)
-
-
-def _from_stored(rows, vals, labels=None) -> KrausSet:
-    """KrausSet of stored arrays, unchecked: each stored zero moves to its
-    own row as +0, and the labels become strings, "" when there are none."""
-    zero = vals == 0
-    if zero.any():
-        rows = np.where(zero, np.arange(rows.shape[1]), rows)
-        vals = np.where(zero, 0j, vals)
-    labels = ("",) * rows.shape[0] if labels is None else tuple(str(s) for s in labels)
-    if len(labels) != rows.shape[0]:
-        raise ParameterError(f"{len(labels)} labels for {rows.shape[0]} operators")
-    return KrausSet(rows=rows, vals=vals, labels=labels)
 
 
 def _stored(operators) -> tuple:
@@ -121,7 +122,7 @@ def _stored(operators) -> tuple:
 
 def kraus_set(operators, labels=None) -> KrausSet:
     """KrausSet of dense operators, as ``_stored`` reads them, complete within ATOL."""
-    return _require_complete(_from_stored(*_stored(operators), labels))
+    return _require_complete(KrausSet(*_stored(operators), labels if labels is None else [*map(str, labels)]))
 
 
 def is_complete(k: KrausSet):
@@ -286,4 +287,5 @@ def compose(stages) -> KrausSet:
                 f"{len(rows)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
             )
         rows, vals, labels = _product(rows, vals, labels, stage)
-    return _require_complete(_from_stored(rows, vals, labels), len(stages) * ATOL)
+    # with every product gone, the zero map is 1 off the identity
+    return _require_complete(KrausSet(rows, vals, labels) if len(rows) else 1.0, len(stages) * ATOL)

@@ -27,7 +27,6 @@ from .channels import (
     COMPOSE_CAP,
     STAGE_CAP,
     KrausSet,
-    _from_stored,
     _join,
     _outcomes,
     _product,
@@ -216,7 +215,7 @@ def filter_operator(ladder: ConversionLadder, phi) -> KrausSet:
     m, stored = _filter(ladder)
     if float(np.abs(m * ladder.gamma - np.sqrt(ladder.ratios[0]) * t).max()) > ATOL:
         raise ParameterError("filter does not map gamma onto phi; inputs inconsistent")
-    return _require_complete(_from_stored(*stored))
+    return _require_complete(KrausSet(*stored))
 
 
 def _filter(ladder: ConversionLadder) -> tuple:
@@ -244,10 +243,10 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
     pairs (cos, sin), which keep each column exactly normalized even for
     tiny sources. An operator is dropped only when its branch weight is at
     or below TINY and none of its columns holds mass above ATOL. All stages
-    share one (k, 2, d) array of rows and one of values; each returned
-    KrausSet views its stage's kept operators. With u clipped to [0, 1], as
-    a near-tied pair needs, the stages are complete by construction; the
-    verifier and the loaders measure them with ``channels._residuals``.
+    share one (k, 2, d) array of rows and one of values, whose stored zeros
+    each KrausSet moves home in its view of the kept operators. With u
+    clipped to [0, 1], as a near-tied pair needs, the stages are complete by
+    construction; ``_residuals`` measures them for the loaders and verifier.
     """
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
@@ -275,16 +274,9 @@ def _pair_steps(d: int, u, a, b, i, j) -> list:
     vals[:, 1] = t2[:, None]
     vals[at, 0, i], vals[at, 0, j] = cos
     vals[at, 1, i], vals[at, 1, j] = sin
-    zero = vals == 0
-    if zero.any():
-        np.copyto(rows, np.arange(d), where=zero)
-        vals[zero] = 0.0
     lo = np.where(keep1, 0, 1)
     hi = np.where(keep2, 2, 1)
-    return [
-        KrausSet(rows=rows[m, a:b], vals=vals[m, a:b], labels=("",) * (b - a))
-        for m, a, b in zip(range(k), lo.tolist(), hi.tolist())
-    ]
+    return [KrausSet(rows[m, a:b], vals[m, a:b]) for m, a, b in zip(range(k), lo.tolist(), hi.tolist())]
 
 
 def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
@@ -382,11 +374,11 @@ def optimal_protocol(psi, phi) -> Protocol:
     g = ladder.gamma
     det = _block_stages(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]])
     w_in = (np.argsort(cs.permutation)[None], cs.phases[None], ("",))
-    w_out = KrausSet(ct.permutation[None], ct.phases[ct.permutation].conj()[None], ("",))
+    w_out = KrausSet(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
     stages = (
-        _from_stored(*(_product(*w_in, det[0]) if det else w_in)),
+        KrausSet(*(_product(*w_in, det[0]) if det else w_in)),
         *det[1:],
-        _from_stored(*_product(*_filter(ladder)[1], w_out)),
+        KrausSet(*_product(*_filter(ladder)[1], w_out)),
     )
     return Protocol(stages=stages, success_label="success", probability=ladder.success_probability)
 
@@ -517,6 +509,7 @@ def support_shortcut(psi, phi, n: int) -> bool:
     the copies' total mass total**n, top and total being phi's largest and
     total mass (pure_state lets total differ from 1 by up to 1e-9).
     """
+    n = _count(n)
     s_psi = support_size(psi)
     phi = np.asarray(phi, dtype=complex)
     masses = phi.real**2 + phi.imag**2

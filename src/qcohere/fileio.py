@@ -8,13 +8,13 @@ one: at[n] lists column 0, each column whose value differs bit for bit from
 the one before it (-0.0 from 0.0 too) and each column not on its own row;
 rows[n] and values[n] hold their rows and amplitudes. An unlisted column c
 has row c and the value of the nearest listed column to its left, so a
-T-transform stage takes a few words. A set with a non-finite value or no
-entries is refused before the file is opened. The run-form stages of a file
-are decoded as one stack, at most STAGE_CAP entries beyond two operators,
-and the stored-zero rule runs over it once, in place. Dense ``"operators"``
-stages, the only form of a coherent channel, are still read. The loaders
-check all stages in one pass, with ``channels._require_complete``'s rule,
-complete within RENORM_TOL; the first failing stage in file order raises.
+T-transform stage takes a few words. A set with a non-finite value is
+refused before the file is opened. The run-form stages of a file are
+decoded as one stack, at most STAGE_CAP entries beyond two operators; each
+is a KrausSet of its slice. Dense ``"operators"`` stages, the only form of
+a coherent channel, are still read. The loaders check all stages in one
+pass, with ``channels._require_complete``'s rule, complete within
+RENORM_TOL; the first failing stage in file order raises.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channels import STAGE_CAP, KrausSet, _from_stored, _require_complete, _require_stages, _stored
+from .channels import STAGE_CAP, KrausSet, _require_complete, _require_stages, _stored
 from .errors import (
     DimensionMismatchError,
     FileFormatError,
@@ -141,9 +141,6 @@ def _runs(sets) -> list:
     from the one before it, and each column whose row is not its own."""
     if not sets:
         return []
-    # the loaders refuse a set with no operators or no columns
-    if not all(k.rows.size for k in sets):
-        raise ParameterError("a Kraus set must hold at least one operator, of dim 1 or more, to be written")
     dim = sets[0].dim
     if any(k.dim != dim for k in sets):
         raise DimensionMismatchError("Kraus sets of one file must share their dimension")
@@ -229,14 +226,9 @@ def _stages(payloads, dim, path) -> list:
         if labels is not None and (not isinstance(labels, list) or len(labels) != count
                                    or not all(isinstance(s, str) for s in labels)):
             raise FileFormatError(f"{path}: expected a list of {count} strings as labels, got {labels!r}")
-        stages.append((ops, count, ("",) * count if labels is None else tuple(labels)))
+        stages.append((ops, count, labels))
     if stored:
         rows, vals = _expand(stored, dim, path)
-        # _from_stored's stored-zero rule, in place on the decoder's arrays
-        zero = vals == 0
-        if zero.any():
-            np.copyto(rows, np.arange(dim), where=zero)
-            vals[zero] = 0.0
     built, start = [], 0
     for ops, count, labels in stages:
         if ops is None:
@@ -244,7 +236,7 @@ def _stages(payloads, dim, path) -> list:
             start += count
         else:
             try:
-                built.append(_from_stored(*_stored(ops), labels))
+                built.append(KrausSet(*_stored(ops), labels))
             except IncoherenceError as exc:
                 built.append(exc)
     return built

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _roofopt
 from .errors import DimensionMismatchError, ParameterError, ResourceLimitError
-from .simplex import ATOL, TINY, _count, _real, _tail_sums
+from .simplex import ATOL, TINY, _count, _real, _tail_start, _tail_sums
 from .states import check_density, squared_amplitudes
 
 
@@ -177,9 +177,7 @@ def builtin(name: str, *, alpha: float | None = None, l: int | None = None) -> C
         return CoherenceFunctional(f"alpha({a:g})", lambda x: _alpha_entropy(x, a),
                                    gradient=lambda w: _alpha_gradient(w, a))
     if name == "kyfan":
-        if l is None or not _real(l, "kyfan order").is_integer() or l < 2:
-            raise ParameterError(f"kyfan order must be an integer >= 2, got {l!r}")
-        k = int(l)
+        k = _tail_start(l, least=2, what="kyfan order")
         return CoherenceFunctional(f"kyfan({k})", lambda x: _tail_sums(x, k),
                                    gradient=lambda w: _kyfan_gradient(w, k))
     raise ParameterError(f"unknown functional family {name!r}")

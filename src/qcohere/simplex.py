@@ -24,13 +24,29 @@ TINY = 1e-12
 
 def _count(n, least: int | None = 1, what: str = "count") -> int:
     """An integer >= ``least``, numpy integers accepted, booleans refused: a
-    count of copies, samples, restarts or dimensions, a seed (least 0), a
-    1-based coordinate, or a tail start (least None, any integer), whose
-    range its caller checks."""
+    count of copies, samples, restarts or dimensions, a seed (least 0) or a
+    1-based coordinate; ``least`` None admits any integer."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or (least is not None and n < least):
         at_least = "" if least is None else f" >= {least}"
         raise ParameterError(f"{what} must be an integer{at_least}, got {n!r}")
     return int(n)
+
+
+def _tail_start(l, least: int | None = None, what: str = "tail start") -> int:
+    """``_count``'s integer >= ``least``, or a float of integral value, shown
+    as given when refused: ``tail_sum``'s l and the kyfan order."""
+    if (isinstance(l, numbers.Real) and not isinstance(l, numbers.Integral)
+            and float(l).is_integer() and (least is None or l >= least)):
+        l = int(l)
+    return _count(l, least, what)
+
+
+def _vector(v, name: str) -> np.ndarray:
+    """``v`` as a float array, refused unless it is a non-empty 1-d vector."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not v.size:
+        raise ParameterError(f"{name} must be a 1-d vector of at least one entry, got shape {v.shape}")
+    return v
 
 
 def _real(x, what: str) -> float:
@@ -69,10 +85,8 @@ def sorted_desc(x) -> np.ndarray:
 def tail_sum(x, l: int) -> float:
     """Sum of the d-l+1 smallest entries of ``x`` (the tail of the sorted
     vector starting at 1-based position ``l``). ``x`` need not be sorted."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ParameterError(f"x must be a 1-d vector, got shape {x.shape}")
-    l = _count(l, least=None, what="tail start")
+    x = _vector(x, "x")
+    l = _tail_start(l)
     if not 1 <= l <= x.size:
         raise IndexError(f"l={l} outside [1, {x.size}]")
     return float(_tail_sums(x, l))
@@ -87,8 +101,7 @@ def _tail_sums(x, l: int):
 def majorizes(y, x) -> bool:
     """True iff x is majorized by y: every leading partial sum of the
     sorted-descending x is bounded by y's, within ATOL."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _vector(x, "x"), _vector(y, "y")
     if x.size != y.size:
         raise DimensionMismatchError(f"lengths {x.size} and {y.size} differ")
     cx = np.cumsum(sorted_desc(x))
@@ -184,10 +197,9 @@ def _transfers(x, y, starts=(0,)) -> list:
 
 
 def _chain_inputs(x, y) -> tuple:
-    """``x`` and ``y`` as float arrays, checked for ``_transfers``: equal
-    lengths, both sorted non-increasing within TINY, x majorized by y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """``x`` and ``y`` as ``_vector`` reads them, checked for ``_transfers``:
+    equal lengths, both sorted non-increasing within TINY, x majorized by y."""
+    x, y = _vector(x, "x"), _vector(y, "y")
     if x.size != y.size:
         raise DimensionMismatchError(f"lengths {x.size} and {y.size} differ")
     for name, v in (("x", x), ("y", y)):

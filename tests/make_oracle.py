@@ -286,8 +286,8 @@ def _filter_cases():
 
 def _compose_cases():
     rng = np.random.default_rng(17)
-    scalar = channels._from_stored(np.zeros((129, 1), dtype=np.intp), np.full((129, 1), np.sqrt(1 / 129), complex))
-    half = channels._from_stored(np.zeros((2, 2), dtype=np.intp), np.full((2, 2), 0.5 + 0j))
+    scalar = channels.KrausSet(np.zeros((129, 1), dtype=np.intp), np.full((129, 1), np.sqrt(1 / 129), complex))
+    half = channels.KrausSet(np.zeros((2, 2), dtype=np.intp), np.full((2, 2), 0.5 + 0j))
     # products of two different projectors are zero and are dropped
     projectors = q.kraus_set([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])], labels=["a", "b"])
     inputs = [("empty", []), ("dims", [q.kraus_set([np.eye(2)]), q.kraus_set([np.eye(3)])]),
@@ -339,7 +339,7 @@ def _replay_cases():
     """verify_protocol on protocols it must refuse or measure."""
     psi, phi = np.sqrt([0.6, 0.3, 0.1]), np.sqrt([0.5, 0.4, 0.1])
     good = q.optimal_protocol(psi, phi)
-    bad = channels._from_stored(np.array([[0, 1, 2]]), np.full((1, 3), 0.9 + 0j))
+    bad = channels.KrausSet(np.array([[0, 1, 2]]), np.full((1, 3), 0.9 + 0j))
     inputs = [("incomplete", q.Protocol((good.stages[0], bad), "success", 1.0), psi, phi),
               ("longer-source", good, np.sqrt([0.4, 0.3, 0.2, 0.1]), phi),
               ("overstated", q.Protocol(good.stages, "success", 1.0), psi, phi),

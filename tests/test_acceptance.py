@@ -65,6 +65,7 @@ def pair_batch():
     return pairs
 
 
+@pytest.mark.wallclock
 def test_criterion_01_worked_pair():
     start = time.perf_counter()
     psi = pure_state([INV2, INV2])
@@ -77,6 +78,7 @@ def test_criterion_01_worked_pair():
            f"P1={p1:.1e}, |P2-1|={abs(p2 - 1.0):.1e}, {elapsed:.3f}s")
 
 
+@pytest.mark.wallclock
 def test_criterion_02_protocol_consistency(pair_batch):
     start = time.perf_counter()
     bad = 0

@@ -10,6 +10,7 @@ from qcohere import (
     DimensionMismatchError,
     IncoherenceError,
     KrausSet,
+    ParameterError,
     ResourceLimitError,
     apply_channel,
     apply_selective,
@@ -22,7 +23,7 @@ from qcohere import (
 )
 from qcohere import channels, conversion
 from qcohere.simplex import ATOL, TINY
-from qcohere.channels import COMPOSE_CAP, _from_stored, _stored
+from qcohere.channels import COMPOSE_CAP, _stored
 from randgen import random_incoherent_kraus, random_pure_state
 
 INV2 = 1.0 / np.sqrt(2.0)
@@ -45,7 +46,7 @@ def test_incomplete_rejected():
     with pytest.raises(CompletenessError):
         kraus_set([np.diag([0.5, 0.5]).astype(complex)])
     # built, not checked: is_complete reports the residual
-    ok, res = is_complete(_from_stored(*_stored([np.diag([0.5, 0.5]).astype(complex)])))
+    ok, res = is_complete(KrausSet(*_stored([np.diag([0.5, 0.5]).astype(complex)])))
     assert not ok
     assert abs(res - 0.75) < 1e-12
 
@@ -56,6 +57,52 @@ def test_operators_without_entries_are_refused():
     for ops in ([np.zeros((0, 0))], [np.zeros((0, 0)), np.zeros((0, 0))]):
         with pytest.raises(DimensionMismatchError, match=r"nonempty square matrices, got shape \(0, 0\)"):
             kraus_set(ops)
+
+
+@pytest.mark.parametrize("rows, vals", [
+    (np.zeros((1, 0), dtype=int), np.zeros((1, 0), dtype=complex)),
+    (np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=complex)),
+    (np.arange(2), np.ones(2, dtype=complex)),
+    (np.zeros((1, 2), dtype=int), np.ones((1, 3), dtype=complex)),
+    (np.zeros((1, 2)), np.ones((1, 2), dtype=complex)),
+], ids=["no_columns", "no_operators", "one_dimensional", "unequal_shapes", "float_rows"])
+def test_kraus_set_shape_is_checked_on_construction(rows, vals):
+    # a set with no columns made is_complete, compose and apply_channel raise
+    # numpy's bare "zero-size array to reduction operation maximum"
+    with pytest.raises(DimensionMismatchError, match="^KrausSet rows, signed integers, and vals need one shape"):
+        KrausSet(rows, vals)
+
+
+def test_kraus_set_label_count_is_checked_on_construction():
+    rows, vals = np.zeros((2, 2), dtype=int), np.ones((2, 2), dtype=complex)
+    with pytest.raises(ParameterError, match="^3 labels for 2 operators$"):
+        KrausSet(rows, vals, ("a", "b", "c"))
+    assert KrausSet(rows, vals).labels == ("", "")
+
+
+def test_stored_zeros_move_home_on_construction():
+    # a zero on a foreign row (operator 1, column 1) and a -0.0 (operator 2,
+    # column 0) go home as +0, so that kraus_set reads the operators back to
+    # the same arrays, bit for bit
+    ks = KrausSet(np.array([[0, 0, 2], [1, 1, 2]]),
+                  np.array([[1.0, 0.0, 1.0], [complex(-0.0, 0.0), 1.0, -0.0]]))
+    assert ks.rows.tolist() == [[0, 1, 2], [0, 1, 2]]
+    assert not np.signbit(ks.vals.view(float)).any()
+    back = kraus_set(ks.operators)
+    assert back.rows.dtype == ks.rows.dtype and back.rows.tobytes() == ks.rows.tobytes()
+    assert back.vals.dtype == ks.vals.dtype and back.vals.tobytes() == ks.vals.tobytes()
+
+
+def test_read_only_arrays_are_copied_before_their_zeros_move():
+    # moving their zeros in place would raise numpy's "assignment
+    # destination is read-only"
+    rows, vals = np.array([[0, 0]]), np.array([[1.0, 0.0]], dtype=complex)
+    rows.flags.writeable = vals.flags.writeable = False
+    ks = KrausSet(rows, vals)
+    assert ks.rows.tolist() == [[0, 1]] and rows.tolist() == [[0, 0]]
+    # without a stored zero nothing is written, and the arrays are kept
+    whole = KrausSet(rows, np.ones((1, 2), dtype=complex))
+    assert whole.rows is rows
 
 
 @st.composite
@@ -152,7 +199,7 @@ def test_stacked_residuals_at_dimension_one():
     stages = []
     for n in (9, 30, 17, 1, 24, 9) * 4:
         w = rng.random(n)
-        stages.append(_from_stored(np.zeros((n, 1), dtype=np.intp), np.sqrt(w / w.sum())[:, None] + 0j))
+        stages.append(KrausSet(np.zeros((n, 1), dtype=np.intp), np.sqrt(w / w.sum())[:, None] + 0j))
     lone = [is_complete(k)[1] for k in stages]
     assert np.array(channels._residuals(stages)).tobytes() == np.array(lone).tobytes()
 
@@ -275,6 +322,14 @@ def test_compose_closure():
         assert abs(total - 1.0) <= 1e-9
 
 
+def test_compose_of_vanishing_products_is_incomplete():
+    # every product with a zero operator vanishes: the zero map, 1 off the
+    # identity, and not a set without operators
+    zero = KrausSet(np.zeros((1, 2), dtype=int), np.zeros((1, 2), dtype=complex))
+    with pytest.raises(CompletenessError, match=r"deviates from identity by 1\.000e\+00$"):
+        compose([zero, _identity()])
+
+
 def test_compose_cap():
     # no product of these stages vanishes, so 25 stages would form 2^25 of them
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -312,7 +367,7 @@ def test_stored_form_matches_dense(seed, d, max_ops):
     twisted = [ops[0] * np.exp(2j * np.pi * rng.random(d))] + list(ops[1:])
     for dense in (ops, twisted):
         gram = sum(op.conj().T @ op for op in dense)
-        residual = is_complete(_from_stored(*_stored(dense)))[1]
+        residual = is_complete(KrausSet(*_stored(dense)))[1]
         assert abs(residual - float(np.abs(gram - np.eye(d)).max())) <= 1e-12
 
     psi = random_pure_state(rng, d)

@@ -442,7 +442,7 @@ def reference_step(d, u, a, b, i, j):
     rows = np.array([np.arange(d)] * 2)
     rows[1, i], rows[1, j] = j, i
     keep = [p1 > TINY, p2 > TINY]
-    return channels._require_complete(channels._from_stored(rows[keep], ops[keep]))
+    return channels._require_complete(channels.KrausSet(rows[keep], ops[keep]))
 
 
 def reference_deterministic_protocol(psi, gamma):
@@ -522,10 +522,10 @@ def reference_optimal_protocol(psi, phi):
     ladder = build_ladder(cs.state, ct.state)
     s, g = cs.state, ladder.gamma
     det = conversion._block_stages(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]])
-    det = det or [channels._from_stored(np.arange(d)[None], np.ones((1, d), dtype=complex))]
+    det = det or [channels.KrausSet(np.arange(d)[None], np.ones((1, d), dtype=complex))]
     filt = filter_operator(ladder, ct.state)
-    w_in = channels._from_stored(np.argsort(cs.permutation)[None], cs.phases[None])
-    w_out = channels._from_stored(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
+    w_in = channels.KrausSet(np.argsort(cs.permutation)[None], cs.phases[None])
+    w_out = channels.KrausSet(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
     stages = [compose([w_in, det[0]]), *det[1:], compose([filt, w_out])]
     return _protocol(stages, "success", ladder.success_probability)
 
@@ -674,7 +674,7 @@ def test_complete_stage_on_a_valid_state_is_replayed():
 
 def test_verify_protocol_rejects_incomplete_stage():
     plus = np.full(2, 1.0 / np.sqrt(2.0))
-    loose = channels._from_stored(*channels._stored([np.sqrt(0.5 + 1e-7) * np.eye(2),
+    loose = channels.KrausSet(*channels._stored([np.sqrt(0.5 + 1e-7) * np.eye(2),
                                                      np.sqrt(0.5) * np.eye(2)]))
     # the one completeness text, naming the stage as the loaders do
     with pytest.raises(CompletenessError,
@@ -740,6 +740,7 @@ def test_fingerprint_ignores_global_phase():
             assert conversion._fingerprint(turned) == conversion._fingerprint(psi)
 
 
+@pytest.mark.wallclock
 def test_verify_protocol_unlabelled_branches_stay_fast():
     rng = np.random.default_rng(8)
     stage = _scrambling_stage(rng, 8)
@@ -752,6 +753,7 @@ def test_verify_protocol_unlabelled_branches_stay_fast():
     assert abs(report.success_probability - 1.0) < 1e-9
 
 
+@pytest.mark.wallclock
 def test_verify_protocol_unlabelled_branches_reach_cap():
     rng = np.random.default_rng(8)
     stage = _scrambling_stage(rng, 8)
@@ -861,6 +863,15 @@ def test_multicopy_rejects_non_integer_copy_counts(n):
         multicopy_probability(np.full(4, 0.5), np.full(2, 1.0 / np.sqrt(2.0)), n)
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5, True])
+def test_support_shortcut_rejects_bad_copy_counts(n):
+    # n = 1.5 answered True for psi = (1, 0) and phi = (sqrt 1/2, sqrt 1/2),
+    # and n = -1 with phi = (1, 0) warned "divide by zero"
+    for phi in (np.full(2, 1.0 / np.sqrt(2.0)), [1.0, 0.0]):
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(n))}$"):
+            conversion.support_shortcut([1.0, 0.0], phi, n)
+
+
 def test_multicopy_support_shortcut_skips_tensor_power():
     # 2^20 target amplitudes exceed the cap, but support 4 < 2^20 decides P = 0
     uni = np.full(4, 0.5)
@@ -869,6 +880,7 @@ def test_multicopy_support_shortcut_skips_tensor_power():
     assert multicopy_probability(uni, plus, 10**9) == 0.0
 
 
+@pytest.mark.wallclock
 def test_multicopy_support_one_target_is_fast():
     start = time.perf_counter()
     assert multicopy_probability(np.full(4, 0.5), [1.0, 0.0], 10**9) == 1.0
@@ -1087,6 +1099,7 @@ def test_no_transfer_crosses_a_ladder_block():
             assert pair.size == 2 and block[pair[0]] == block[pair[1]]
 
 
+@pytest.mark.wallclock
 def test_optimal_protocol_d512_stays_small():
     # dense stages would need about 4 GB here
     rng = np.random.default_rng(512)
@@ -1103,6 +1116,7 @@ def test_optimal_protocol_d512_stays_small():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.wallclock
 def test_conversion_round_trip_batch_is_fast():
     # the probability, the protocol and its replay for pairs of the sizes in
     # the convert_verify benchmark: about 0.2 s on a 2-CPU machine
@@ -1118,6 +1132,7 @@ def test_conversion_round_trip_batch_is_fast():
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.wallclock
 def test_unequal_dimension_protocol_is_linear():
     # the target is zero-padded to the source's d = 1024, and every stage
     # moving mass into an empty coordinate stores a zero on a row that a
@@ -1134,6 +1149,7 @@ def test_unequal_dimension_protocol_is_linear():
     assert time.perf_counter() - start < 2.0
 
 
+@pytest.mark.wallclock
 def test_stage_stack_cap_raises_before_allocating():
     # the d - 1 stages from uniform to a basis state at d = 20,000 would
     # need about 19 GB of stored operators; d = 4096 still fits

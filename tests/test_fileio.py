@@ -43,7 +43,7 @@ from qcohere import (
     verify_protocol,
 )
 from qcohere import conversion, fileio
-from qcohere.channels import IncoherenceWitness, _from_stored, _require_complete
+from qcohere.channels import IncoherenceWitness, _require_complete
 from qcohere.cli import main
 from qcohere.fileio import read_stages
 from randgen import _merge_pair, random_incoherent_kraus, random_pure_state
@@ -397,11 +397,11 @@ def test_written_files_keep_the_run_encoding(tmp_path):
                   "values": [[[1.0, 0.0], [r, 0.0], [r, 0.0]],
                              [[0.0, 0.0], [r, 0.0], [-r, 0.0], [r, 0.0]]]})
     # -0.0 differs from 0.0 bit for bit
-    signed = KrausSet(rows=np.array([[0, 1, 2]]), vals=np.array([[0.0, complex(-0.0, 0.0), -0.0]]),
+    signed = KrausSet(rows=np.array([[0, 1, 2]]), vals=np.array([[1j, complex(-0.0, 1.0), complex(-0.0, 1.0)]]),
                       labels=("",))
     save_channel(path, signed)
     expect(path, {"dim": 3, "at": [[0, 1]], "rows": [[0, 1]],
-                  "values": [[[0.0, 0.0], [-0.0, 0.0]]]})
+                  "values": [[[0.0, 1.0], [-0.0, 1.0]]]})
 
 
 # the writer's reference: the run form built column by column, with the
@@ -469,7 +469,7 @@ def stored_sets(draw, d):
 
 def _decoded(path):
     """The (rows, values) the run-form decoder gives for each stage of a
-    file, before ``_from_stored`` moves its stored zeros."""
+    file, before a KrausSet moves its stored zeros."""
     payload = json.loads(path.read_text(encoding="utf-8"))
     stages = payload["stages"] if "stages" in payload else [payload]
     if not stages:
@@ -481,10 +481,10 @@ def _decoded(path):
 
 
 def _read_back(path, sets):
-    """read_stages gives, unchecked, the KrausSets _from_stored builds from
-    the stored arrays of ``sets``, bit for bit."""
+    """read_stages gives, unchecked, the KrausSets built from the stored
+    arrays of ``sets``, bit for bit."""
     stages, _ = read_stages(path)
-    want = [_from_stored(k.rows, k.vals, k.labels) for k in sets]
+    want = [KrausSet(k.rows, k.vals, k.labels) for k in sets]
     return len(stages) == len(want) and all(
         _same_stored((a.rows, a.vals), b) and a.labels == b.labels for a, b in zip(stages, want)
     )
@@ -568,15 +568,10 @@ def test_non_finite_kraus_values_are_refused_before_writing(tmp_path, bad):
 @pytest.mark.parametrize("shape", [(0, 2), (1, 0), (0, 0)])
 def test_kraus_sets_without_entries_are_refused_before_writing(tmp_path, shape):
     # a set with no operators was written, and its own loaders refused the
-    # file: "at, rows and values must list the same operators"
-    ks = KrausSet(np.zeros(shape, dtype=int), np.zeros(shape, dtype=complex), ("",) * shape[0])
-    path = tmp_path / "channel.json"
-    with pytest.raises(ParameterError, match="at least one operator"):
-        save_channel(path, ks)
-    with pytest.raises(ParameterError, match="at least one operator"):
-        save_protocol(path, Protocol(stages=(kraus_set([np.eye(2)]), ks), success_label="success",
-                                     probability=1.0))
-    assert not path.exists()
+    # file: "at, rows and values must list the same operators"; such a set
+    # can no longer be made
+    with pytest.raises(DimensionMismatchError, match="n, d >= 1"):
+        KrausSet(np.zeros(shape, dtype=int), np.zeros(shape, dtype=complex), ("",) * shape[0])
 
 
 def test_save_protocol_rejects_stages_of_unequal_dims(tmp_path):
@@ -589,6 +584,7 @@ def test_save_protocol_rejects_stages_of_unequal_dims(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.wallclock
 def test_protocol_file_d1024_is_small_and_fast(tmp_path):
     # a chain stage is a scaled identity off its two levels and takes a few
     # words: about 0.6 MB, loaded in about 0.2 s on a 2-CPU machine
@@ -606,6 +602,7 @@ def test_protocol_file_d1024_is_small_and_fast(tmp_path):
     assert elapsed < 0.5
 
 
+@pytest.mark.wallclock
 def test_protocol_d2048_loads_and_verifies_fast(tmp_path):
     # the completeness pass runs over stacks of at most 2^16 stored entries.
     # In a fresh interpreter on a 2-CPU machine, load plus verify took
@@ -631,6 +628,7 @@ def test_protocol_d2048_loads_and_verifies_fast(tmp_path):
     assert elapsed < 2.0
 
 
+@pytest.mark.wallclock
 def test_decode_refuses_a_huge_dim_before_allocating(tmp_path):
     # 72 bytes declaring 10^8 columns: the decoder asked numpy for 763 MiB
     # of rows before any check; now the stack is measured first

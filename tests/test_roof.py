@@ -246,6 +246,7 @@ def test_corpus_trajectories_are_pinned():
             assert [r[1:] for r in res.restarts] == [(iterations, stop)], (d, rank, f.name)
 
 
+@pytest.mark.wallclock
 def test_readme_roof_problem_is_fast():
     # the README problem and its figures, 1.131860710581 in about 0.05 s;
     # a ceiling on the value as above, and on the time, in a fresh
@@ -258,6 +259,7 @@ def test_readme_roof_problem_is_fast():
     assert elapsed < 1.0
 
 
+@pytest.mark.wallclock
 def test_roof_cap_raises_before_allocating():
     # a full-rank d = 128 search at 8 restarts stacked 8 x 3 x 128^2 x 128
     # complex entries, 805 MB, in each line-search array; d = 24 full rank

@@ -55,12 +55,12 @@ def test_tail_sum_range():
         tail_sum([0.5, 0.5], 3)
     with pytest.raises(IndexError):
         tail_sum([0.5, 0.5], -1)
-    # the one integer rule: a float raised TypeError from slicing, and True
-    # was read as l = 1
-    for l in (2.0, True, "2", None):
+    # the one integer rule, the kyfan order's too: a float raised TypeError
+    # from slicing, and True was read as l = 1
+    for l in (2.5, True, "2", None):
         with pytest.raises(ParameterError, match="^tail start must be an integer, got"):
             tail_sum([0.5, 0.5], l)
-    assert tail_sum([0.5, 0.5], np.int64(2)) == 0.5
+    assert tail_sum([0.5, 0.5], np.int64(2)) == tail_sum([0.5, 0.5], 2.0) == tail_sum([0.5, 0.5], 2) == 0.5
     # a matrix was summed over its flattened entries
     with pytest.raises(ParameterError, match="^x must be a 1-d vector"):
         tail_sum([[0.5, 0.5], [0.0, 0.0]], 1)
@@ -288,6 +288,7 @@ def test_chain_ends_when_rounding_exceeds_atol():
     assert np.abs(apply_chain(chain, y) - x).max() <= 1e-15 * np.abs(y).max()
 
 
+@pytest.mark.wallclock
 def test_chain_is_linear_in_the_dimension():
     # one donor feeding d-1 recipients; full-vector rounds take O(d^2)
     d = 20_000

@@ -27,6 +27,7 @@ from qcohere import (
     deterministic_protocol,
     filter_operator,
     kraus_set,
+    majorizes,
     optimal_protocol,
     prob_vector,
     pure_density,
@@ -115,6 +116,7 @@ def test_tensor_power_matches_repeated_kron():
         np.testing.assert_allclose(tensor_power(psi, n), out, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.wallclock
 def test_tensor_power_large_copy_counts_are_fast():
     # one untimed call, so the clock covers no first-use costs (the first
     # assert_array_equal alone takes about 7 ms)
@@ -244,6 +246,12 @@ def test_nan_entries_rejected(call, error):
         (lambda: prob_vector([[0.5, 0.5]]), NormalizationError),
         (lambda: ttransform_chain([1.0], [0.5, 0.5]), DimensionMismatchError),
         (lambda: check_density(np.full((2, 3), 0.5)), DensityMatrixError),
+        # numpy's bare ValueError or IndexError, and a matrix pair that
+        # majorizes as a vector was found not to
+        (lambda: ttransform_chain([], []), ParameterError),
+        (lambda: ttransform_chain([[0.5, 0.5]], [[0.5, 0.5]]), ParameterError),
+        (lambda: ttransform_chain(1.0, 1.0), ParameterError),
+        (lambda: majorizes([[1, 0]], [[0.5, 0.5]]), ParameterError),
     ],
     ids=["labels", "no_operators", "no_stages", "complex_amplitudes",
          "negative_amplitudes", "unsorted_state", "inconsistent_filter",
@@ -251,7 +259,8 @@ def test_nan_entries_rejected(call, error):
          "non_square_operator", "unequal_operators", "selective_dimension",
          "channel_dimension", "compose_dimensions", "ladder_dimensions",
          "filter_dimension", "deterministic_dimensions", "two_dimensional_vector",
-         "chain_lengths", "non_square_density"],
+         "chain_lengths", "non_square_density", "empty_chain", "matrix_chain",
+         "scalar_chain", "matrix_majorization"],
 )
 def test_validation_errors_are_qcohere_errors(call, error):
     # errors.py: every validation error is a QcohereError
