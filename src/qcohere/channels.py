@@ -1,12 +1,12 @@
-"""Incoherent Kraus-operator sets, in the stored form ``KrausSet`` enforces:
-one nonzero entry per column. Completeness (``_residuals``, the one measure),
-selective application to pure states, channel action on density matrices,
-composition; dense matrices only in ``kraus_set`` and ``KrausSet.operators``."""
+"""Incoherent Kraus-operator sets in run form, each measured where it is made
+(``_residuals``, the one completeness measure); selective application to pure
+states, channel action on density matrices, composition. Dense (n, d) views
+are derived on demand, dense matrices only in ``kraus_set`` and ``operators``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, groupby
+from itertools import compress
 
 import numpy as np
 
@@ -23,16 +23,11 @@ from .states import check_density, pure_state
 # cap on the products compose() may form for one stage, and on the live
 # branches verify_protocol may carry
 COMPOSE_CAP = 1 << 14
-# largest stack of stored operators built or decoded at once, in entries,
-# enough for the 2 (d - 1) operators of a chain at d = 4096; a decoded file
-# may add a filter's two. Rows and values take 8 + 16 bytes an entry, and
-# load_protocol peaks at 25.2 bytes an entry (201 MiB for the 8.4 million of
-# a d = 2048 file; decoding alone at 24.3), so near 806 MiB at the cap
-STAGE_CAP = 1 << 25
-# stages checked as one stack hold at most this many stored entries: at
-# d = 2048 one stack of the whole protocol took 2.4 times as long as stacks
-# of this size, and held 362 MiB against 3 MiB
-_BLOCK = 1 << 16
+# largest chain stack the builder lists, in entries of 8 + 8 + 16 bytes, at
+# most 10 a stage: the d - 1 stages of a chain up to d = 419,431. A file is
+# measured over at most 2 (STAGE_CAP + 4 dim) column masses and matrix
+# entries, what a built protocol's file needs
+STAGE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -54,46 +49,97 @@ class Branch:
     label: str = ""
 
 
-@dataclass(frozen=True)
+def _frozen(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class KrausSet:
-    """K_n[rows[n, c], c] = vals[n, c], other entries zero, for signed
-    integer ``rows`` and ``vals`` of one shape (n, d), n, d >= 1; n ``labels``
-    (None: all ""). A stored zero adds nothing to sum K^dag K, so each moves
-    to row c as +0, in place: equal operators, equal arrays. The set owns its
-    arrays, copying read-only ones: sets sharing ``rows`` must agree on zeros."""
+    """K_n[rows[n, c], c] = vals[n, c], else 0, from signed integer ``rows``
+    in [0, d) and ``vals`` of one shape (n, d), n, d >= 1, and n ``labels``
+    (None: all ""), in the file's run form (see ``fileio``), a zero on its own
+    row as +0: ``pos`` and ``to`` hold n d + column and n d + row of each listed
+    entry, ``amp`` its value, ``ends`` each operator's end. None is written or
+    rebound, so the residual measured at birth stays valid; copies re-list them."""
 
-    rows: np.ndarray
-    vals: np.ndarray
-    labels: tuple = None
+    __slots__ = ("dim", "labels", "ends", "pos", "to", "amp", "_residual")
 
-    def __post_init__(self):
-        rows, vals = self.rows, self.vals
+    def __new__(cls, rows, vals, labels=None):
+        rows, vals = np.asarray(rows), np.asarray(vals)
         if not (rows.ndim == 2 and rows.shape == vals.shape and rows.size and rows.dtype.kind == "i"):
             raise DimensionMismatchError("KrausSet rows, signed integers, and vals need one shape (n, d), "
                                          f"n, d >= 1; got {rows.dtype} {rows.shape} and {vals.shape}")
-        object.__setattr__(self, "labels", ("",) * len(rows) if self.labels is None else tuple(self.labels))
-        if len(self.labels) != len(rows):
-            raise ParameterError(f"{len(self.labels)} labels for {len(rows)} operators")
-        if np.count_nonzero(vals) < vals.size:
-            if not (rows.flags.writeable and vals.flags.writeable):
-                self.__dict__.update(rows=rows.copy(), vals=vals.copy())
-            np.copyto(self.rows, np.arange(rows.shape[1]), where=(zero := self.vals == 0))
-            self.vals[zero] = 0
+        n, d = rows.shape
+        if labels is not None and len(labels := tuple(labels)) != n:
+            raise ParameterError(f"{len(labels)} labels for {n} operators")
+        if rows.min() < 0 or rows.max() >= d:
+            raise ParameterError(f"KrausSet rows must lie in [0, {d}), got {rows.min()} to {rows.max()}")
+        base = np.arange(0, n * d, d)[:, None]
+        return _stack(d, [n], [labels], np.arange(n * d), np.ravel(base + rows), np.ravel(vals))[0]
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a KrausSet's {name} cannot be rebound")
+
+    __delattr__ = __setattr__
+    __reduce__ = lambda k: (_restack, (k.dim, k.labels, k.pos, k.to, k.amp))
+    __repr__ = lambda k: f"KrausSet(dim={k.dim}, operators={len(k)}, listed={k.pos.size}, labels={k.labels})"
 
     def __len__(self) -> int:
-        return self.rows.shape[0]
+        return len(self.ends)
+
+    _runs = property(lambda k: (len(k), k.dim, k.pos, k.to, k.amp))
+    rows = property(lambda k: _frozen(_dense(*k._runs)[0].reshape(len(k), k.dim) % k.dim)[0])
+    vals = property(lambda k: _frozen(_dense(*k._runs)[1])[0])
 
     @property
     def operators(self) -> tuple:
         """The operators as dense d x d matrices."""
-        n, d = self.rows.shape
-        ops = np.zeros((n, d, d), dtype=complex)
-        ops[np.arange(n)[:, None], self.rows, np.arange(d)] = self.vals
-        return tuple(ops)
+        flat, vals = _dense(*self._runs)
+        ops = np.zeros((flat.size, self.dim), dtype=complex)
+        ops[flat, np.arange(flat.size) % self.dim] = vals.ravel()
+        return tuple(ops.reshape(len(self), self.dim, self.dim))
+
+
+def _dense(n: int, d: int, pos, to, amp) -> tuple:
+    """(n d + row of each entry, the (n, d) values) of n operators' runs."""
+    flat = np.arange(n * d)
+    vals = amp[pos.searchsorted(flat, "right") - 1].reshape(n, d)
+    flat[pos] = to
+    return flat, vals
+
+
+def _stack(d: int, nops, labels, pos, to, amp, cap=None) -> list:
+    """KrausSets of ``nops[m]`` operators and ``labels[m]`` each, views of one
+    stack listed from sorted candidates (pos, to, amp) counted from each set's
+    first operator (each column 0, every column where a row or value may
+    change), measured in one pass, ``cap`` as ``_residuals`` takes it."""
+    if not nops:
+        return []
+    amp = np.ascontiguousarray(amp, dtype=complex)
+    if (zero := amp == 0).any():
+        to, amp = np.where(zero, pos, to), np.where(zero, 0j, amp)
+    bits = amp.view("V16")
+    keep = to != pos
+    keep[1:] |= bits[1:] != bits[:-1]
+    keep |= (head := pos % d == 0)
+    pos, to, amp = _frozen(pos[keep], to[keep], amp[keep])
+    starts, first = head[keep].nonzero()[0], (nops := np.asarray(nops)).cumsum() - nops
+    # each operator's end and each set's start in the listed stack
+    hi, lo = np.concatenate((starts[1:], [pos.size])), starts[first]
+    ends, = _frozen(hi - lo.repeat(nops))
+    residuals = _residuals(d, nops, hi[first + nops - 1] - lo, pos, to, amp, cap)
+    sets, put, lo = [], object.__setattr__, lo.tolist()
+    for f, n, a, b, lab, r in zip(first.tolist(), nops.tolist(), lo, lo[1:] + [pos.size], labels, residuals):
+        sets.append(k := object.__new__(KrausSet))
+        for name, v in zip(KrausSet.__slots__, (d, ("",) * n if lab is None else tuple(lab), ends[f:f + n],
+                                                pos[a:b], to[a:b], amp[a:b], r)):
+            put(k, name, v)
+    return sets
+
+
+def _restack(d, labels, pos, to, amp) -> KrausSet:
+    return _stack(d, [len(labels)], [labels], pos, to, amp)[0]
 
 
 def _stored(operators) -> tuple:
@@ -126,49 +172,68 @@ def kraus_set(operators, labels=None) -> KrausSet:
 
 
 def is_complete(k: KrausSet):
-    """(residual <= ATOL, residual): max deviation of sum K^dag K from the identity."""
-    residual = _residuals([k])[0]
-    return residual <= ATOL, residual
+    """(residual <= ATOL, residual): max deviation of sum K^dag K from the
+    identity, as measured where ``k`` was made."""
+    return k._residual <= ATOL, k._residual
 
 
-def _residuals(stages) -> list:
-    """Completeness residual of each KrausSet of ``stages``. Consecutive
-    stages of one dimension form one block, at most _BLOCK stored entries,
-    a lone stage uncopied. Column masses, the diagonal of sum K^dag K, are
-    summed in C order per run of stages with one operator count; a stage with
-    two nonzero entries of one operator on one row forms the whole matrix."""
-    out, at = [], 0
-    while at < len(stages):
-        end, size, d = at + 1, stages[at].rows.size, stages[at].dim
-        while end < len(stages) and stages[end].dim == d and size + stages[end].rows.size <= _BLOCK:
-            size += stages[end].rows.size
-            end += 1
-        block, counts = stages[at:end], [len(k) for k in stages[at:end]]
-        rows, vals = block[0].rows, block[0].vals
-        if len(block) > 1:
-            rows, vals = np.concatenate([k.rows for k in block]), np.concatenate([k.vals for k in block])
-        # a Fortran-ordered set would sum its masses along a contiguous
-        # axis, pairwise, and move the residual's last bits
-        mass, first = np.square(np.abs(vals), order="C"), len(out)
-        for n, run in groupby(counts):
-            m = len(list(run))
-            out += np.abs(mass[:m * n].reshape(m, n, d).sum(axis=1) - 1.0).max(axis=1).tolist()
-            mass = mass[m * n:]
-        # each stored zero sits on a row of its own, -1 - c, below every real
-        # row; the stable sort runs fast through the nearly sorted rows
-        keys = rows
-        if (zero := vals == 0).any():
-            keys = np.where(zero, ~np.arange(d), rows)
-        srt = np.sort(keys, axis=1, kind="stable")
-        if (same := srt[:, 1:] == srt[:, :-1]).any():
-            starts = np.cumsum(counts) - counts
-            for s in np.unique(np.repeat(np.arange(len(counts)), counts)[same.any(axis=1)]):
-                span = slice(starts[s], starts[s] + counts[s])
-                r, v = rows[span], vals[span]
-                gram = np.einsum("nc,nk,nck->ck", v.conj(), v, r[:, :, None] == r[:, None, :])
-                out[first + s] = float(np.abs(gram - np.eye(d)).max())
-        at = end
-    return out
+@np.errstate(over="ignore", invalid="ignore")
+def _residuals(d: int, nops, sizes, pos, to, amp, cap=None) -> list:
+    """Residuals, in the dense kernel's bits, of the sets of dimension d of
+    ``nops[m]`` operators listing ``sizes[m]`` entries each, their runs (pos,
+    to, amp) stacked. More than ``cap`` column masses and matrix entries
+    raise ResourceLimitError before any is formed. Overflow gives inf, unwarned."""
+    first, n, lo = (nops.cumsum() - nops) * d, int(nops.max()), sizes.cumsum() - sizes
+    # entries keyed by column from their set's first operator, then by n d + column
+    base = first.repeat(sizes)
+    gpos, key = base + pos, base + pos % d
+    # an entry off its own row meets a nonzero entry on that row: another
+    # such entry, or the one in column row (listed on its row, or unlisted).
+    # Rows that are the columns of the entries off their rows, one each, meet none
+    off = (to != pos).nonzero()[0]
+    row = np.sort((base + to)[off])
+    shared = []
+    if not (row == gpos[off]).all():
+        at = gpos.searchsorted(row, "right") - 1
+        meets = (amp[at] != 0) & ((gpos[at] != row) | (to[at] == pos[at]))
+        meets[1:] |= row[1:] == row[:-1]
+        # two entries sharing a row: the whole matrix over the set's listed
+        # columns and the rows they meet; any other column sits on its own
+        # row alone, with the values of the listed column before it
+        hit = sorted(set((first.searchsorted(row[meets], "right") - 1).tolist())) if meets.any() else []
+        shared = [(s, run := slice(lo[s], lo[s] + sizes[s]), np.unique(np.concatenate([pos[run], to[run]]) % d))
+                  for s in hit]
+    # column masses sum over a set's operators in order at its listed
+    # columns, along a strided axis as over the dense (n, d); pairwise at d = 1
+    if n > 2:
+        # once each, and column 1 too: at d >= 2 numpy then sums over >= 2 columns, in order
+        bps = np.unique(np.concatenate([key, first + min(d - 1, 1)]))
+        starts = bps.searchsorted(first)
+        per = np.diff(starts, append=bps.size)
+    else:
+        bps, per, starts = key, sizes, lo
+    # at d >= 2 sets of at most two operators sum as one, a missing operator
+    # adding +0, which leaves every bit as it is; other counts sum on their own
+    w = np.maximum(nops, min(n, 2)) if d > 1 else nops
+    if cap is not None and (work := int(per @ w) + sum(int(nops[s]) * c.size**2 for s, _, c in shared)) > cap:
+        raise ResourceLimitError(f"{work} column masses and matrix entries exceed the cap of {cap}")
+    n_at = nops.repeat(per) if d > 1 and n > nops.min() else None
+    dev, widths = np.empty(bps.size), set(w.tolist())
+    for m in widths:
+        g = slice(None) if len(widths) == 1 else (w.repeat(per) == m).nonzero()[0]
+        q = bps[g] + np.arange(0, m * d, d)[:, None]
+        mass = np.square(np.abs(amp[gpos.searchsorted(q if d > 1 else q.T, "right") - 1]))
+        if n_at is not None:
+            mass[np.arange(m)[:, None] >= n_at[g]] = 0.0
+        dev[g] = np.abs(mass.sum(axis=0 if d > 1 else 1) - 1.0)
+    out = np.maximum.reduceat(dev, starts)
+    for s, run, c in shared:
+        q = np.arange(0, nops[s] * d, d)[:, None] + c
+        at = pos[run].searchsorted(q, "right") - 1
+        v, r = amp[run][at], np.where(pos[run][at] == q, to[run][at], q)
+        gram = np.einsum("nc,nk,nck->ck", v.conj(), v, r[:, :, None] == r[:, None, :])
+        out[s] = float(np.abs(gram - np.eye(c.size)).max())
+    return out.tolist()
 
 
 def is_incoherent(k: KrausSet):
@@ -179,16 +244,14 @@ def is_incoherent(k: KrausSet):
 
 
 def _findings(stages) -> list:
-    """Each stage's completeness residual, measured in one ``_residuals``
-    pass, or a file's coherent stage's IncoherenceError, in stage order."""
-    found = iter(_residuals([s for s in stages if isinstance(s, KrausSet)]))
-    return [next(found) if isinstance(s, KrausSet) else s for s in stages]
+    """Each stage's residual, or a file's coherent stage's IncoherenceError."""
+    return [s._residual if isinstance(s, KrausSet) else s for s in stages]
 
 
 def _require_complete(k, atol: float = ATOL, where: str = ""):
     """``k``, a KrausSet or one of ``_findings``, if complete within ``atol``;
     else its IncoherenceError or a CompletenessError, led by ``where``."""
-    found = _residuals([k])[0] if isinstance(k, KrausSet) else k
+    found = k._residual if isinstance(k, KrausSet) else k
     if isinstance(found, IncoherenceError):
         raise IncoherenceError(f"{where}{found}", found.witness)
     # NaN-safe: a NaN residual fails this test
@@ -206,14 +269,15 @@ def _require_stages(stages, atol: float = ATOL, where: str = "") -> list:
     return findings
 
 
-def _outcomes(k: KrausSet, psi: np.ndarray) -> tuple:
+def _outcomes(k: KrausSet, psi: np.ndarray, dense=None) -> tuple:
     """(operator indices, probabilities, normalized post-states as rows) of
-    the branches of ``k``, already checked complete, on a validated state
-    whose probability exceeds TINY."""
+    the branches of complete ``k`` on a validated state, ``dense`` its dense
+    view if at hand."""
     if k.dim != psi.size:
         raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {psi.size}")
-    vecs = np.zeros(k.vals.shape, dtype=complex)
-    np.add.at(vecs, (np.arange(len(k))[:, None], k.rows), k.vals * psi)
+    flat, vals = dense or _dense(*k._runs)
+    vecs = np.zeros(vals.shape, dtype=complex)
+    np.add.at(vecs.ravel(), flat, (vals * psi).ravel())
     probs = (vecs.real**2 + vecs.imag**2).sum(axis=1)
     live = np.nonzero(probs > TINY)[0]
     if live.size < probs.size:
@@ -240,9 +304,10 @@ def apply_channel(k: KrausSet, rho) -> np.ndarray:
     if k.dim != rho.shape[0]:
         raise DimensionMismatchError(f"operator dim {k.dim} vs state dim {rho.shape[0]}")
     # K rho K^dag moves entry (c, c') of rho to (rows[c], rows[c'])
-    terms = k.vals[:, :, None] * rho * k.vals[:, None, :].conj()
+    rows, vals = k.rows, k.vals
+    terms = vals[:, :, None] * rho * vals[:, None, :].conj()
     out = np.zeros_like(rho)
-    np.add.at(out, (k.rows[:, :, None], k.rows[:, None, :]), terms)
+    np.add.at(out, (rows[:, :, None], rows[:, None, :]), terms)
     return out
 
 
@@ -252,27 +317,13 @@ def _join(a: str, b: str) -> str:
     return a or b
 
 
-def _product(rows, vals, labels, then: KrausSet) -> tuple:
-    """(rows, vals, labels) of the products [m, n] = then's operator m
-    after operator n of the stored ``rows``, ``vals`` and ``labels``, those
-    of Frobenius norm at or below TINY dropped, unchecked and with stored
-    zeros where the products put them: column c goes to rows[n, c], then on
-    to then.rows[m, rows[n, c]]."""
-    vals = (then.vals[:, rows] * vals).reshape(-1, then.dim)
-    rows = then.rows[:, rows].reshape(-1, then.dim)
-    keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
-    labels = list(compress((_join(a, b) for b in then.labels for a in labels), keep))
-    return rows[keep], vals[keep], labels
-
-
 def compose(stages) -> KrausSet:
     """Collapse sequential stages into one Kraus set (stage 1 acts first).
 
-    Products with Frobenius norm at or below TINY are dropped. Labels
-    of the surviving products join the stages' non-empty labels in order.
-    The product count can double with every stage: a stage whose products
-    would number more than COMPOSE_CAP raises ResourceLimitError before any
-    of them is formed.
+    Products with Frobenius norm at or below TINY are dropped. Labels of the
+    surviving products join the stages' non-empty labels in order. The
+    product count can double with every stage: a stage whose products would
+    number more than COMPOSE_CAP raises ResourceLimitError before any forms.
     """
     stages = list(stages)
     if not stages:
@@ -281,11 +332,15 @@ def compose(stages) -> KrausSet:
     if any(s.dim != d for s in stages):
         raise DimensionMismatchError("stages differ in dimension")
     rows, vals, labels = stages[0].rows, stages[0].vals, stages[0].labels
-    for stage in stages[1:]:
-        if len(rows) * len(stage) > COMPOSE_CAP:
-            raise ResourceLimitError(
-                f"{len(rows)} x {len(stage)} products exceed the cap of {COMPOSE_CAP}"
-            )
-        rows, vals, labels = _product(rows, vals, labels, stage)
+    for then in stages[1:]:
+        if len(rows) * len(then) > COMPOSE_CAP:
+            raise ResourceLimitError(f"{len(rows)} x {len(then)} products exceed the cap of {COMPOSE_CAP}")
+        # product [m, n], then's operator m after operator n: column c goes
+        # to rows[n, c], then on to then's rows[m, rows[n, c]]
+        vals = (then.vals[:, rows] * vals).reshape(-1, d)
+        rows = then.rows[:, rows].reshape(-1, d)
+        keep = np.sqrt((vals.real**2 + vals.imag**2).sum(axis=1)) > TINY
+        rows, vals = rows[keep], vals[keep]
+        labels = list(compress((_join(a, b) for b in then.labels for a in labels), keep))
     # with every product gone, the zero map is 1 off the identity
     return _require_complete(KrausSet(rows, vals, labels) if len(rows) else 1.0, len(stages) * ATOL)

@@ -1,21 +1,12 @@
 """Optimal pure-state conversion under incoherent operations.
 
 The maximal success probability P for psi -> phi is the ladder's first
-rung: the least ratio of tail sums of the squared sorted moduli, the one
-representation of sorted masses that every stage reads. The optimal
-protocol realizing it is a chain of two-outcome incoherent steps reaching
-an intermediate state gamma, then a two-operator filter built from the
-ladder of minimizing tails.
-The steps are built together: one array kernel computes every step's
-branch weights, trig pairs and stored operators as a single stack, exact
-by construction; ``two_level_step`` is its one-step call.
-``optimal_protocol`` validates its pair once and reads the ladder, the
-steps and the filter off one canonical pair; the product kernel of
-``compose`` joins the frames of the two states, one operator each, to the
-first and last stage. Its stages are complete by construction and checked
-nowhere on the way: ``verify_protocol``, which replays a protocol with each
-live branch a (probability, state, label) tuple, is the check.
-"""
+rung: the least ratio of tail sums of the squared sorted moduli. The optimal
+protocol realizing it is a chain of two-outcome incoherent steps reaching an
+intermediate state gamma, then a two-operator filter built from the ladder;
+``optimal_protocol`` computes every step's runs in one array kernel, joins the
+two states' frames to the end stages, and lists and measures all stages as
+one stack. ``verify_protocol`` replays a protocol branch by branch."""
 
 from __future__ import annotations
 
@@ -28,10 +19,11 @@ from .channels import (
     STAGE_CAP,
     KrausSet,
     _join,
+    _dense,
     _outcomes,
-    _product,
     _require_complete,
     _require_stages,
+    _stack,
 )
 from .errors import (
     DimensionMismatchError,
@@ -231,52 +223,50 @@ def _filter(ladder: ConversionLadder) -> tuple:
     return m, (rows, np.array(ops, dtype=complex), ("success", "fail")[: len(ops)])
 
 
-def _pair_steps(d: int, u, a, b, i, j) -> list:
-    """Two-outcome incoherent steps for k coordinate pairs, built as one stack.
-
-    Stage m undoes the chain transfer that moved the share ``u[m]`` of
-    ``a[m] - b[m]``: at 0-based coordinates ``i[m]``, ``j[m]`` its source
-    holds the squared amplitudes (1 - u) a + u b and u a + (1 - u) b, and it
-    leaves a and b there. Branch 1 weighs p1 = 1 - u: operator 1 is
-    diagonal with sqrt(p1) off the pair. Branch 2 weighs p2 = u: operator 2
-    swaps i and j with sqrt(p2) off the pair. The pair columns hold trig
-    pairs (cos, sin), which keep each column exactly normalized even for
-    tiny sources. An operator is dropped only when its branch weight is at
-    or below TINY and none of its columns holds mass above ATOL. All stages
-    share one (k, 2, d) array of rows and one of values, whose stored zeros
-    each KrausSet moves home in its view of the kept operators. With u
-    clipped to [0, 1], as a near-tied pair needs, the stages are complete by
-    construction; ``_residuals`` measures them for the loaders and verifier.
-    """
+def _pair_runs(d: int, u, a, b, i, j) -> tuple:
+    """(operator counts, candidate counts, pos, to, amp), as ``_stack`` takes
+    them, of the exact steps undoing k chain transfers of the share ``u``,
+    clipped to [0, 1], of ``a - b`` between 0-based coordinates ``i`` and
+    ``j``: operator 1 diagonal with weight 1 - u, operator 2 swapping i and j
+    with weight u, the pair columns trig pairs (cos, sin), exact even for tiny
+    sources. An operator is dropped only when its weight is at or below TINY
+    and none of its columns holds mass above ATOL."""
+    # candidates: columns 0, lo, lo + 1, hi, hi + 1; of two in a column the later stands
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     k = u.size
-    if k == 0:
-        return []
     # refuse a stack over the cap before allocating it
-    if 2 * k * d > STAGE_CAP:
-        raise ResourceLimitError(f"{k} x 2 x {d} stage entries exceed the cap of {STAGE_CAP}")
-    at = np.arange(k)
-    p1 = 1.0 - u
-    t1, t2 = np.sqrt(p1), np.sqrt(u)
-    ci, cj = np.sqrt(a), np.sqrt(b)
-    # columns (i, j) of both operators
-    th = np.arctan2(t2 * [cj, ci], t1 * [ci, cj])
-    cos, sin = np.cos(th), np.sin(th)
-    keep1 = (p1 > TINY) | (cos * cos > ATOL).any(axis=0)
-    keep2 = (u > TINY) | (sin * sin > ATOL).any(axis=0)
+    if 10 * k > STAGE_CAP:
+        raise ResourceLimitError(f"{k} x 10 listed stage entries exceed the cap of {STAGE_CAP}")
+    w = np.empty((k, 2))
+    w[:, 0], w[:, 1] = 1.0 - u, u
+    t = np.sqrt(w)
+    # the target amplitudes at columns lo and hi, their angles, and the trig pairs
+    c = np.sqrt(np.where(i < j, [a, b], [b, a]))
+    th = np.arctan2(t[:, 1] * c[::-1], t[:, 0] * c)
+    trig = np.empty((2, k, 2))
+    np.cos(th, out=trig[..., 0])
+    np.sin(th, out=trig[..., 1])
+    keep = (w > TINY) | (trig * trig > ATOL).any(axis=0)
+    cols = np.zeros((k, 5), dtype=np.intp)
+    cols[:, 1], cols[:, 3] = np.minimum(i, j), np.maximum(i, j)
+    cols[:, 2::2] = cols[:, 1::2] + 1
+    vals = np.empty((k, 2, 5), dtype=complex)
+    vals[..., ::2], vals[..., 1], vals[..., 3] = t[..., None], trig[0], trig[1]
+    pick = cols < d
+    pick[:, :-1] &= cols[:, :-1] != cols[:, 1:]
+    pick = keep[:, :, None] & pick[:, None]
+    # operator 2 counts from 0 when operator 1 is dropped; it swaps lo and hi
+    pos = cols[:, None] + d * (keep[:, :1] & [False, True])[..., None]
+    to = pos.copy()
+    to[:, 1, 1], to[:, 1, 3] = pos[:, 1, 3], pos[:, 1, 1]
+    return keep.sum(axis=1).tolist(), pick.sum(axis=(1, 2)).tolist(), pos[pick], to[pick], vals[pick]
 
-    rows = np.empty((k, 2, d), dtype=np.intp)
-    rows[:] = np.arange(d)
-    rows[at, 1, i], rows[at, 1, j] = j, i
-    vals = np.empty((k, 2, d), dtype=complex)
-    vals[:, 0] = t1[:, None]
-    vals[:, 1] = t2[:, None]
-    vals[at, 0, i], vals[at, 0, j] = cos
-    vals[at, 1, i], vals[at, 1, j] = sin
-    lo = np.where(keep1, 0, 1)
-    hi = np.where(keep2, 2, 1)
-    return [KrausSet(rows[m, a:b], vals[m, a:b]) for m, a, b in zip(range(k), lo.tolist(), hi.tolist())]
+
+def _pair_steps(d: int, u, a, b, i, j) -> list:
+    """The steps of ``_pair_runs`` as one stack."""
+    nops, _, *runs = _pair_runs(d, u, a, b, i, j)
+    return _stack(d, nops, [None] * len(nops), *runs)
 
 
 def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
@@ -287,8 +277,7 @@ def two_level_step(source, target_pair, i: int, j: int) -> KrausSet:
     outcomes produce the same post-state (source with the pair replaced).
     The pair masses must agree and the implied branch weight must lie in
     [0, 1]; otherwise the step is infeasible. Equal targets give the
-    identity. This is the one-stage call of the stacked builder behind
-    ``deterministic_protocol``, with the masses turned into the share u.
+    identity. This is the one-stage call of the stacked builder.
     """
     s = _require_nonneg_real(source)
     d = s.size
@@ -322,20 +311,17 @@ def deterministic_protocol(psi, gamma) -> list:
 
     Requires psi's squared amplitudes to be majorized by gamma's
     (MajorizationError otherwise). Each of at most d-1 stages is a
-    two-outcome incoherent step whose branches coincide, so every path ends
-    in gamma. Stage m undoes the chain's transform T_{m+1}, built from the
-    sweep's record of it alone, and all are built in one stacked pass.
+    two-outcome step whose branches coincide, undoing one chain transform.
     """
     s, g = _require_canonical(psi), _require_canonical(gamma)
-    return _block_stages(*_chain_inputs(s * s, g * g), (0,))
+    return _pair_steps(s.size, *_block_transfers(*_chain_inputs(s * s, g * g), (0,)))
 
 
-def _block_stages(x: np.ndarray, y: np.ndarray, starts) -> list:
-    """Stages carrying the canonical state of squared amplitudes x to that
-    of y, one chain sweep per block of coordinates from each 0-based start
-    in ``starts`` to the next; the pair is not checked again."""
+def _block_transfers(x: np.ndarray, y: np.ndarray, starts) -> tuple:
+    """(u, a, b, i, j) of the chain transfers from squared amplitudes y to x,
+    one sweep per block from each 0-based start in ``starts``, unchecked."""
     i, j, u, a, b = np.array(_transfers(x, y, starts), dtype=float).reshape(-1, 5).T
-    return _pair_steps(x.size, u, a, b, i, j)
+    return u, a, b, i, j
 
 
 @dataclass(frozen=True)
@@ -356,14 +342,11 @@ class Protocol:
 def optimal_protocol(psi, phi) -> Protocol:
     """Protocol realizing the maximal conversion probability for any pair.
 
-    Inputs may carry phases and arbitrary amplitude order. The product
-    kernel of ``compose`` joins the source frame P D, which sends column c
-    to row inverse-permutation[c] with phase c, to the first stage and the
-    target's (P D)^H to the filter; each frame is one operator, an exact
-    incoherent unitary. The stages are complete by construction, and
-    nothing is checked on the way: ``verify_protocol`` is the check. Zero
-    probability yields an empty protocol.
-    """
+    Inputs may carry phases and arbitrary amplitude order. The source frame
+    P D, sending column c to row inverse-permutation[c] with phase c, joins
+    the first stage, and the target's (P D)^H the filter. The stages are
+    complete by construction, ``verify_protocol`` the check; zero probability
+    yields an empty protocol."""
     cs, ct = canonical_pair(psi, phi)
     s = cs.state
     sa, sb, t, first = _first_rung(s, ct.state)
@@ -371,16 +354,23 @@ def optimal_protocol(psi, phi) -> Protocol:
         return Protocol(stages=(), success_label="success", probability=0.0)
     ladder = _ladder(sa, sb, t, first)
     # no transfer crosses a breakpoint, where the tails of psi and gamma agree
-    g = ladder.gamma
-    det = _block_stages(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]])
-    w_in = (np.argsort(cs.permutation)[None], cs.phases[None], ("",))
-    w_out = KrausSet(ct.permutation[None], ct.phases[ct.permutation].conj()[None])
-    stages = (
-        KrausSet(*(_product(*w_in, det[0]) if det else w_in)),
-        *det[1:],
-        KrausSet(*_product(*_filter(ladder)[1], w_out)),
-    )
-    return Protocol(stages=stages, success_label="success", probability=ladder.success_probability)
+    g, d = ladder.gamma, s.size
+    nops, sizes, *runs = _pair_runs(d, *_block_transfers(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]]))
+    # both end stages join the chain's runs as dense candidates: the first
+    # chain stage after P D, the diagonal filter before (P D)^H
+    back, n = np.argsort(cs.permutation), nops[0] if nops else 1
+    to, amp = back, cs.phases
+    if nops:
+        flat, vals = _dense(n, d, *(r[:sizes[0]] for r in runs))
+        to, amp = flat.reshape(n, d)[:, back].ravel(), (vals[:, back] * amp).ravel()
+        runs = [r[sizes[0]:] for r in runs]
+    filt = _filter(ladder)[1][1]
+    nf = len(filt)
+    runs = map(np.concatenate, zip((np.arange(n * d), to, amp), runs, (
+        np.arange(nf * d), (np.arange(0, nf * d, d)[:, None] + ct.permutation).ravel(),
+        (ct.phases[ct.permutation].conj() * filt).ravel())))
+    stages = _stack(d, [n, *nops[1:], nf], [None] * len(nops or [0]) + [("success", "fail")[:nf]], *runs)
+    return Protocol(stages=tuple(stages), success_label="success", probability=ladder.success_probability)
 
 
 @dataclass(frozen=True)
@@ -426,21 +416,18 @@ def _fingerprint(state: np.ndarray) -> bytes:
 
 def _step(branches: list, stage: KrausSet) -> list:
     """Run every live branch, a (probability, state, label) tuple, through
-    one stage, already checked complete.
+    one stage, already checked complete, its dense view derived once.
 
     Children with absolute probability at or below TINY are dropped. Two
     children merge when their labels are equal and their states agree
-    (fidelity within TINY of 1): a mixture of equal pure states is that
-    same pure state, so the first state is kept and the probabilities add.
-    Beyond SCAN_LIMIT children, only children with equal fingerprints are
-    compared; equal states that fall into different cells stay apart, which
-    costs a branch, not soundness.
-    """
+    (fidelity within TINY of 1); the first state is kept and the
+    probabilities add. Beyond SCAN_LIMIT children, only children with equal
+    fingerprints are compared, which may cost a branch, not soundness."""
     many = len(branches) * len(stage) > SCAN_LIMIT
     out = {}  # (label, fingerprint or None) -> live branches carrying them
-    count = 0
+    count, dense = 0, _dense(*stage._runs)
     for prob, state, label in branches:
-        live, probs, states = _outcomes(stage, state)
+        live, probs, states = _outcomes(stage, state, dense)
         for n, q, child in zip(live.tolist(), probs.tolist(), states):
             p = prob * q
             if p <= TINY:
@@ -462,12 +449,10 @@ def _step(branches: list, stage: KrausSet) -> list:
 def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
     """Simulate ``protocol`` on psi and check it delivers phi as declared.
 
-    The stages' completeness residuals are measured first, in one pass; the
-    first stage off by more than ATOL, or NaN, raises CompletenessError. The
-    stages then act in turn on the live branches, starting from psi; the
-    children of one branch are normalized together. Branches with equal
-    labels and equal post-states merge, so a protocol from optimal_protocol
-    carries at most two and the cost is linear in the stage count; more than
+    The first stage whose carried residual exceeds ATOL, or is NaN, raises
+    CompletenessError. The stages then act in turn on the live branches from
+    psi; branches with equal labels and equal post-states merge, so a
+    protocol from optimal_protocol carries at most two. More than
     COMPOSE_CAP live branches raise ResourceLimitError. Nothing from the
     builder (ladder, gamma, declared probability) enters the simulation.
     """
@@ -475,11 +460,7 @@ def verify_protocol(protocol: Protocol, psi, phi) -> ProtocolReport:
         # no stage acts, but the states must still be states
         pure_state(psi)
         pure_state(phi)
-        return ProtocolReport(
-            stage_completeness=(), success_probability=0.0,
-            declared_probability=protocol.probability,
-            min_success_fidelity=1.0, branch_count=0, success_count=0,
-        )
+        return ProtocolReport((), 0.0, protocol.probability, 1.0, 0, 0)
     d = protocol.stages[0].dim
     psi = _pad(pure_state(psi), d)
     phi = _pad(pure_state(phi), d)

@@ -1,21 +1,17 @@
 """JSON persistence for states, density matrices, channels, and protocols.
 
-Complex numbers are stored as [re, im] pairs; floats round-trip exactly
-through Python's shortest-repr serialization, and each file is the text
-``json.dumps`` gives for its payload. A Kraus set is written in run form,
-``{"dim", "at", "rows", "values"}`` plus ``"labels"`` when some operator has
-one: at[n] lists column 0, each column whose value differs bit for bit from
-the one before it (-0.0 from 0.0 too) and each column not on its own row;
-rows[n] and values[n] hold their rows and amplitudes. An unlisted column c
-has row c and the value of the nearest listed column to its left, so a
-T-transform stage takes a few words. A set with a non-finite value is
-refused before the file is opened. The run-form stages of a file are
-decoded as one stack, at most STAGE_CAP entries beyond two operators; each
-is a KrausSet of its slice. Dense ``"operators"`` stages, the only form of
-a coherent channel, are still read. The loaders check all stages in one
-pass, with ``channels._require_complete``'s rule, complete within
-RENORM_TOL; the first failing stage in file order raises.
-"""
+Complex numbers are [re, im] pairs; floats round-trip exactly, and a file
+is the text ``json.dumps`` gives for its payload. A Kraus set is written in
+its stored run form, ``{"dim", "at", "rows", "values"}`` (+ ``"labels"``):
+at[n] lists column 0, each column not on its own row and each whose value
+differs bit for bit from the one before it; rows[n] and values[n] hold their
+rows and amplitudes. An unlisted column c has row c and the value of the
+nearest listed column to its left. A set with a non-finite value is refused
+before the file is opened. A file's run-form stages decode as one stack,
+measured in one pass over at most 2 (STAGE_CAP + 4 dim) column masses and
+matrix entries, else ResourceLimitError; dense ``"operators"`` stages, the
+only form of a coherent channel, are still read. The loaders require every
+stage complete within RENORM_TOL."""
 
 from __future__ import annotations
 
@@ -26,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channels import STAGE_CAP, KrausSet, _require_complete, _require_stages, _stored
+from .channels import STAGE_CAP, KrausSet, _require_complete, _require_stages, _stack, _stored
 from .errors import (
     DimensionMismatchError,
     FileFormatError,
@@ -136,32 +132,24 @@ def load_density(path) -> np.ndarray:
 
 
 def _runs(sets) -> list:
-    """The run-form payload of each Kraus set, all of them encoded together.
-    An operator lists column 0, each column whose value differs bit for bit
-    from the one before it, and each column whose row is not its own."""
+    """The run-form payload of each Kraus set, its runs as stored, all of
+    them encoded together."""
     if not sets:
         return []
     dim = sets[0].dim
     if any(k.dim != dim for k in sets):
         raise DimensionMismatchError("Kraus sets of one file must share their dimension")
-    rows = np.concatenate([k.rows for k in sets])
-    # concatenating keeps a lone Fortran-ordered set's layout; the bit view
-    # below needs C order
-    vals = np.ascontiguousarray(np.concatenate([k.vals for k in sets], dtype=complex))
-    if not np.isfinite(vals).all():
+    pos, to, amp = (np.concatenate([getattr(k, f) for k in sets]) for f in ("pos", "to", "amp"))
+    if not np.isfinite(amp).all():
         raise ParameterError("Kraus values must be finite to be written")
-    bits = vals.view(np.uint64).reshape(*vals.shape, 2)
-    listed = rows != np.arange(dim)
-    listed[:, 0] = True
-    listed[:, 1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=2)
-    at, rows, pairs = np.nonzero(listed)[1].tolist(), rows[listed].tolist(), _to_pairs(vals[listed])
-    ends = np.cumsum(listed.sum(axis=1)).tolist()
-    at, rows, pairs = ([f[a:b] for a, b in zip([0] + ends, ends)] for f in (at, rows, pairs))
-    payloads, bounds = [], np.cumsum([0] + [len(k) for k in sets]).tolist()
-    for k, a, b in zip(sets, bounds, bounds[1:]):
-        payloads.append({"dim": dim, "at": at[a:b], "rows": rows[a:b], "values": pairs[a:b]})
+    fields = (("at", (pos % dim).tolist()), ("rows", (to % dim).tolist()), ("values", _to_pairs(amp)))
+    payloads, start = [], 0
+    for k in sets:
+        cuts = [start, *(k.ends + start).tolist()]
+        payloads.append({"dim": dim, **{key: [f[a:b] for a, b in zip(cuts, cuts[1:])] for key, f in fields}})
         if any(k.labels):
             payloads[-1]["labels"] = list(k.labels)
+        start = cuts[-1]
     return payloads
 
 
@@ -177,36 +165,33 @@ def _ints(x, dim, path, what) -> np.ndarray:
     return a
 
 
-def _expand(ops, dim, path):
-    """(rows, vals) of shape (n, dim) from the (at, rows, values) runs of n
-    operators: an unlisted column c has row c and the value of the nearest
-    listed column to its left."""
-    # a protocol's chain fills at most STAGE_CAP entries and its filter adds
-    # two operators; a file of a few bytes must not allocate more
-    if max(len(ops) - 2, 1) * dim > STAGE_CAP:
-        raise ResourceLimitError(f"{path}: {len(ops)} x {dim} stored entries exceed the cap of {STAGE_CAP}")
+def _decode(ops, nops, labels, dim, path) -> list:
+    """KrausSets of ``nops[m]`` operators and ``labels[m]`` each from the
+    (at, rows, values) runs of their operators, one stack."""
     for op in ops:
         if not all(isinstance(f, list) for f in op) or len(set(map(len, op))) != 1:
             raise FileFormatError(f"{path}: at, rows and values must be lists of one length per operator")
-    at, rows, vals = (list(chain.from_iterable(f)) for f in zip(*ops))
     counts = np.array([len(op[0]) for op in ops])
+    # every position n dim + column must fit in int64
+    if len(ops) * dim >= 1 << 63:
+        raise ResourceLimitError(f"{path}: {len(ops)} operators of dim {dim} overflow 64-bit positions")
+    at, rows, vals = (list(chain.from_iterable(f)) for f in zip(*ops))
     at = _ints(at, dim, path, "columns")
-    first = np.cumsum(counts) - counts
     keys = np.repeat(np.arange(len(ops)) * dim, counts) + at
-    if not counts.all() or at[first].any() or (keys[1:] <= keys[:-1]).any():
+    if not counts.all() or at[np.cumsum(counts) - counts].any() or (keys[1:] <= keys[:-1]).any():
         raise FileFormatError(f"{path}: the columns of each operator must start at 0 and increase")
-    full = np.tile(np.arange(dim), (len(ops), 1))
-    np.put(full, keys, _ints(rows, dim, path, "rows"))
-    # each listed value runs up to the next listed column
-    vals = np.repeat(_from_pairs(vals, (keys.size,), path), np.diff(keys, append=full.size))
-    return full, vals.reshape(full.shape)
+    # positions count from each set's first operator
+    base = keys - at - np.repeat(np.repeat(np.cumsum(nops) - nops, nops) * dim, counts)
+    # a protocol's chain is measured over at most 2 STAGE_CAP masses, its
+    # first and last stage over at most 8 dim
+    return _stack(dim, nops, labels, base + at, base + _ints(rows, dim, path, "rows"),
+                  _from_pairs(vals, (keys.size,), path), 2 * (STAGE_CAP + 4 * dim))
 
 
 def _stages(payloads, dim, path) -> list:
     """The stages of dimension ``dim`` (a channel file is one stage) as
-    KrausSets, unchecked, a coherent dense stage as its IncoherenceError;
-    a run-form stage is a slice of the one decoded stack."""
-    stages, stored = [], []
+    KrausSets, a coherent dense stage as its IncoherenceError."""
+    built, stored, nops, named = [], [], [], []
     for payload in payloads:
         own = _dim(payload, path)
         if own != dim:
@@ -220,26 +205,22 @@ def _stages(payloads, dim, path) -> list:
             if not count or not all(isinstance(f, list) and len(f) == count for f in runs):
                 raise FileFormatError(f"{path}: at, rows and values must list the same operators")
             stored.extend(zip(*runs))
-            # no operators of its own: its arrays are sliced from the stack
             ops = None
         labels = payload.get("labels")
         if labels is not None and (not isinstance(labels, list) or len(labels) != count
                                    or not all(isinstance(s, str) for s in labels)):
             raise FileFormatError(f"{path}: expected a list of {count} strings as labels, got {labels!r}")
-        stages.append((ops, count, labels))
-    if stored:
-        rows, vals = _expand(stored, dim, path)
-    built, start = [], 0
-    for ops, count, labels in stages:
         if ops is None:
-            built.append(KrausSet(rows[start:start + count], vals[start:start + count], labels))
-            start += count
+            built.append(None)
+            nops.append(count)
+            named.append(labels)
         else:
             try:
                 built.append(KrausSet(*_stored(ops), labels))
             except IncoherenceError as exc:
                 built.append(exc)
-    return built
+    decoded = iter(_decode(stored, nops, named, dim, path) if stored else ())
+    return [next(decoded) if k is None else k for k in built]
 
 
 def save_channel(path, k: KrausSet) -> None:

@@ -31,6 +31,7 @@ import platform
 import sys
 import tempfile
 from dataclasses import astuple
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +179,7 @@ def _protocol_case(psi, phi, copies, workdir):
         case.bits["file"] = hashlib.sha256(fh.read()).hexdigest()[:16]
     loaded, meta = q.load_protocol(path)
     case.exact["loaded"] = len(loaded)
-    case.residuals += [float(r).hex() for r in channels._residuals(loaded)]
+    case.residuals += [float(q.is_complete(k)[1]).hex() for k in loaded]
     return case
 
 
@@ -329,9 +330,13 @@ def _channel_cases(workdir):
         case.floats += [b.probability.hex() for b in branches]
         case.bits["branch_states"] = _digest(*(b.state for b in branches))
         yield f"channel-{n}", case
-    # consecutive stages of mixed shapes measured together
+    # consecutive stages of one dimension measured together
     case = Case()
-    case.residuals += [r.hex() for r in channels._residuals(sets)]
+    for _, block in groupby(sets, key=lambda k: k.dim):
+        block = list(block)
+        counts = np.array([[len(k), k.pos.size] for k in block]).T
+        runs = (np.concatenate([getattr(k, f) for k in block]) for f in ("pos", "to", "amp"))
+        case.residuals += [r.hex() for r in channels._residuals(block[0].dim, *counts, *runs)]
     yield "channel-stack", case
 
 

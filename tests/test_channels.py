@@ -1,4 +1,6 @@
-from unittest import mock
+import copy
+import pickle
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -100,9 +102,11 @@ def test_read_only_arrays_are_copied_before_their_zeros_move():
     rows.flags.writeable = vals.flags.writeable = False
     ks = KrausSet(rows, vals)
     assert ks.rows.tolist() == [[0, 1]] and rows.tolist() == [[0, 0]]
-    # without a stored zero nothing is written, and the arrays are kept
+    # the set lists its runs in read-only arrays of its own
     whole = KrausSet(rows, np.ones((1, 2), dtype=complex))
-    assert whole.rows is rows
+    assert not any(np.shares_memory(a, b) for a in (whole.pos, whole.to, whole.amp) for b in (rows, vals))
+    with pytest.raises(ValueError, match="read-only"):
+        whole.amp[0] = 2.0
 
 
 @st.composite
@@ -163,7 +167,7 @@ def test_is_complete_matches_dense_reference(ks):
 def test_stacked_residuals_equal_lone_residuals(data):
     # stage lists with mixed operator counts, stored zeros of either sign,
     # duplicate-row operators, one dimension or mixed ones, and sometimes a
-    # NaN value; small stacks split the list into many blocks
+    # NaN value; each run of stages of one dimension is measured as a stack
     d = data.draw(st.none() | st.integers(1, 6))
     stages = data.draw(st.lists(stored_sets(d), min_size=1, max_size=12))
     if data.draw(st.booleans()):
@@ -171,10 +175,119 @@ def test_stacked_residuals_equal_lone_residuals(data):
         vals = stages[m].vals.copy()
         vals.flat[data.draw(st.integers(0, vals.size - 1))] = np.nan
         stages[m] = KrausSet(stages[m].rows, vals, stages[m].labels)
-    with mock.patch.object(channels, "_BLOCK", data.draw(st.sampled_from([1, 8, 30, 1 << 16]))):
-        stacked = channels._residuals(stages)
+    stacked = [r for _, block in groupby(stages, key=lambda k: k.dim) for r in _measured_together(list(block))]
     lone = [is_complete(k)[1] for k in stages]
     assert np.array(stacked).tobytes() == np.array(lone).tobytes()
+
+
+def _measured_together(sets, cap=None) -> list:
+    """Residuals of KrausSets of one dimension measured as one stack."""
+    counts = (np.array([len(k), k.pos.size]) for k in sets)
+    runs = (np.concatenate([getattr(k, f) for k in sets]) for f in ("pos", "to", "amp"))
+    return channels._residuals(sets[0].dim, *np.array(list(counts)).T, *runs, cap)
+
+
+def _dense_residual(rows, vals) -> float:
+    """The dense kernel the run form replaced, on one stage: column masses
+    summed in C order over its (n, d) arrays, and the whole matrix when two
+    nonzero entries of one operator share a row."""
+    n, d = rows.shape
+    mass = np.square(np.abs(vals), order="C")
+    residual = np.abs(mass.reshape(1, n, d).sum(axis=1) - 1.0).max(axis=1).tolist()[0]
+    srt = np.sort(np.where(vals == 0, ~np.arange(d), rows), axis=1, kind="stable")
+    if (srt[:, 1:] == srt[:, :-1]).any():
+        gram = np.einsum("nc,nk,nck->ck", vals.conj(), vals, rows[:, :, None] == rows[:, None, :])
+        residual = float(np.abs(gram - np.eye(d)).max())
+    return residual
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stored_sets(), st.booleans())
+def test_run_form_residuals_equal_the_dense_kernel_bit_for_bit(ks, fortran):
+    # shared rows, stored zeros of either sign on foreign rows and two-level
+    # stages; made again from the dense views, in Fortran order or not
+    rows, vals = ks.rows, ks.vals
+    again = KrausSet(np.asfortranarray(rows), np.asfortranarray(vals)) if fortran else KrausSet(rows, vals)
+    want = _dense_residual(rows, vals)
+    assert is_complete(ks)[1].hex() == is_complete(again)[1].hex() == want.hex()
+    # dense -> runs -> operators -> kraus_set's reading, bit for bit
+    back = KrausSet(*_stored(ks.operators), ks.labels)
+    for k in (again, back):
+        assert all(getattr(k, f).tobytes() == getattr(ks, f).tobytes() for f in ("ends", "pos", "to", "amp"))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(k.operators, ks.operators))
+    # the carried residual stays valid: nothing the set holds can be written
+    for a in (ks.ends, ks.pos, ks.to, ks.amp, ks.rows, ks.vals):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+@pytest.mark.parametrize("rows", [[[1, -1]], [[0, 5]]], ids=["negative", "past_the_dimension"])
+def test_kraus_set_rows_outside_the_dimension_are_refused(rows):
+    # a row of -1 passed is_complete with residual 0 and gave apply_selective
+    # one branch of probability 2, in a file its own loader refused; a row
+    # of 5 passed is_complete too, and apply_selective raised numpy's bare
+    # IndexError
+    with pytest.raises(ParameterError, match=r"^KrausSet rows must lie in \[0, 2\)"):
+        KrausSet(np.array(rows), np.ones((1, 2), dtype=complex))
+
+
+def test_kraus_sets_are_never_rebound_and_copy_from_their_runs():
+    # the carried residual must stay the one measured on the set's own
+    # runs: no field can be rebound or deleted, and a copy or a pickle is
+    # listed and measured again from them
+    rng = np.random.default_rng(5)
+    ks = KrausSet([rng.permutation(5) for _ in range(3)], np.sqrt(rng.dirichlet(np.ones(3), size=5).T) + 0j, "abc")
+    for name in KrausSet.__slots__:
+        with pytest.raises(AttributeError, match="cannot be rebound"):
+            setattr(ks, name, None)
+        with pytest.raises(AttributeError, match="cannot be rebound"):
+            delattr(ks, name)
+    protocol = conversion.optimal_protocol(np.sqrt([0.5, 0.3, 0.2]), np.sqrt([0.6, 0.3, 0.1]))
+    copies = [(ks, again) for again in (copy.copy(ks), copy.deepcopy(ks), pickle.loads(pickle.dumps(ks)))]
+    for made in (copy.deepcopy(protocol), pickle.loads(pickle.dumps(protocol))):
+        copies += zip(protocol.stages, made.stages)
+    for k, again in copies:
+        assert again.dim == k.dim and again.labels == k.labels
+        assert all(getattr(again, f).tobytes() == getattr(k, f).tobytes() for f in ("ends", "pos", "to", "amp"))
+        assert is_complete(again)[1].hex() == is_complete(k)[1].hex()
+    assert repr(ks) == "KrausSet(dim=5, operators=3, listed=15, labels=('a', 'b', 'c'))"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shared_rows_are_measured_over_the_columns_they_involve(seed):
+    # two nonzero entries of one operator on one row, among 40 columns of
+    # unit mass in runs of five: the cross term on that row, which the
+    # matrix over the listed columns and the rows they meet must hold, is
+    # the residual, in the dense kernel's bits
+    rng = np.random.default_rng(seed)
+    n, d = 3, 40
+    rows = np.tile(np.arange(d), (n, 1))
+    vals = np.repeat(rng.standard_normal((n, 8)) + 1j * rng.standard_normal((n, 8)), 5, axis=1)
+    vals /= np.sqrt((np.abs(vals) ** 2).sum(axis=0))
+    m, c, c2 = rng.integers(n), *rng.choice(d, 2, replace=False)
+    rows[m, c2] = rows[m, c]
+    ks = KrausSet(rows, vals)
+    assert ks.pos.size < n * d
+    assert is_complete(ks)[1].hex() == _dense_residual(rows, vals).hex()
+
+
+def test_stack_masses_are_not_padded_to_the_widest_set():
+    # a 16-operator set beside a chain of two-operator stages: each count
+    # sums on its own, so the masses measured are the sum of the parts',
+    # not 16 for every listed column of the chain
+    rng = np.random.default_rng(3)
+    d = 64
+    wide = KrausSet([rng.permutation(d) for _ in range(16)], np.sqrt(rng.dirichlet(np.ones(16), size=d).T) + 0j)
+    chain = list(conversion.deterministic_protocol(np.sqrt(np.sort(rng.dirichlet(np.ones(d)))[::-1]), np.eye(d)[0]))
+
+    def work(sets):
+        with pytest.raises(ResourceLimitError) as err:
+            _measured_together(sets, 0)
+        return int(str(err.value).split()[0])
+
+    listed = sum(k.pos.size for k in chain)
+    assert work([wide, *chain]) <= work([wide]) + work(chain) < 16 * listed
+    assert _measured_together([wide, *chain]) == [is_complete(k)[1] for k in (wide, *chain)]
 
 
 def test_residual_does_not_depend_on_memory_layout():
@@ -201,7 +314,7 @@ def test_stacked_residuals_at_dimension_one():
         w = rng.random(n)
         stages.append(KrausSet(np.zeros((n, 1), dtype=np.intp), np.sqrt(w / w.sum())[:, None] + 0j))
     lone = [is_complete(k)[1] for k in stages]
-    assert np.array(channels._residuals(stages)).tobytes() == np.array(lone).tobytes()
+    assert np.array(_measured_together(stages)).tobytes() == np.array(lone).tobytes()
 
 
 def test_is_incoherent_identity_and_diagonal():

@@ -370,9 +370,12 @@ def test_stacked_stages_view_one_stack():
     gamma = np.sqrt([0.7, 0.2, 0.1, 0.0])
     stages = deterministic_protocol(psi, gamma)
     assert len(stages) >= 2
-    base = stages[0].rows.base
-    assert base is not None and all(ks.rows.base is base for ks in stages)
-    assert all(ks.rows.flags.c_contiguous and ks.vals.flags.c_contiguous for ks in stages)
+    # each stage's runs are slices of one listed stack, at most five entries
+    # an operator: columns 0, i, i + 1, j and j + 1
+    for field in ("pos", "to", "amp"):
+        base = getattr(stages[0], field).base
+        assert base is not None and all(getattr(ks, field).base is base for ks in stages)
+    assert all(ks.pos.size <= 5 * len(ks) for ks in stages)
 
 
 def run_stages(stages, psi):
@@ -521,7 +524,7 @@ def reference_optimal_protocol(psi, phi):
     d = cs.state.size
     ladder = build_ladder(cs.state, ct.state)
     s, g = cs.state, ladder.gamma
-    det = conversion._block_stages(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]])
+    det = conversion._pair_steps(d, *conversion._block_transfers(s * s, g * g, [l - 1 for l in ladder.breakpoints[::-1]]))
     det = det or [channels.KrausSet(np.arange(d)[None], np.ones((1, d), dtype=complex))]
     filt = filter_operator(ladder, ct.state)
     w_in = channels.KrausSet(np.argsort(cs.permutation)[None], cs.phases[None])
@@ -643,19 +646,21 @@ def test_verify_protocol_merges_equal_branches():
 def test_verify_protocol_checks_each_stage_once(monkeypatch):
     plus = np.full(2, 1.0 / np.sqrt(2.0))
     half = np.sqrt(0.5) * np.eye(2, dtype=complex)
-    protocol = _protocol([kraus_set([half, half], labels=["a", "b"])] * 12)
-    # one pass: the kernel measures the 12 stages as one stack, none twice
+    # each stage is measured where it is made, once; the replay reads the
+    # residuals the stages carry and measures none again
     measured = []
     kernel = channels._residuals
 
-    def counting(stages):
-        measured.append(len(stages))
-        return kernel(stages)
+    def counting(d, nops, *rest):
+        measured.append(len(nops))
+        return kernel(d, nops, *rest)
 
     monkeypatch.setattr(channels, "_residuals", counting)
+    protocol = _protocol([kraus_set([half, half], labels=["a", "b"]) for _ in range(12)])
+    assert measured == [1] * 12
     report = verify_protocol(protocol, plus, plus)
     assert report.branch_count == 4096
-    assert measured == [12]
+    assert measured == [1] * 12
 
 
 def test_complete_stage_on_a_valid_state_is_replayed():
@@ -1150,14 +1155,21 @@ def test_unequal_dimension_protocol_is_linear():
 
 
 @pytest.mark.wallclock
-def test_stage_stack_cap_raises_before_allocating():
-    # the d - 1 stages from uniform to a basis state at d = 20,000 would
-    # need about 19 GB of stored operators; d = 4096 still fits
+def test_stage_stack_cap_raises_before_allocating(monkeypatch):
+    # a chain stage lists at most 10 entries, 5 for each operator, so the
+    # cap is held against 10 k before a stage is made: the d - 1 stages from
+    # uniform to a basis state at d = 20,000 fit the cap only just
     d = 20_000
-    assert 2 * (4096 - 1) * 4096 <= conversion.STAGE_CAP < 2 * (d - 1) * d
+    assert 10 * (400_000 - 1) <= conversion.STAGE_CAP
     basis = np.zeros(d)
     basis[0] = 1.0
+    uniform = np.full(d, 1.0 / np.sqrt(d))
+    monkeypatch.setattr(conversion, "STAGE_CAP", 10 * (d - 1) - 1)
+    monkeypatch.setattr(conversion, "_stack", None)
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="stage entries exceed the cap"):
-        deterministic_protocol(np.full(d, 1.0 / np.sqrt(d)), basis)
+    with pytest.raises(ResourceLimitError, match=f"^{d - 1} x 10 listed stage entries exceed the cap"):
+        deterministic_protocol(uniform, basis)
     assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    monkeypatch.setattr(conversion, "STAGE_CAP", 10 * (d - 1))
+    assert len(deterministic_protocol(uniform, basis)) == d - 1

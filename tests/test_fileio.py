@@ -278,9 +278,10 @@ def test_channel_file_does_not_depend_on_memory_layout(tmp_path):
     rng = np.random.default_rng(23)
     sets = [_merged_signed()] + [random_incoherent_kraus(rng, d) for d in (2, 3, 5)]
     for ks in sets:
-        fortran = KrausSet(np.asfortranarray(ks.rows), np.asfortranarray(ks.vals), ks.labels)
+        rows, vals = np.asfortranarray(ks.rows), np.asfortranarray(ks.vals)
+        assert not vals.flags.c_contiguous or len(ks) == 1
+        fortran = KrausSet(rows, vals, ks.labels)
         transposed = KrausSet(ks.rows.T.copy().T, ks.vals.T.copy().T, ks.labels)
-        assert not fortran.vals.flags.c_contiguous or len(ks) == 1
         assert is_complete(fortran)[0]
         save_channel(tmp_path / "c.json", ks)
         for other in (fortran, transposed):
@@ -468,16 +469,19 @@ def stored_sets(draw, d):
 
 
 def _decoded(path):
-    """The (rows, values) the run-form decoder gives for each stage of a
-    file, before a KrausSet moves its stored zeros."""
+    """The dense (rows, values) of each stage of a file, expanded from its
+    runs one entry at a time: an unlisted column c has row c and the value
+    of the nearest listed column to its left."""
     payload = json.loads(path.read_text(encoding="utf-8"))
-    stages = payload["stages"] if "stages" in payload else [payload]
-    if not stages:
-        return []
-    ops = [op for stage in stages for op in zip(stage["at"], stage["rows"], stage["values"])]
-    rows, vals = fileio._expand(ops, payload["dim"], path)
-    bounds = np.cumsum([0] + [len(stage["at"]) for stage in stages]).tolist()
-    return [(rows[a:b], vals[a:b]) for a, b in zip(bounds, bounds[1:])]
+    d, out = payload["dim"], []
+    for stage in payload["stages"] if "stages" in payload else [payload]:
+        rows = np.tile(np.arange(d), (len(stage["at"]), 1))
+        vals = np.zeros(rows.shape, dtype=complex)
+        for n, (at, listed, values) in enumerate(zip(stage["at"], stage["rows"], stage["values"])):
+            for a, b, r, v in zip(at, at[1:] + [d], listed, values):
+                rows[n, a], vals[n, a:b] = r, complex(*v)
+        out.append((rows, vals))
+    return out
 
 
 def _read_back(path, sets):
@@ -629,35 +633,82 @@ def test_protocol_d2048_loads_and_verifies_fast(tmp_path):
 
 
 @pytest.mark.wallclock
-def test_decode_refuses_a_huge_dim_before_allocating(tmp_path):
-    # 72 bytes declaring 10^8 columns: the decoder asked numpy for 763 MiB
-    # of rows before any check; now the stack is measured first
-    path = tmp_path / "channel.json"
+def test_protocol_d8192_is_built_checked_saved_and_loaded_fast(tmp_path):
+    # the dense stage stack refused d above about 4,100 (STAGE_CAP); in run
+    # form, on a 2-CPU machine, the round trip takes about 1.2 s and peaks
+    # near 55 MiB traced, most of it the file's decoded JSON
+    rng = np.random.default_rng(8192)
+    psi, phi = (random_pure_state(rng, 8192, phases=True) for _ in range(2))
+    path = tmp_path / "protocol.json"
+
+    def round_trip():
+        protocol = optimal_protocol(psi, phi)
+        assert all(is_complete(s)[0] for s in protocol.stages)
+        save_protocol(path, protocol)
+        built = len(protocol.stages)
+        del protocol
+        return built, len(load_protocol(path)[0])
+
+    start = time.perf_counter()
+    built, loaded = round_trip()
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        round_trip()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == built > 8000
+    assert elapsed < 5.0
+    assert peak < 64 << 20
+
+
+@pytest.mark.wallclock
+def test_decode_of_a_huge_dim_lists_and_measures_only_its_entries(tmp_path):
+    # 72 bytes declaring 10^8 columns: the dense decoder asked numpy for 763
+    # MiB of rows; runs decode to the one entry the file lists. Two entries
+    # on one row are measured over their two columns, not the 10^8 x 10^8
+    # matrix of the dense kernel
+    path, shared = tmp_path / "channel.json", tmp_path / "shared.json"
     path.write_text(json.dumps({"dim": 100_000_000, "at": [[0]], "rows": [[0]],
                                 "values": [[[1.0, 0.0]]]}))
+    shared.write_text(json.dumps({"dim": 100_000_000, "at": [[0, 1]], "rows": [[0, 0]],
+                                  "values": [[[1.0, 0.0], [1.0, 0.0]]]}))
     assert path.stat().st_size == 72
     tracemalloc.start()
     try:
         start = time.perf_counter()
-        for load in (load_channel, read_stages):
-            with pytest.raises(ResourceLimitError, match="1 x 100000000 stored entries exceed the cap"):
-                load(path)
+        for load in (load_channel, lambda p: read_stages(p)[0][0]):
+            ks = load(path)
+            assert ks.dim == 100_000_000 and ks.pos.size == 1 and is_complete(ks) == (True, 0.0)
+        assert is_complete(read_stages(shared)[0][0]) == (False, 1.0)
+        with pytest.raises(CompletenessError, match=r"deviates from identity by 1\.000e\+00$"):
+            load_channel(shared)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 1 << 20
-    assert main(["verify-channel", "--channel", str(path)]) == 1
+    assert main(["verify-channel", "--channel", str(path)]) == 0
+    assert main(["verify-channel", "--channel", str(shared)]) == 1
+    # positions n dim + column past int64 are refused before any is formed
+    path.write_text(json.dumps({"dim": 1 << 62, "at": [[0]] * 2, "rows": [[0]] * 2,
+                                "values": [[[0.5, 0.0]]] * 2}))
+    for load in (load_channel, read_stages):
+        with pytest.raises(ResourceLimitError, match=r"2 operators of dim 4611686018427387904 overflow 64-bit"):
+            load(path)
 
 
 def test_decode_cap_admits_the_chain_plus_the_filter(tmp_path, monkeypatch):
-    # with the cap just fitting a protocol's chain stack, 2 operators for
-    # each of its k stages, its file, which adds the filter, still loads
+    # with the cap just fitting a protocol's chain stack, at most 10 listed
+    # entries for each of its k stages, its file, whose first and last
+    # stages add at most 4 d, still loads: a stack of at most two operators
+    # a set is measured over two masses an entry
     rng = np.random.default_rng(16)
     d = 16
     psi, phi = (random_pure_state(rng, d, phases=True) for _ in range(2))
-    cap = 2 * (len(optimal_protocol(psi, phi).stages) - 1) * d
+    cap = 10 * (len(optimal_protocol(psi, phi).stages) - 1)
     monkeypatch.setattr(conversion, "STAGE_CAP", cap)
     monkeypatch.setattr(fileio, "STAGE_CAP", cap)
     protocol = optimal_protocol(psi, phi)
@@ -666,11 +717,35 @@ def test_decode_cap_admits_the_chain_plus_the_filter(tmp_path, monkeypatch):
     stages, _ = load_protocol(path)
     assert all(_same(a, b) for a, b in zip(stages, protocol.stages))
     # the bound is tight: one entry less refuses the file
-    n = sum(len(s) for s in protocol.stages)
-    assert 0 < (n - 2) * d <= cap
-    monkeypatch.setattr(fileio, "STAGE_CAP", (n - 2) * d - 1)
-    with pytest.raises(ResourceLimitError, match=f"{n} x {d} stored entries exceed the cap"):
+    n = sum(s.pos.size for s in protocol.stages)
+    assert 0 < n - 4 * d <= cap and max(map(len, protocol.stages)) == 2
+    monkeypatch.setattr(fileio, "STAGE_CAP", n - 4 * d)
+    assert len(load_protocol(path)[0]) == len(stages)
+    monkeypatch.setattr(fileio, "STAGE_CAP", n - 4 * d - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{2 * n} column masses and matrix entries exceed the cap of {2 * n - 2}$"):
         load_protocol(path)
+
+
+def test_decode_cap_counts_the_masses_of_many_operators(tmp_path, monkeypatch):
+    # 64 operators listing two entries each: 128 listed entries, but 64 x 65
+    # column masses, and 64 x 65^2 matrix entries once two of them share a
+    # row; each count is held against the cap before anything is formed
+    d = 65
+    path = tmp_path / "channel.json"
+    ops = {"at": [[0, c] for c in range(1, d)], "rows": [[0, c] for c in range(1, d)],
+           "values": [[[0.125, 0.0], [0.0, 0.125]] for c in range(1, d)]}
+    path.write_text(json.dumps({"dim": d, **ops}))
+    assert is_complete(load_channel(path)) == (True, 0.0)
+    monkeypatch.setattr(fileio, "STAGE_CAP", 64 * d // 2 - 4 * d - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{64 * d} column masses and matrix entries exceed the cap of {64 * d - 2}$"):
+        load_channel(path)
+    monkeypatch.undo()
+    ops["rows"][0][1] = 0
+    path.write_text(json.dumps({"dim": d, **ops}))
+    assert is_complete(read_stages(path)[0][0])[1] > 0.0
+    monkeypatch.setattr(fileio, "STAGE_CAP", (64 * d + 64 * d * d) // 2 - 4 * d - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{64 * d + 64 * d * d} column masses"):
+        read_stages(path)
 
 
 IDENTITY = {"dim": 2, "at": [[0]], "rows": [[0]], "values": [[V]]}
